@@ -4,7 +4,7 @@ Subcommands: eval | sign-map | verify | compare | evolution-sweep.
 Configs are JSON validated against the schemas in ``schemas.py`` (unknown
 keys rejected); outputs are CSV with 17 significant digits (round-trip
 exact for doubles) plus JSON summaries.  Set PLAP_LOG to a logging level
-name for diagnostics on stderr.
+name (DEBUG, INFO, WARNING, ERROR, CRITICAL) for diagnostics on stderr.
 """
 
 import argparse
@@ -82,9 +82,8 @@ def _concave_from(term_cfg):
         )
     if kind == "affine_min":
         return concave.AffineMinTerm(term_cfg["slopes"], term_cfg["offsets"])
-    if kind == "mollified":
-        return concave.MollifiedTerm(_concave_from(term_cfg["base"]), float(term_cfg["delta"]))
-    raise SystemExit(f"unknown concave kind {kind!r}")
+    # the schema's enum leaves "mollified"
+    return concave.MollifiedTerm(_concave_from(term_cfg["base"]), float(term_cfg["delta"]))
 
 
 def cmd_eval(args):
@@ -104,22 +103,12 @@ def cmd_eval(args):
         x = np.asarray(point, dtype=float)
         dists = np.linalg.norm(x[None, :] - ps.locations, axis=1)
         if np.min(dists) <= 10 * step:
-            res_val = superpose.evaluate(ps, k, x).value if np.min(dists) > 0 else None
-            rows.append(
-                list(x)
-                + [
-                    res_val if res_val is not None else float("inf"),
-                    float("nan"),
-                    float("nan"),
-                    float("nan"),
-                    float("nan"),
-                    "near-pole",
-                ]
-            )
+            value = superpose.evaluate(ps, k, x).value
+            rows.append(list(x) + [value] + [float("nan")] * 4 + ["near-pole"])
             continue
         res = superpose.evaluate(ps, k, x)
         direct = superpose.delta_p_direct(ps, k, x)
-        closed = superpose.delta_p_closed_form(ps, x) if pure else float("nan")
+        closed = superpose.delta_p_closed_form(ps, k, x) if pure else float("nan")
         fd = superpose.delta_p_fd(ps, k, x, step=step)
         rows.append(
             list(x)
@@ -288,8 +277,15 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("PLAP_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("PLAP_LOG", "WARNING").upper())
+    if not isinstance(level, int):
+        print(
+            "error: PLAP_LOG must be a logging level name "
+            "(DEBUG, INFO, WARNING, ERROR, CRITICAL)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    logging.basicConfig(stream=sys.stderr, level=level)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

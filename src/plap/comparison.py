@@ -10,7 +10,6 @@ energy, so accepted steps are non-increasing and the minimizer is
 grid-unique.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .concave import ConcaveTerm, ZeroTerm
 from .errors import SolverFailureError, UnsupportedConfigurationError
-from .superpose import PoleSet
+from .superpose import PoleSet, _pole_terms
 
 DEFAULT_REG_EPS = 1e-8
 DEFAULT_TOL = 1e-9
@@ -218,32 +217,22 @@ def solve_p_harmonic(
 def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarray:
     """Node values of W = V + K on the grid (value only, derivative-free).
 
-    Requires p > n so that W stays finite at poles; a pole landing exactly
-    on a node contributes its limit value 0 there.
+    A pole landing exactly on a node follows the pole rule of
+    ``fundamental_profile``; where that makes a node value infinite
+    (1 < p <= n) the grid is rejected.
     """
     if k is None:
         k = ZeroTerm()
-    p, n, c = ps.params.p, ps.params.n, ps.params.c
+    n = ps.params.n
     if dom.dim != n:
         raise ValueError("grid dimension does not match the pole-set dimension")
     nodes = dom.nodes().reshape(-1, n)
-    values = np.zeros(nodes.shape[0])
-    for a, y in zip(ps.weights, ps.locations):
-        r = np.linalg.norm(nodes - y[None, :], axis=1)
-        if np.any(r == 0.0) and p <= n:
-            raise UnsupportedConfigurationError(
-                "a pole coincides with a grid node and W is infinite there"
-            )
-        if p == n:
-            term = -c * np.log(r)
-        else:
-            expo = (p - n) / (p - 1)
-            coeff = -c * (p - 1) / (p - n)
-            with np.errstate(divide="ignore"):
-                term = coeff * r**expo
-            term[r == 0.0] = 0.0 if expo > 0 else math.inf
-        values += a * term
-    values += np.array([k.value(z) for z in nodes])
+    v = _pole_terms(ps, nodes)[2]
+    values = v @ ps.weights + np.array([k.value(z) for z in nodes])
+    if not np.all(np.isfinite(values)):
+        raise UnsupportedConfigurationError(
+            "a pole coincides with a grid node and W is infinite there"
+        )
     return values.reshape(dom.shape)
 
 
@@ -269,7 +258,6 @@ def comparison_check(
     ps: PoleSet,
     k: ConcaveTerm,
     dom: GridDomain,
-    p: float = None,
     shift: float = 0.0,
     tol: float = COMPARISON_TOL,
     reg_eps: float = DEFAULT_REG_EPS,
@@ -282,10 +270,7 @@ def comparison_check(
     treated as dominating by fiat) and their exported W values are clamped
     to a level above the boundary data.
     """
-    if p is None:
-        p = ps.params.p
-    if p != ps.params.p:
-        raise ValueError("p must match the pole-set parameters")
+    p = ps.params.p
     if not p > 2:
         raise ValueError("the comparison harness requires p > 2")
 

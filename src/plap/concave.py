@@ -198,11 +198,6 @@ class MollifiedTerm(ConcaveTerm):
         return val, grad, hess
 
 
-def eval_concave(k: ConcaveTerm, x):
-    """Value, gradient and Hessian of the additive term at x."""
-    return k.eval(x)
-
-
 def eigenvalue_criterion(hess, p: float, slack: float = CRITERION_SLACK) -> bool:
     """Sufficient condition for the operator term to be non-positive:
     lambda_1 + ... + lambda_{n-1} + (p-1) lambda_n <= 0 (sorted ascending).

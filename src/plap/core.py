@@ -7,9 +7,11 @@ A radial function f(x) = v(|x - y|) has
     lap  f = v'' + (n-1) * v'/r,
 
 and the fundamental solution has v'(r) = -c * r^((1-n)/(p-1)), which makes
-(p-1) v'' + (n-1) v'/r vanish identically.
+(p-1) v'' + (n-1) v'/r vanish identically.  Also the central-difference
+divergence stencil shared by the finite-difference oracles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,57 +49,54 @@ class Params:
         return self.c * (p - 2) * (p + n - 2) / (p - 1)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Value and first two radial derivatives of the profile at radius r."""
+def fundamental_profile(params: Params, r):
+    """Closed-form fundamental-solution profile v, v', v'' at radii r >= 0.
 
-    r: float
-    v: float
-    dv: float
-    ddv: float
+    v = -c (p-1)/(p-n) r^((p-n)/(p-1)) for p != n, v = -c ln r for p = n;
+    branch selection is by exact equality of p and n.  r may have any
+    shape; the three returned arrays have the same shape.
 
-
-def fundamental_profile(params: Params, r: float) -> RadialProfile:
-    """Closed-form fundamental-solution profile at radius r > 0.
-
-    v = -c (p-1)/(p-n) r^((p-n)/(p-1)) for p != n, v = -c ln r for p = n.
-    Branch selection is by exact equality of p and n.
+    This is the only place the pole rule lives: at r = 0 the pole
+    contributes v = +inf when (p-n)/(p-1) <= 0, i.e. 1 < p <= n (the log
+    case p = n included), and otherwise its limit v = 0.  v' and v'' are
+    NaN there: derivatives are unavailable at any pole.
     """
-    if not r > 0:
-        raise PoleSingularityError(f"radius must be positive, got {r}")
+    r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0):
+        raise PoleSingularityError("radii must be nonnegative")
     p, n, c = params.p, params.n, params.c
+    a = (p - n) / (p - 1)
+    pole = r == 0
+    on_pole = bool(pole.any())
+    if on_pole:
+        r = np.where(pole, 1.0, r)  # placeholder radius, overwritten below
     if p == n:
         v = -c * np.log(r)
     else:
-        a = (p - n) / (p - 1)
         v = -c * (p - 1) / (p - n) * r**a
     e = (1 - n) / (p - 1)
     dv = -c * r**e
     ddv = -c * e * r ** (e - 1)
-    return RadialProfile(r=float(r), v=float(v), dv=float(dv), ddv=float(ddv))
+    if on_pole:
+        v = np.where(pole, math.inf if a <= 0 else 0.0, v)
+        dv = np.where(pole, math.nan, dv)
+        ddv = np.where(pole, math.nan, ddv)
+    return v, dv, ddv
 
 
-def radial_gradient(params: Params, x, y) -> np.ndarray:
-    """Gradient of w(x - y) at x, i.e. v'(r) * (x-y)/r."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise PoleSingularityError("gradient requested at the pole")
-    prof = fundamental_profile(params, r)
-    return prof.dv * d / r
+def fd_divergence(flux, x, step: float) -> float:
+    """Central-difference divergence of a vector field at x.
 
-
-def radial_hessian(params: Params, x, y) -> np.ndarray:
-    """Hessian of w(x - y) at x: v'' u u^T + (v'/r)(I - u u^T)."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise PoleSingularityError("Hessian requested at the pole")
-    prof = fundamental_profile(params, r)
-    u = d / r
-    uu = np.outer(u, u)
-    eye = np.eye(len(d))
-    return prof.ddv * uu + (prof.dv / r) * (eye - uu)
+    The spacing is h = step * (1 + |x|).  ``flux`` is called once, on the
+    2n stencil points x + h e_j followed by x - h e_j as rows of a
+    (2n, n) array, and returns the field at each of them as rows.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = step * (1.0 + float(np.linalg.norm(x)))
+    shifts = h * np.eye(n)
+    f = flux(np.concatenate([x + shifts, x - shifts]))
+    return float(np.sum((np.diagonal(f[:n]) - np.diagonal(f[n:])) / (2 * h)))
 
 
 def rayleigh_quotient(hess: np.ndarray, z) -> float:

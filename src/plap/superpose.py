@@ -10,14 +10,13 @@ their p-Laplacian through three independent routes:
 Also the (p, n) sign classifier of the superposition's p-Laplacian.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .concave import ConcaveTerm, ZeroTerm
-from .core import Params, fundamental_profile
+from .core import Params, fd_divergence, fundamental_profile
 from .errors import (
     PoleSingularityError,
     UndefinedOperatorError,
@@ -80,8 +79,10 @@ class EvalResult:
     """Assembled value/gradient/Hessian plus per-pole geometry.
 
     angles[i] is the angle in [0, pi] between x - y_i and the total
-    gradient (0 by convention when the gradient vanishes).  At a pole with
-    2 <= p < n the value is +inf and the derivative fields are None.
+    gradient (0 by convention when the gradient vanishes).  At a pole the
+    value follows the pole rule of ``fundamental_profile`` (+inf for
+    1 < p <= n, else the finite value with that pole contributing 0) and
+    the derivative fields are None.
     """
 
     value: float
@@ -95,60 +96,48 @@ class EvalResult:
         return self.gradient is not None
 
 
-def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
-    """Value, gradient, Hessian, angles and distances of V + K at x."""
+def _pole_terms(ps: PoleSet, x):
+    """Offsets x - y_i, radii r_i and the profile v, v', v'' for points
+    x of shape (..., n) against every pole; pole axis second to last."""
+    d = x[..., None, :] - ps.locations
+    r = np.linalg.norm(d, axis=-1)
+    return (d, r) + fundamental_profile(ps.params, r)
+
+
+def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
+    """``evaluate`` plus the per-pole terms (d, r, v, v', v'') it used."""
     if k is None:
         k = ZeroTerm()
     x = np.asarray(x, dtype=float)
-    p, n = ps.params.p, ps.params.n
+    n = ps.params.n
     if x.shape != (n,):
         raise ValueError(f"query point has shape {x.shape}, expected ({n},)")
-    diffs = x[None, :] - ps.locations
-    dists = np.linalg.norm(diffs, axis=1)
-    if np.any(dists == 0.0):
-        if 2 <= p < n:
-            return EvalResult(
-                value=math.inf,
-                gradient=None,
-                hessian=None,
-                angles=None,
-                distances=dists,
-            )
-        raise PoleSingularityError(
-            f"evaluation at a pole is singular for p = {p}, n = {n}"
-        )
+    terms = d, r, v, dv, ddv = _pole_terms(ps, x)
+    a = ps.weights
+    if not r.all():
+        # on a pole: the value the pole rule gives, no derivatives
+        return EvalResult(float(a @ v) + k.value(x), None, None, None, r), terms
 
-    value = 0.0
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    eye = np.eye(n)
-    for a, d, r in zip(ps.weights, diffs, dists):
-        prof = fundamental_profile(ps.params, r)
-        u = d / r
-        uu = np.outer(u, u)
-        value += a * prof.v
-        grad += a * prof.dv * u
-        hess += a * (prof.ddv * uu + (prof.dv / r) * (eye - uu))
-
+    u = d / r[:, None]
+    t = a * dv / r
     kv, kg, kh = k.eval(x)
-    value += kv
-    grad = grad + kg
-    hess = hess + kh
+    grad = (a * dv) @ u + kg
+    # sum_i a_i (v_i'' u_i u_i^T + (v_i'/r_i)(I - u_i u_i^T)), no n x n block per pole
+    hess = (u.T * (a * ddv - t)) @ u + t.sum() * np.eye(n) + kh
 
     gn = float(np.linalg.norm(grad))
     angles = np.zeros(len(ps))
     if gn > ps.gradient_epsilon:
         u_g = grad / gn
-        proj = diffs @ u_g
-        rej = diffs - proj[:, None] * u_g[None, :]
+        proj = d @ u_g
+        rej = d - proj[:, None] * u_g[None, :]
         angles = np.arctan2(np.linalg.norm(rej, axis=1), proj)
-    return EvalResult(
-        value=float(value),
-        gradient=grad,
-        hessian=hess,
-        angles=angles,
-        distances=dists,
-    )
+    return EvalResult(float(a @ v) + kv, grad, hess, angles, r), terms
+
+
+def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
+    """Value, gradient, Hessian, angles and distances of V + K at x."""
+    return _evaluate(ps, k, x)[0]
 
 
 def _finite_derivatives(res: EvalResult):
@@ -181,10 +170,11 @@ def delta_p_direct(ps: PoleSet, k: ConcaveTerm, x) -> float:
     return gn ** (p - 2) * ((p - 2) * rayleigh + trace)
 
 
-def delta_p_closed_form(ps: PoleSet, x, k: ConcaveTerm = None) -> float:
+def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x) -> float:
     """p-Laplacian of the pure superposition via the sign identity.
 
-    Only valid for K = 0; a nonzero concave term has no closed form here.
+    Only valid for K = 0 (None or ZeroTerm); a nonzero concave term has no
+    closed form here.
     """
     if k is not None and not isinstance(k, ZeroTerm):
         raise UnsupportedConfigurationError(
@@ -215,31 +205,28 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP) ->
     central differences of the analytic gradient, step scaled by 1 + |x|."""
     if not step > 0:
         raise ValueError("step must be positive")
+    if k is None:
+        k = ZeroTerm()
     x = np.asarray(x, dtype=float)
     p = ps.params.p
     dists = np.linalg.norm(x[None, :] - ps.locations, axis=1)
     if np.any(dists <= 10 * step):
         raise PoleSingularityError("query point too close to a pole for the FD stencil")
-    h = step * (1.0 + float(np.linalg.norm(x)))
 
     def flux(z):
-        res = evaluate(ps, k, z)
-        g, _ = _finite_derivatives(res)
-        gn = float(np.linalg.norm(g))
-        if gn < ps.gradient_epsilon:
-            if p >= 2:
-                return np.zeros_like(g)
+        d, r, _, dv, _ = _pole_terms(ps, z)
+        g = np.einsum("mi,mij->mj", ps.weights * dv / r, d)
+        g += np.array([k.eval(zi)[1] for zi in z])
+        gn = np.linalg.norm(g, axis=1, keepdims=True)
+        vanishing = gn < ps.gradient_epsilon
+        if p < 2 and vanishing.any():
             raise UndefinedOperatorError(
                 "flux undefined at vanishing gradient for p < 2"
             )
-        return gn ** (p - 2) * g
+        # p >= 2: a vanishing gradient carries zero flux
+        return np.where(vanishing, 0.0, gn ** (p - 2) * g)
 
-    div = 0.0
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = h
-        div += (flux(x + e)[j] - flux(x - e)[j]) / (2 * h)
-    return div
+    return fd_divergence(flux, x, step)
 
 
 def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x) -> float:
@@ -249,16 +236,12 @@ def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x) -> float:
     are meaningful only relative to this scale."""
     if k is None:
         k = ZeroTerm()
-    x = np.asarray(x, dtype=float)
     p, n = ps.params.p, ps.params.n
-    res = evaluate(ps, k, x)
-    grad, hess = _finite_derivatives(res)
+    res, (_, r, _, dv, ddv) = _evaluate(ps, k, x)
+    grad, _ = _finite_derivatives(res)
     gn = float(np.linalg.norm(grad))
-    total = 0.0
-    for a, r in zip(ps.weights, res.distances):
-        prof = fundamental_profile(ps.params, r)
-        mag = abs(prof.ddv) + abs(prof.dv) / r
-        total += a * ((n - 1 + 1) * mag + abs(p - 2) * mag)
+    mag = np.abs(ddv) + np.abs(dv) / r
+    total = float(ps.weights @ ((n - 1 + 1) * mag + abs(p - 2) * mag))
     _, _, kh = k.eval(x)
     kmag = float(np.abs(kh).sum())
     total += (1 + abs(p - 2)) * kmag

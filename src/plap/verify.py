@@ -80,7 +80,7 @@ def verify_superpose(seed=DEFAULT_SEED, configs=200) -> SuiteReport:
         ps = _random_pole_set(rng, p, n)
         x = _random_point_away(rng, ps)
         d = superpose.delta_p_direct(ps, None, x)
-        c = superpose.delta_p_closed_form(ps, x)
+        c = superpose.delta_p_closed_form(ps, None, x)
         f = superpose.delta_p_fd(ps, None, x)
         scale = superpose.delta_p_scale(ps, None, x)
         worst_dc = max(worst_dc, _rel(d, c, scale))
@@ -100,19 +100,19 @@ def verify_superpose(seed=DEFAULT_SEED, configs=200) -> SuiteReport:
         ps_iso = superpose.PoleSet(
             ps.weights, ps.locations @ q.T + shift, ps.params
         )
-        c_iso = superpose.delta_p_closed_form(ps_iso, q @ x + shift)
+        c_iso = superpose.delta_p_closed_form(ps_iso, None, q @ x + shift)
         worst_iso = max(worst_iso, _rel(c_iso, c, scale))
 
         # weight scaling: a -> s a multiplies the closed form by s^(p-1)
         s = float(rng.uniform(0.5, 3.0))
         ps_s = superpose.PoleSet(s * ps.weights, ps.locations, ps.params)
-        c_s = superpose.delta_p_closed_form(ps_s, x)
+        c_s = superpose.delta_p_closed_form(ps_s, None, x)
         worst_scal = max(worst_scal, _rel(c_s, s ** (p - 1) * c, s ** (p - 1) * scale))
 
         single = superpose.PoleSet(
             ps.weights[:1], ps.locations[:1], ps.params
         )
-        worst_null = max(worst_null, abs(superpose.delta_p_closed_form(single, x)))
+        worst_null = max(worst_null, abs(superpose.delta_p_closed_form(single, None, x)))
     rep.add("three_way_direct_vs_closed", worst_dc, 1e-10)
     rep.add("three_way_fd_vs_closed", worst_fd, 1e-4)
     rep.add("sign_soundness", worst_sign, 1e-12)

@@ -77,7 +77,7 @@ def test_criterion_1_three_way_agreement():
         x = random_point(rng, ps)
         scale = delta_p_scale(ps, None, x)
         direct = delta_p_direct(ps, None, x)
-        closed = delta_p_closed_form(ps, x)
+        closed = delta_p_closed_form(ps, None, x)
         fd = delta_p_fd(ps, None, x)
         worst_closed = max(worst_closed, rel_err(direct, closed, scale))
         worst_fd = max(worst_fd, rel_err(fd, closed, scale))

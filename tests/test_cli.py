@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from plap import cli
+
 CLI = [sys.executable, "-m", "plap.cli"]
 
 
@@ -184,3 +186,12 @@ def test_log_env_smoke(tmp_path):
     res = run(*args, env=env)
     assert res.returncode == 0, res.stderr
     assert logged not in res.stderr
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_log_env_rejects_non_level(monkeypatch, capsys, value):
+    # basic_format is a logging attribute but no level; verbose is neither
+    monkeypatch.setenv("PLAP_LOG", value)
+    assert cli.main(["sign-map", "--help"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "PLAP_LOG must be a logging level name" in err

@@ -12,7 +12,6 @@ from plap import (
     ZeroTerm,
     delta_p_direct,
     eigenvalue_criterion,
-    eval_concave,
     operator_term,
 )
 from plap.concave import criterion_sum
@@ -25,14 +24,14 @@ def random_nsd(rng, n):
 
 
 def test_zero_term():
-    v, g, h = eval_concave(ZeroTerm(), np.array([1.0, 2.0]))
+    v, g, h = ZeroTerm().eval(np.array([1.0, 2.0]))
     assert v == 0.0
     assert np.all(g == 0) and np.all(h == 0)
 
 
 def test_quadratic_eval():
     k = QuadraticTerm(-np.eye(2))
-    v, g, h = eval_concave(k, [1.0, 1.0])
+    v, g, h = k.eval([1.0, 1.0])
     assert v == pytest.approx(-1.0)
     np.testing.assert_allclose(g, [-1, -1])
     np.testing.assert_allclose(h, -np.eye(2))
@@ -51,7 +50,7 @@ def test_quadratic_rejects_asymmetric():
 
 def test_affine_min_single_piece():
     k = AffineMinTerm([[1.0, 2.0]], [0.5])
-    v, g, h = eval_concave(k, [0.3, 0.4])
+    v, g, h = k.eval([0.3, 0.4])
     assert v == pytest.approx(0.3 + 0.8 + 0.5)
     np.testing.assert_allclose(g, [1.0, 2.0])
     assert np.all(h == 0)
@@ -59,7 +58,7 @@ def test_affine_min_single_piece():
 
 def test_affine_min_picks_minimizer():
     k = AffineMinTerm([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
-    v, g, _ = eval_concave(k, [2.0, 0.0])
+    v, g, _ = k.eval([2.0, 0.0])
     assert v == pytest.approx(-2.0)
     np.testing.assert_allclose(g, [-1.0, 0.0])
 
@@ -67,7 +66,7 @@ def test_affine_min_picks_minimizer():
 def test_affine_min_kink_error():
     k = AffineMinTerm([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
     with pytest.raises(KinkError):
-        eval_concave(k, [0.0, 1.0])
+        k.eval([0.0, 1.0])
     # value stays available at the kink
     assert k.value([0.0, 1.0]) == pytest.approx(0.0)
 
@@ -79,7 +78,7 @@ def test_mollified_preserves_affine():
     for _ in range(5):
         x = rng.uniform(-2, 2, 2)
         assert abs(mol.value(x) - k.value(x)) <= 1e-10
-        v, g, h = eval_concave(mol, x)
+        v, g, h = mol.eval(x)
         np.testing.assert_allclose(g, [0.7, -0.4], atol=1e-12)
         assert np.abs(h).max() <= 1e-12
 
@@ -107,7 +106,7 @@ def test_mollified_concave_base_keeps_nsd_hessian():
     mol = MollifiedTerm(base, 0.25)
     for _ in range(5):
         x = rng.uniform(-1, 1, 2)
-        _, _, h = eval_concave(mol, x)
+        _, _, h = mol.eval(x)
         assert np.linalg.eigvalsh(h)[-1] <= 1e-10
 
 

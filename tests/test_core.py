@@ -1,20 +1,32 @@
-"""Radial calculus against closed forms and finite-difference oracles."""
+"""Radial calculus against closed forms and finite-difference oracles.
+
+Gradients and Hessians of one translated fundamental solution come from
+``evaluate`` on a one-pole PoleSet with unit weight."""
+
+import math
 
 import numpy as np
 import pytest
 
 from plap import (
     Params,
+    PoleSet,
+    delta_p_direct,
+    evaluate,
     fundamental_profile,
-    radial_gradient,
-    radial_hessian,
     rayleigh_quotient,
 )
+from plap.core import fd_divergence
 from plap.errors import DegenerateDirectionError, PoleSingularityError
 
 
 def fd_derivative(f, r, h=1e-5):
     return (f(r + h) - f(r - h)) / (2 * h)
+
+
+def one_pole(pa, x, y):
+    """Value, gradient and Hessian of w(x - y)."""
+    return evaluate(PoleSet([1.0], [y], pa), None, x)
 
 
 def test_params_validation():
@@ -32,54 +44,85 @@ def test_big_c_recomputed():
 
 
 def test_newtonian_case():
-    prof = fundamental_profile(Params(2, 3, 1.0), 2.0)
-    assert prof.v == pytest.approx(0.5, abs=1e-15)
-    assert prof.dv == pytest.approx(-0.25, abs=1e-15)
+    v, dv, _ = fundamental_profile(Params(2, 3, 1.0), 2.0)
+    assert v == pytest.approx(0.5, abs=1e-15)
+    assert dv == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_log_branch_p_equals_n():
-    prof = fundamental_profile(Params(3, 3, 1.0), 1.0)
-    assert prof.v == 0.0
-    assert prof.dv == -1.0
+    v, dv, _ = fundamental_profile(Params(3, 3, 1.0), 1.0)
+    assert v == 0.0
+    assert dv == -1.0
 
 
 def test_profile_derivative_fd_oracle():
     pa = Params(4, 2, 1.0)
-    for r in np.geomspace(0.1, 10, 17):
-        prof = fundamental_profile(pa, r)
-        fd = fd_derivative(lambda s: fundamental_profile(pa, s).v, r)
-        assert abs(prof.dv - fd) <= 1e-6 * abs(prof.dv)
+    r = np.geomspace(0.1, 10, 17)
+    _, dv, _ = fundamental_profile(pa, r)
+    fd = fd_derivative(lambda s: fundamental_profile(pa, s)[0], r)
+    assert np.all(np.abs(dv - fd) <= 1e-6 * np.abs(dv))
 
 
-def test_nonpositive_radius_rejected():
-    with pytest.raises(PoleSingularityError):
-        fundamental_profile(Params(2, 3), 0.0)
+def test_profile_keeps_shape():
+    pa = Params(3.0, 2, 1.0)
+    r = np.geomspace(0.1, 10, 12).reshape(3, 4)
+    batched = fundamental_profile(pa, r)
+    for arr in batched:
+        assert arr.shape == (3, 4)
+    for idx in np.ndindex(r.shape):
+        single = fundamental_profile(pa, r[idx])
+        assert [float(a) for a in single] == [float(a[idx]) for a in batched]
+
+
+def test_negative_radius_rejected():
     with pytest.raises(PoleSingularityError):
         fundamental_profile(Params(2, 3), -1.0)
+    with pytest.raises(PoleSingularityError):
+        fundamental_profile(Params(3, 2), np.array([1.0, -1e-300]))
+    with pytest.raises(PoleSingularityError):
+        fundamental_profile(Params(3, 2), math.nan)
+
+
+@pytest.mark.parametrize(
+    "p,n,at_pole",
+    [
+        (2.0, 3, math.inf),  # 1 < p < n
+        (3.0, 3, math.inf),  # log case p = n
+        (1.5, 2, math.inf),
+        (3.0, 2, 0.0),  # p > n: the pole contributes its limit 0
+        (2.5, 1, 0.0),
+        (0.5, 2, 0.0),  # p < 1: (p-n)/(p-1) > 0
+    ],
+)
+def test_zero_radius_pole_rule(p, n, at_pole):
+    pa = Params(p, n, 1.0)
+    v, dv, ddv = fundamental_profile(pa, np.array([0.0, 2.0]))
+    assert v[0] == at_pole
+    assert math.isnan(dv[0]) and math.isnan(ddv[0])
+    off = fundamental_profile(pa, 2.0)
+    assert [v[1], dv[1], ddv[1]] == [float(a) for a in off]
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 6.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_ode_residual(p, n):
-    pa = Params(p, n, 1.0)
-    for r in np.geomspace(1e-3, 1e3, 25):
-        prof = fundamental_profile(pa, r)
-        residual = (p - 1) * prof.ddv + (n - 1) * prof.dv / r
-        scale = max(abs((p - 1) * prof.ddv), abs(prof.dv / r), 1e-300)
-        assert abs(residual) <= 1e-12 * scale
+    r = np.geomspace(1e-3, 1e3, 25)
+    _, dv, ddv = fundamental_profile(Params(p, n, 1.0), r)
+    residual = (p - 1) * ddv + (n - 1) * dv / r
+    scale = np.maximum(np.maximum(np.abs((p - 1) * ddv), np.abs(dv / r)), 1e-300)
+    assert np.all(np.abs(residual) <= 1e-12 * scale)
 
 
 def test_ode_residual_p_equals_n():
+    r = np.geomspace(1e-3, 1e3, 9)
     for n in range(2, 7):
-        pa = Params(float(n), n, 1.0)
-        for r in np.geomspace(1e-3, 1e3, 9):
-            prof = fundamental_profile(pa, r)
-            residual = (n - 1) * prof.ddv + (n - 1) * prof.dv / r
-            assert abs(residual) <= 1e-12 * abs((n - 1) * prof.ddv)
+        _, dv, ddv = fundamental_profile(Params(float(n), n, 1.0), r)
+        residual = (n - 1) * ddv + (n - 1) * dv / r
+        assert np.all(np.abs(residual) <= 1e-12 * np.abs((n - 1) * ddv))
 
 
 def test_gradient_newtonian():
-    g = radial_gradient(Params(2, 3, 1.0), [2.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    g = one_pole(Params(2, 3, 1.0), [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]).gradient
     np.testing.assert_allclose(g, [-0.25, 0.0, 0.0], atol=1e-15)
 
 
@@ -88,10 +131,9 @@ def test_gradient_norm_equals_abs_dv():
     pa = Params(3.5, 4, 1.0)
     for _ in range(20):
         x, y = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
-        r = np.linalg.norm(x - y)
-        g = radial_gradient(pa, x, y)
-        prof = fundamental_profile(pa, r)
-        assert abs(np.linalg.norm(g) - abs(prof.dv)) <= 1e-14 * abs(prof.dv)
+        g = one_pole(pa, x, y).gradient
+        dv = fundamental_profile(pa, np.linalg.norm(x - y))[1]
+        assert abs(np.linalg.norm(g) - abs(dv)) <= 1e-14 * abs(dv)
 
 
 def test_gradient_fd_oracle():
@@ -102,20 +144,22 @@ def test_gradient_fd_oracle():
         x, y = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
         if np.linalg.norm(x - y) < 0.2:
             continue
-        g = radial_gradient(pa, x, y)
+        g = one_pole(pa, x, y).gradient
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
             fd = (
-                fundamental_profile(pa, np.linalg.norm(x + e - y)).v
-                - fundamental_profile(pa, np.linalg.norm(x - e - y)).v
+                fundamental_profile(pa, np.linalg.norm(x + e - y))[0]
+                - fundamental_profile(pa, np.linalg.norm(x - e - y))[0]
             ) / (2 * h)
             assert abs(g[j] - fd) <= 1e-6 * max(np.abs(g).max(), 1e-12)
 
 
 def test_gradient_at_pole_is_error():
+    pa, y = Params(2, 3), [1.0, 0.0, 0.0]
+    assert not one_pole(pa, y, y).derivatives_available
     with pytest.raises(PoleSingularityError):
-        radial_gradient(Params(2, 3), [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        delta_p_direct(PoleSet([1.0], [y], pa), None, y)
 
 
 def test_hessian_trace_identity():
@@ -124,9 +168,9 @@ def test_hessian_trace_identity():
         pa = Params(p, n, 1.0)
         x, y = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)
         r = np.linalg.norm(x - y)
-        hess = radial_hessian(pa, x, y)
-        prof = fundamental_profile(pa, r)
-        expected = prof.ddv + (n - 1) * prof.dv / r
+        hess = one_pole(pa, x, y).hessian
+        _, dv, ddv = fundamental_profile(pa, r)
+        expected = ddv + (n - 1) * dv / r
         assert abs(np.trace(hess) - expected) <= 1e-12 * abs(expected)
 
 
@@ -134,9 +178,9 @@ def test_hessian_radial_eigenvector():
     pa = Params(3.0, 3, 1.0)
     x, y = np.array([1.0, 2.0, -0.5]), np.array([0.3, 0.1, 0.2])
     d = x - y
-    hess = radial_hessian(pa, x, y)
-    prof = fundamental_profile(pa, np.linalg.norm(d))
-    np.testing.assert_allclose(hess @ d, prof.ddv * d, rtol=1e-12)
+    hess = one_pole(pa, x, y).hessian
+    ddv = fundamental_profile(pa, np.linalg.norm(d))[2]
+    np.testing.assert_allclose(hess @ d, ddv * d, rtol=1e-12)
 
 
 def test_hessian_fd_oracle():
@@ -145,13 +189,13 @@ def test_hessian_fd_oracle():
     h = 1e-4
 
     def value(z, y):
-        return fundamental_profile(pa, np.linalg.norm(z - y)).v
+        return fundamental_profile(pa, np.linalg.norm(z - y))[0]
 
     for _ in range(5):
         x, y = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
         if np.linalg.norm(x - y) < 0.3:
             continue
-        hess = radial_hessian(pa, x, y)
+        hess = one_pole(pa, x, y).hessian
         for i in range(2):
             for j in range(2):
                 ei, ej = np.zeros(2), np.zeros(2)
@@ -173,9 +217,26 @@ def test_rotation_equivariance():
         if np.linalg.norm(x - y) < 0.2:
             continue
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        g = radial_gradient(pa, x, y)
-        g_rot = radial_gradient(pa, q @ x, q @ y)
+        g = one_pole(pa, x, y).gradient
+        g_rot = one_pole(pa, q @ x, q @ y).gradient
         np.testing.assert_allclose(g_rot, q @ g, atol=1e-13 * np.linalg.norm(g))
+
+
+def test_fd_divergence_one_batched_call():
+    # central differences are exact on quadratic fields: div = tr A + 2 z_0
+    a = np.array([[1.5, -0.2, 0.3], [0.4, -2.0, 0.1], [0.0, 0.7, 0.25]])
+    x = np.array([0.3, -1.2, 0.8])
+    calls = []
+
+    def flux(z):
+        calls.append(z.shape)
+        f = z @ a.T
+        f[:, 0] += z[:, 0] ** 2
+        return f
+
+    div = fd_divergence(flux, x, 1e-3)
+    assert calls == [(6, 3)]
+    assert div == pytest.approx(np.trace(a) + 2 * x[0], rel=1e-9)
 
 
 def test_rayleigh_identity_case():
@@ -185,9 +246,9 @@ def test_rayleigh_identity_case():
 def test_rayleigh_radial_direction():
     pa = Params(4.0, 3, 1.0)
     x, y = np.array([1.0, 1.0, 0.0]), np.zeros(3)
-    hess = radial_hessian(pa, x, y)
-    prof = fundamental_profile(pa, np.linalg.norm(x - y))
-    assert rayleigh_quotient(hess, x - y) == pytest.approx(prof.ddv, rel=1e-13)
+    hess = one_pole(pa, x, y).hessian
+    ddv = fundamental_profile(pa, np.linalg.norm(x - y))[2]
+    assert rayleigh_quotient(hess, x - y) == pytest.approx(ddv, rel=1e-13)
 
 
 def test_rayleigh_angle_formula():
@@ -199,10 +260,10 @@ def test_rayleigh_angle_formula():
         r = np.linalg.norm(d)
         if r < 0.2:
             continue
-        hess = radial_hessian(pa, x, y)
-        prof = fundamental_profile(pa, r)
+        hess = one_pole(pa, x, y).hessian
+        _, dv, ddv = fundamental_profile(pa, r)
         cos_t = d @ z / (r * np.linalg.norm(z))
-        expected = prof.ddv * cos_t**2 + prof.dv / r * (1 - cos_t**2)
+        expected = ddv * cos_t**2 + dv / r * (1 - cos_t**2)
         assert rayleigh_quotient(hess, z) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 

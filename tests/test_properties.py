@@ -1,0 +1,178 @@
+"""Property tests for the stated invariants: the pole rule at every call
+site, single-pole nullity, isometry equivariance and s^(p-1) weight
+scaling of the closed form, agreement of the batched finite-difference
+route, and the sign-change radius lying inside the Barenblatt support.
+
+Pole configurations come from a numpy generator seeded by hypothesis, like
+the randomized ``verify`` suites, so no draw lands on a critical point of V
+by construction."""
+
+import csv
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plap import (
+    BARENBLATT,
+    EvolutionKernel,
+    GridDomain,
+    Params,
+    PoleSet,
+    QuadraticTerm,
+    delta_p_closed_form,
+    delta_p_fd,
+    evaluate,
+    sign_change_radius,
+    superposition_grid,
+    support_radius,
+)
+from plap import cli
+from plap.errors import UnsupportedConfigurationError
+from plap.superpose import delta_p_scale
+
+# deterministic and without an example database, so a run leaves no files
+property_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.sampled_from([2, 3, 4])
+
+
+def rel(a, b, scale):
+    return abs(a - b) / max(abs(a), abs(b), scale)
+
+
+def random_config(seed, p, n, max_poles=8):
+    """A pole set with weights in [0.2, 2] and locations in [-1, 1]^n, and
+    a query point at least 0.3 from every pole."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, max_poles + 1))
+    ps = PoleSet(rng.uniform(0.2, 2.0, count), rng.uniform(-1, 1, (count, n)), Params(p, n))
+    while True:
+        x = rng.uniform(-2, 2, n)
+        if np.min(np.linalg.norm(x - ps.locations, axis=1)) >= 0.3:
+            return ps, x, rng
+
+
+# ------------------------------------------------------------- pole rule
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(3.0, 2), (4.0, 3), (2.5, 3), (1.5, 2), (2.0, 2), (3.0, 3)],
+)
+def test_pole_rule_agrees_at_every_call_site(tmp_path, p, n):
+    """evaluate, superposition_grid and ``plap eval`` give the same value
+    on a pole: finite (that pole contributing 0) for p > n, +inf for
+    1 < p <= n."""
+    on_node = [0.25, -0.5, 0.75][:n]  # a node of the 9-per-axis grid on [-1, 1]^n
+    off_node = [0.3, 0.4, -0.1][:n]
+    a_matrix = -0.5 * np.eye(n)
+    b = np.linspace(0.1, 0.3, n)
+    pa = Params(p, n)
+    ps = PoleSet([1.0, 2.0], [on_node, off_node], pa)
+    k = QuadraticTerm(a_matrix, b=b)
+    x = np.array(on_node)
+
+    if p > n:
+        expected = evaluate(PoleSet([2.0], [off_node], pa), None, x).value + k.value(x)
+    else:
+        expected = math.inf
+
+    # 1. evaluate
+    res = evaluate(ps, k, x)
+    assert not res.derivatives_available
+    if math.isinf(expected):
+        assert res.value == math.inf
+    else:
+        assert res.value == pytest.approx(expected, rel=1e-14)
+
+    # 2. superposition_grid
+    dom = GridDomain(bounds=[(-1.0, 1.0)] * n, shape=(9,) * n)
+    node = tuple(int(round((c + 1.0) / 0.25)) for c in on_node)
+    assert np.array_equal(dom.nodes()[node], x)
+    if math.isinf(expected):
+        with pytest.raises(UnsupportedConfigurationError):
+            superposition_grid(ps, k, dom)
+    else:
+        assert superposition_grid(ps, k, dom)[node] == pytest.approx(expected, rel=1e-14)
+
+    # 3. plap eval
+    cfg = {
+        "schema_version": 1,
+        "params": {"p": p, "n": n},
+        "poles": [
+            {"weight": 1.0, "location": on_node},
+            {"weight": 2.0, "location": off_node},
+        ],
+        "concave": {"kind": "quadratic", "a_matrix": a_matrix.tolist(), "b": b.tolist()},
+        "points": [on_node],
+    }
+    cfg_path, out = tmp_path / "eval.json", tmp_path / "eval.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_OK
+    with open(out) as fh:
+        header, row = list(csv.reader(fh))
+    assert row[header.index("flag")] == "near-pole"
+    assert float(row[header.index("value")]) == res.value
+
+
+# ------------------------------------------------------ closed-form laws
+
+@property_settings
+@given(seed=seeds, p=st.floats(1.5, 5.0), n=dims)
+def test_single_pole_closed_form_exactly_zero(seed, p, n):
+    ps, x, _ = random_config(seed, p, n)
+    single = PoleSet(ps.weights[:1], ps.locations[:1], ps.params)
+    assert delta_p_closed_form(single, None, x) == 0.0
+
+
+@property_settings
+@given(seed=seeds, p=st.floats(1.5, 5.0), n=dims)
+def test_closed_form_isometry_equivariant(seed, p, n):
+    ps, x, rng = random_config(seed, p, n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    shift = rng.uniform(-1, 1, n)
+    moved = PoleSet(ps.weights, ps.locations @ q.T + shift, ps.params)
+    c = delta_p_closed_form(ps, None, x)
+    c_moved = delta_p_closed_form(moved, None, q @ x + shift)
+    assert rel(c_moved, c, delta_p_scale(ps, None, x)) <= 1e-12
+
+
+@property_settings
+@given(seed=seeds, p=st.floats(1.5, 5.0), n=dims, s=st.floats(0.1, 10.0))
+def test_closed_form_weight_scaling(seed, p, n, s):
+    ps, x, _ = random_config(seed, p, n)
+    scaled = PoleSet(s * ps.weights, ps.locations, ps.params)
+    c = delta_p_closed_form(ps, None, x)
+    c_scaled = delta_p_closed_form(scaled, None, x)
+    factor = s ** (p - 1)
+    assert rel(c_scaled, factor * c, factor * delta_p_scale(ps, None, x)) <= 1e-11
+
+
+@property_settings
+@given(seed=seeds, p=st.floats(2.0, 5.0), n=dims)
+def test_batched_fd_agrees_with_closed_form(seed, p, n):
+    ps, x, _ = random_config(seed, p, n)
+    c = delta_p_closed_form(ps, None, x)
+    f = delta_p_fd(ps, None, x)
+    assert rel(f, c, delta_p_scale(ps, None, x)) <= 1e-4
+
+
+# ------------------------------------------------------------- evolution
+
+@property_settings
+@given(
+    p=st.floats(2.01, 8.0),
+    n=st.integers(1, 5),
+    big_c=st.floats(0.1, 10.0),
+    t=st.floats(0.01, 100.0),
+)
+def test_sign_change_radius_inside_support(p, n, big_c, t):
+    k = EvolutionKernel(BARENBLATT, Params(p, n), big_c=big_c)
+    radius, support = sign_change_radius(k, t), support_radius(k, t)
+    assert radius < support
+    ratio = (n * (p - 2) / (n * (p - 2) + p)) ** ((p - 1) / p)
+    assert radius / support == pytest.approx(ratio, rel=1e-12)

@@ -91,10 +91,19 @@ def test_eval_at_pole_infinite_for_small_p():
     assert not res.derivatives_available
 
 
-def test_eval_at_pole_error_for_large_p():
-    ps = PoleSet([1.0], [[0, 0]], Params(3, 2, 1.0))
+def test_eval_at_pole_finite_for_large_p():
+    # p > n: the pole contributes its limit 0; the other poles and K add up
+    pa = Params(3, 2, 1.0)
+    k = QuadraticTerm(-np.eye(2), b=[0.5, 0.0])
+    ps = PoleSet([1.0, 2.0], [[0, 0], [1, 1]], pa)
+    res = evaluate(ps, k, [0.0, 0.0])
+    other = evaluate(PoleSet([2.0], [[1, 1]], pa), None, [0.0, 0.0]).value
+    assert res.value == pytest.approx(other + k.value([0.0, 0.0]), rel=1e-15)
+    assert math.isfinite(res.value)
+    assert not res.derivatives_available and res.hessian is None
+    assert evaluate(PoleSet([1.0], [[0, 0]], pa), None, [0.0, 0.0]).value == 0.0
     with pytest.raises(PoleSingularityError):
-        evaluate(ps, None, [0.0, 0.0])
+        delta_p_direct(ps, k, [0.0, 0.0])
 
 
 def test_angles_in_range():
@@ -124,25 +133,25 @@ def test_p2_direct_is_trace():
 
 def test_closed_form_single_pole_exact_zero():
     ps = PoleSet([2.0], [[0.5, 0.5]], Params(3.5, 2, 1.0))
-    assert delta_p_closed_form(ps, [1.7, -0.3]) == 0.0
+    assert delta_p_closed_form(ps, None, [1.7, -0.3]) == 0.0
 
 
 def test_closed_form_p2_exact_zero():
     ps = PoleSet([1.0, 1.0], [[1, 0], [-1, 0]], Params(2, 2, 1.0))
-    assert delta_p_closed_form(ps, [0.3, 0.8]) == 0.0
+    assert delta_p_closed_form(ps, None, [0.3, 0.8]) == 0.0
 
 
 def test_closed_form_rejects_concave_term():
     ps = PoleSet([1.0], [[0, 0]], Params(3, 2))
     with pytest.raises(UnsupportedConfigurationError):
-        delta_p_closed_form(ps, [1.0, 1.0], k=QuadraticTerm(-np.eye(2)))
-    assert delta_p_closed_form(ps, [1.0, 1.0], k=ZeroTerm()) == 0.0
+        delta_p_closed_form(ps, QuadraticTerm(-np.eye(2)), [1.0, 1.0])
+    assert delta_p_closed_form(ps, ZeroTerm(), [1.0, 1.0]) == 0.0
 
 
 def test_two_pole_closed_vs_direct_and_sign():
     ps = PoleSet([1.0, 1.0], [[1, 0], [-1, 0]], Params(3, 2, 1.0))
     x = np.array([0.0, 1.0])
-    c = delta_p_closed_form(ps, x)
+    c = delta_p_closed_form(ps, None, x)
     d = delta_p_direct(ps, None, x)
     assert rel(c, d) <= 1e-10
     assert c <= 0
@@ -162,7 +171,7 @@ def test_three_route_agreement_randomized():
             if np.min(np.linalg.norm(x - ps.locations, axis=1)) >= 0.3:
                 break
         d = delta_p_direct(ps, None, x)
-        c = delta_p_closed_form(ps, x)
+        c = delta_p_closed_form(ps, None, x)
         f = delta_p_fd(ps, None, x)
         scale = delta_p_scale(ps, None, x)
         assert rel(d, c, scale) <= 1e-10
@@ -196,10 +205,10 @@ def test_weight_scaling_power_law():
     rng = np.random.default_rng(14)
     ps = PoleSet(rng.uniform(0.5, 1, 4), rng.uniform(-1, 1, (4, 2)), Params(3, 2))
     x = np.array([1.6, 1.4])
-    base = delta_p_closed_form(ps, x)
+    base = delta_p_closed_form(ps, None, x)
     for s in [0.5, 2.0, 7.5]:
         scaled = PoleSet(s * ps.weights, ps.locations, ps.params)
-        assert rel(delta_p_closed_form(scaled, x), s ** (3 - 1) * base) <= 1e-11
+        assert rel(delta_p_closed_form(scaled, None, x), s ** (3 - 1) * base) <= 1e-11
 
 
 @pytest.mark.parametrize(
