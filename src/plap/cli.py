@@ -43,29 +43,49 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _usage_error(message):
+    print(message, file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+# built once: jsonschema.validate re-checks the schema against its metaschema
+_VALIDATORS = {
+    name: jsonschema.validators.validator_for(schema)(schema)
+    for name, schema in SCHEMAS.items()
+}
+
+
 def _load_config(path, schema_name):
     with open(path) as fh:
         cfg = json.load(fh)
-    try:
-        jsonschema.validate(cfg, SCHEMAS[schema_name])
-    except jsonschema.ValidationError as exc:
-        print(
-            f"config validation failed at {'/'.join(map(str, exc.absolute_path))}: "
-            f"{exc.message}",
-            file=sys.stderr,
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_VALIDATORS[schema_name].iter_errors(cfg))
+    if error is not None:
+        _usage_error(
+            f"config validation failed at {'/'.join(map(str, error.absolute_path))}: "
+            f"{error.message}"
         )
-        raise SystemExit(EXIT_USAGE) from exc
     return cfg
 
 
-def _params_from(cfg):
-    return Params(p=float(cfg["p"]), n=int(cfg["n"]), c=float(cfg.get("c", 1.0)))
-
-
-def _pole_set_from(cfg, params):
-    weights = [pole["weight"] for pole in cfg["poles"]]
-    locations = [pole["location"] for pole in cfg["poles"]]
-    return superpose.PoleSet(weights, locations, params)
+def _build(cfg):
+    """Params, pole set, concave term and grid (None where absent) of an
+    eval or compare config.  A value the schema accepts but a constructor
+    rejects is a config error."""
+    try:
+        pcfg, poles, grid = cfg["params"], cfg["poles"], cfg.get("grid")
+        params = Params(float(pcfg["p"]), int(pcfg["n"]), float(pcfg.get("c", 1.0)))
+        ps = superpose.PoleSet(
+            [q["weight"] for q in poles], [q["location"] for q in poles], params
+        )
+        if any(len(x) != params.n for x in cfg.get("points", ())):
+            raise ValueError(f"query points must have dimension {params.n}")
+        dom = comparison.GridDomain(grid["bounds"], grid["shape"]) if grid else None
+        if grid and dom.dim != params.n:
+            raise ValueError(f"the grid must have dimension {params.n}")
+        return params, ps, _concave_from(cfg.get("concave")), dom
+    except ValueError as exc:
+        _usage_error(f"error: {exc}")
 
 
 def _concave_from(term_cfg):
@@ -88,9 +108,7 @@ def _concave_from(term_cfg):
 
 def cmd_eval(args):
     cfg = _load_config(args.config, "eval")
-    params = _params_from(cfg["params"])
-    ps = _pole_set_from(cfg, params)
-    k = _concave_from(cfg.get("concave"))
+    params, ps, k, _ = _build(cfg)
     step = float(cfg.get("fd_step", superpose.DEFAULT_FD_STEP))
     pure = k is None or isinstance(k, concave.ZeroTerm)
 
@@ -101,9 +119,8 @@ def cmd_eval(args):
     rows = []
     for point in cfg["points"]:
         x = np.asarray(point, dtype=float)
-        dists = np.linalg.norm(x[None, :] - ps.locations, axis=1)
-        if np.min(dists) <= 10 * step:
-            value = superpose.evaluate(ps, k, x).value
+        if superpose.near_pole(ps, x, step):
+            value = float(superpose.superposition_value(ps, k, x))
             rows.append(list(x) + [value] + [float("nan")] * 4 + ["near-pole"])
             continue
         res = superpose.evaluate(ps, k, x)
@@ -161,13 +178,7 @@ def cmd_verify(args):
 
 def cmd_compare(args):
     cfg = _load_config(args.config, "compare")
-    params = _params_from(cfg["params"])
-    ps = _pole_set_from(cfg, params)
-    k = _concave_from(cfg.get("concave"))
-    grid = cfg["grid"]
-    dom = comparison.GridDomain(
-        bounds=[tuple(b) for b in grid["bounds"]], shape=tuple(grid["shape"])
-    )
+    _, ps, k, dom = _build(cfg)
     try:
         report = comparison.comparison_check(
             ps,

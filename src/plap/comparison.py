@@ -3,26 +3,27 @@ rectangular grids and a check that the p-harmonic solution h with boundary
 data h = W on the box boundary stays below the superposition W inside.
 
 The discrete energy is sum_cells (|grad_h u|^2 + eps^2)^{p/2} * cell volume
-with a cell-centered (face-averaged) difference gradient.  Minimization is
-by damped Newton iteration on the (smooth, convex) regularized energy:
-each step solves with the exact sparse Hessian and backtracks on the
-energy, so accepted steps are non-increasing and the minimizer is
-grid-unique.
+with a cell-centered (face-averaged) difference gradient G, restricted once
+to the interior unknowns.  Minimization is by damped Newton iteration on the
+(smooth, convex) regularized energy: each step solves with the exact sparse
+Hessian and backtracks on the energy, so accepted steps are non-increasing
+and the minimizer is grid-unique.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .concave import ConcaveTerm, ZeroTerm
+from .concave import ConcaveTerm
 from .errors import SolverFailureError, UnsupportedConfigurationError
-from .superpose import PoleSet, _pole_terms
+from .superpose import PoleSet, superposition_value
 
-DEFAULT_REG_EPS = 1e-8
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 400
+REG_EPS = 1e-8              # the energy density is (|grad u|^2 + REG_EPS^2)^{p/2}
+NEWTON_TOL = 1e-9           # sup-norm of the energy gradient over the unknowns
+MAX_NEWTON_ITER = 400
 COMPARISON_TOL = 1e-3       # solver + O(h^2) discretization slack at h = 1/32
 EXCISION_SPACINGS = 3       # nodes within this many spacings of a pole are excised
 
@@ -94,124 +95,100 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
 
 
-def _diff_avg_1d(m, h):
-    """1D forward difference (D) and midpoint average (A), shape (m-1, m)."""
-    d = sp.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m)) / h
-    a = sp.diags([np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m)) * 0.5
-    return d.tocsr(), a.tocsr()
-
-
-def _gradient_operators(dom: GridDomain):
-    """Sparse operators mapping node values to cell-centered gradient
-    components (one row per cell)."""
-    ops = []
-    parts = [_diff_avg_1d(m, h) for m, h in zip(dom.shape, dom.spacing)]
+def _split_gradient(dom: GridDomain, boundary: np.ndarray):
+    """The stacked cell-centered gradient G (dim blocks of rows, one row per
+    cell; block j differences along axis j and averages midpoints along the
+    others), split into its columns for the interior unknowns, G_I, and the
+    fixed part G_B u_B of the boundary data, shaped (dim, cells)."""
+    blocks = []
     for axis in range(dom.dim):
-        factors = [parts[i][0] if i == axis else parts[i][1] for i in range(dom.dim)]
-        op = factors[0]
-        for f in factors[1:]:
-            op = sp.kron(op, f, format="csr")
-        ops.append(op)
-    return ops
+        factors = [
+            sp.diags([-1 / h, 1 / h] if i == axis else [0.5, 0.5], [0, 1], shape=(m - 1, m))
+            for i, (m, h) in enumerate(zip(dom.shape, dom.spacing))
+        ]
+        blocks.append(reduce(lambda a, b: sp.kron(a, b, format="csr"), factors))
+    g = sp.vstack(blocks, format="csc")
+    bmask = dom.boundary_mask().ravel()
+    offset = g @ np.where(bmask, boundary.ravel(), 0.0)
+    return g[:, ~bmask], offset.reshape(dom.dim, -1)
 
 
-def _energy_state(grad_ops, u_flat, p, reg_eps, cell_vol):
-    g = [op @ u_flat for op in grad_ops]
-    q = sum(gi**2 for gi in g) + reg_eps**2
+def _energy_state(g_i, offset, x, p, cell_vol):
+    """Energy at the unknowns x, its gradient and the per-cell gradient g,
+    q = |g|^2 + eps^2 and weight w = q^{(p-2)/2}."""
+    g = (g_i @ x).reshape(offset.shape) + offset
+    q = np.sum(g**2, axis=0) + REG_EPS**2
     energy = cell_vol * float(np.sum(q ** (p / 2)))
     w = q ** ((p - 2) / 2)
-    grad_e = p * cell_vol * sum(op.T @ (w * gi) for op, gi in zip(grad_ops, g))
+    grad_e = p * cell_vol * (g_i.T @ (w * g).ravel())
     return energy, grad_e, (g, q, w)
 
 
-def _hessian(grad_ops, state, p, cell_vol):
-    """Exact sparse Hessian of the regularized energy; positive definite
-    for p >= 2 since per cell it is w I + (p-2) w2 g g^T with w2 >= 0."""
+def _hessian(g_i, state, p, cell_vol):
+    """Exact sparse Hessian G_I^T B G_I of the regularized energy, with B
+    scattered from the per-cell blocks w I + (p-2) q^{(p-4)/2} g g^T;
+    positive definite for p >= 2."""
     g, q, w = state
-    w2 = (p - 2) * q ** ((p - 4) / 2)
-    h = None
-    for j, op_j in enumerate(grad_ops):
-        for kk, op_k in enumerate(grad_ops):
-            diag = w2 * g[j] * g[kk]
-            if j == kk:
-                diag = diag + w
-            block = op_j.T @ sp.diags(diag) @ op_k
-            h = block if h is None else h + block
-    return (h * (p * cell_vol)).tocsr()
+    dim, cells = g.shape
+    blocks = (p - 2) * q ** ((p - 4) / 2) * g[:, None] * g[None, :]
+    blocks[range(dim), range(dim)] += w
+    index = np.arange(dim * cells).reshape(dim, cells)
+    rows, cols = np.broadcast_arrays(index[:, None], index[None, :])
+    b = sp.csr_matrix(
+        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(dim * cells,) * 2
+    )
+    return (g_i.T @ b @ g_i) * (p * cell_vol)
 
 
-def solve_p_harmonic(
-    dom: GridDomain,
-    boundary: np.ndarray,
-    p: float,
-    reg_eps: float = DEFAULT_REG_EPS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GridFunction:
+def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> GridFunction:
     """Minimize the regularized discrete p-Dirichlet energy over interior
     node values with Dirichlet data taken from ``boundary`` on the box
     boundary.  ``boundary`` is a full-shape array; interior entries are
     ignored.  Raises SolverFailureError if the energy-gradient sup-norm
-    does not reach ``tol`` within the iteration budget.
+    does not reach NEWTON_TOL within MAX_NEWTON_ITER iterations.
     """
     if not p >= 2:
         raise ValueError("the solver covers p >= 2 only")
     boundary = np.asarray(boundary, dtype=float)
     if boundary.shape != dom.shape:
         raise ValueError("boundary array does not match the grid shape")
-    bmask = dom.boundary_mask().ravel()
-    if not np.all(np.isfinite(boundary.ravel()[bmask])):
+    bmask = dom.boundary_mask()
+    if not np.all(np.isfinite(boundary[bmask])):
         raise ValueError("boundary values must be finite")
 
     cell_vol = float(np.prod(dom.spacing))
-    grad_ops = _gradient_operators(dom)
-    interior = ~bmask
+    g_i, offset = _split_gradient(dom, boundary)
 
     # initial guess: the unweighted (p = 2) discrete-harmonic extension
-    u = boundary.ravel().copy()
-    m0 = sum((op.T @ op).tocsr() for op in grad_ops)
-    u[interior] = spla.spsolve(
-        m0[interior][:, interior].tocsc(), -m0[interior][:, bmask] @ u[bmask]
-    )
-
-    def interior_residual(grad_e):
-        return float(np.abs(grad_e[interior]).max())
-
-    energy, grad_e, state = _energy_state(grad_ops, u, p, reg_eps, cell_vol)
-    residual = interior_residual(grad_e)
-    for _ in range(max_iter):
-        if residual <= tol:
+    x = spla.spsolve((g_i.T @ g_i).tocsc(), -(g_i.T @ offset.ravel()))
+    energy, grad_e, state = _energy_state(g_i, offset, x, p, cell_vol)
+    residual = float(np.abs(grad_e).max())
+    for _ in range(MAX_NEWTON_ITER):
+        if residual <= NEWTON_TOL:
             break
-        hess = _hessian(grad_ops, state, p, cell_vol)
-        h_ii = hess[interior][:, interior]
-        direction = np.zeros_like(u)
-        direction[interior] = spla.spsolve(h_ii.tocsc(), -grad_e[interior])
-
+        direction = spla.spsolve(_hessian(g_i, state, p, cell_vol).tocsc(), -grad_e)
         step = 1.0
-        accepted = False
         while step > 2.0**-40:
-            u_trial = u + step * direction
-            e_trial, g_trial, s_trial = _energy_state(
-                grad_ops, u_trial, p, reg_eps, cell_vol
-            )
-            if e_trial <= energy * (1 + 1e-15) + 1e-300:
-                u, energy, grad_e, state = u_trial, e_trial, g_trial, s_trial
-                accepted = True
+            x_trial = x + step * direction
+            trial = _energy_state(g_i, offset, x_trial, p, cell_vol)
+            if trial[0] <= energy * (1 + 1e-15) + 1e-300:
+                x, (energy, grad_e, state) = x_trial, trial
                 break
             step *= 0.5
-        new_residual = interior_residual(grad_e)
-        if not accepted and new_residual > tol:
+        else:
             raise SolverFailureError(
-                "damping failed to decrease the energy", residual=new_residual
+                "damping failed to decrease the energy", residual=residual
             )
-        residual = new_residual
-    if residual > tol:
+        residual = float(np.abs(grad_e).max())
+    if residual > NEWTON_TOL:
         raise SolverFailureError(
-            f"no convergence within {max_iter} iterations "
+            f"no convergence within {MAX_NEWTON_ITER} iterations "
             f"(residual {residual:.3e})",
             residual=residual,
         )
-    return GridFunction(domain=dom, values=u.reshape(dom.shape))
+    u = boundary.copy()
+    u[~bmask] = x
+    return GridFunction(domain=dom, values=u)
 
 
 def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarray:
@@ -221,19 +198,14 @@ def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarr
     ``fundamental_profile``; where that makes a node value infinite
     (1 < p <= n) the grid is rejected.
     """
-    if k is None:
-        k = ZeroTerm()
-    n = ps.params.n
-    if dom.dim != n:
+    if dom.dim != ps.params.n:
         raise ValueError("grid dimension does not match the pole-set dimension")
-    nodes = dom.nodes().reshape(-1, n)
-    v = _pole_terms(ps, nodes)[2]
-    values = v @ ps.weights + np.array([k.value(z) for z in nodes])
+    values = superposition_value(ps, k, dom.nodes())
     if not np.all(np.isfinite(values)):
         raise UnsupportedConfigurationError(
             "a pole coincides with a grid node and W is infinite there"
         )
-    return values.reshape(dom.shape)
+    return values
 
 
 @dataclass(frozen=True)
@@ -260,7 +232,6 @@ def comparison_check(
     dom: GridDomain,
     shift: float = 0.0,
     tol: float = COMPARISON_TOL,
-    reg_eps: float = DEFAULT_REG_EPS,
 ) -> ComparisonReport:
     """Solve for the p-harmonic h with h = W + shift on the box boundary
     and report min(W - h) over the interior.
@@ -289,7 +260,7 @@ def comparison_check(
         )
 
     boundary_data = w_grid + shift
-    h = solve_p_harmonic(dom, boundary_data, p, reg_eps=reg_eps)
+    h = solve_p_harmonic(dom, boundary_data, p)
     gap = w_grid - h.values
 
     interior = ~bmask & ~near_pole

@@ -11,6 +11,7 @@ from .errors import DegenerateDirectionError, KinkError
 
 TIE_EPSILON = 1e-9          # relative tie detection for min-of-affine pieces
 CRITERION_SLACK = 1e-12     # absorbs eigensolver noise at the equality boundary
+MOLLIFIER_NODES = 16        # Gauss-Legendre nodes per axis of the mollifier quadrature
 NSD_TOL = 1e-12             # scale-aware negative-semidefiniteness threshold
 
 
@@ -137,14 +138,14 @@ class AffineMinTerm(ConcaveTerm):
 
 
 @lru_cache(maxsize=None)
-def _mollifier_grid(dim: int, nodes_per_axis: int):
+def _mollifier_grid(dim: int):
     """Tensor Gauss-Legendre nodes on [-1, 1]^dim with bump weights.
 
     The bump exp(-1/(1 - |z|^2)) on |z| < 1 is normalized to unit mass by
     the same quadrature, so mollifying a constant reproduces it exactly and
     the symmetric node set kills the first moment.
     """
-    x1, w1 = np.polynomial.legendre.leggauss(nodes_per_axis)
+    x1, w1 = np.polynomial.legendre.leggauss(MOLLIFIER_NODES)
     grids = np.meshgrid(*([x1] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w_grids = np.meshgrid(*([w1] * dim), indexing="ij")
@@ -168,7 +169,6 @@ class MollifiedTerm(ConcaveTerm):
 
     base: ConcaveTerm
     delta: float
-    nodes_per_axis: int = 16
     concave: bool = field(init=False)
 
     def __post_init__(self):
@@ -178,7 +178,7 @@ class MollifiedTerm(ConcaveTerm):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        pts, wts = _mollifier_grid(x.size, self.nodes_per_axis)
+        pts, wts = _mollifier_grid(x.size)
         return float(
             sum(w * self.base.value(x - self.delta * z) for z, w in zip(pts, wts))
         )
@@ -186,7 +186,7 @@ class MollifiedTerm(ConcaveTerm):
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         d = x.size
-        pts, wts = _mollifier_grid(d, self.nodes_per_axis)
+        pts, wts = _mollifier_grid(d)
         val = 0.0
         grad = np.zeros(d)
         hess = np.zeros((d, d))
@@ -198,7 +198,7 @@ class MollifiedTerm(ConcaveTerm):
         return val, grad, hess
 
 
-def eigenvalue_criterion(hess, p: float, slack: float = CRITERION_SLACK) -> bool:
+def eigenvalue_criterion(hess, p: float) -> bool:
     """Sufficient condition for the operator term to be non-positive:
     lambda_1 + ... + lambda_{n-1} + (p-1) lambda_n <= 0 (sorted ascending).
 
@@ -212,7 +212,7 @@ def eigenvalue_criterion(hess, p: float, slack: float = CRITERION_SLACK) -> bool
     if not np.allclose(h, h.T, rtol=0, atol=1e-10 * max(1.0, np.abs(h).max())):
         raise ValueError("H must be symmetric")
     lam = np.linalg.eigvalsh(h)
-    return bool(lam[:-1].sum() + (p - 1) * lam[-1] <= slack)
+    return bool(lam[:-1].sum() + (p - 1) * lam[-1] <= CRITERION_SLACK)
 
 
 def criterion_sum(hess, p: float) -> float:

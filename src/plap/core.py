@@ -84,16 +84,21 @@ def fundamental_profile(params: Params, r):
     return v, dv, ddv
 
 
+def fd_spacing(x, step: float) -> float:
+    """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at x."""
+    return step * (1.0 + float(np.linalg.norm(x)))
+
+
 def fd_divergence(flux, x, step: float) -> float:
     """Central-difference divergence of a vector field at x.
 
-    The spacing is h = step * (1 + |x|).  ``flux`` is called once, on the
-    2n stencil points x + h e_j followed by x - h e_j as rows of a
+    The spacing is h = fd_spacing(x, step).  ``flux`` is called once, on
+    the 2n stencil points x + h e_j followed by x - h e_j as rows of a
     (2n, n) array, and returns the field at each of them as rows.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    h = step * (1.0 + float(np.linalg.norm(x)))
+    h = fd_spacing(x, step)
     shifts = h * np.eye(n)
     f = flux(np.concatenate([x + shifts, x - shifts]))
     return float(np.sum((np.diagonal(f[:n]) - np.diagonal(f[n:])) / (2 * h)))

@@ -21,6 +21,8 @@ HOMOGENEOUS = "homogeneous"
 
 TIME_FD_REL_STEP = 1e-6
 SPACE_FD_STEP = 1e-4
+TWO_BUMP_OFFSET = 1e-4      # distance from the origin of the two-bump FD point
+TWO_BUMP_SPACE_STEP = 1e-6
 EDGE_MARGIN_STEPS = 5
 
 
@@ -182,8 +184,6 @@ def barenblatt_defect_fd(
     a: float,
     x,
     t: float,
-    space_step: float = SPACE_FD_STEP,
-    time_step_rel: float = TIME_FD_REL_STEP,
 ) -> float:
     """Left side of the defect identity assembled numerically:
     spatial Delta_p(a B) via a divergence-of-flux stencil minus a central
@@ -195,8 +195,8 @@ def barenblatt_defect_fd(
     def grad_fn(z):
         return a * kernel_spatial_gradient(k, z, t)
 
-    lap = fd_divergence(_flux(grad_fn, p), x, space_step)
-    dt = time_step_rel * t
+    lap = fd_divergence(_flux(grad_fn, p), x, SPACE_FD_STEP)
+    dt = TIME_FD_REL_STEP * t
     bt = (a * kernel_value(k, x, t + dt) - a * kernel_value(k, x, t - dt)) / (2 * dt)
     return lap - bt
 
@@ -247,25 +247,18 @@ def two_bump_defect(k: EvolutionKernel, y, t: float) -> float:
     return 2 * (p - 1) * (2 * w) ** (p - 2) * wt
 
 
-def two_bump_defect_fd(
-    k: EvolutionKernel,
-    y,
-    t: float,
-    x_offset: float = 1e-4,
-    space_step: float = 1e-6,
-    time_step_rel: float = TIME_FD_REL_STEP,
-) -> float:
+def two_bump_defect_fd(k: EvolutionKernel, y, t: float) -> float:
     """FD assembly of (|V|^{p-2} V)_t - Delta_p V at a point x near the
-    origin (offset x_offset along the first axis); converges to the closed
-    form as x_offset -> 0."""
+    origin (offset TWO_BUMP_OFFSET along the first axis); converges to the
+    closed form as the offset goes to 0."""
     if k.kind != HOMOGENEOUS:
         raise ValueError("the two-bump defect uses the homogeneous kernel")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     p = k.params.p
     x = np.zeros_like(y)
-    x[0] = x_offset
+    x[0] = TWO_BUMP_OFFSET
 
-    dt = time_step_rel * t
+    dt = TIME_FD_REL_STEP * t
 
     def signed_power(v):
         return abs(v) ** (p - 2) * v
@@ -278,5 +271,5 @@ def two_bump_defect_fd(
     def grad_fn(z):
         return two_bump_gradient(k, y, z, t)
 
-    lap = fd_divergence(_flux(grad_fn, p), x, space_step)
+    lap = fd_divergence(_flux(grad_fn, p), x, TWO_BUMP_SPACE_STEP)
     return term_t - lap

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .concave import ConcaveTerm, ZeroTerm
-from .core import Params, fd_divergence, fundamental_profile
+from .core import Params, fd_divergence, fd_spacing, fundamental_profile
 from .errors import (
     PoleSingularityError,
     UndefinedOperatorError,
@@ -104,6 +104,21 @@ def _pole_terms(ps: PoleSet, x):
     return (d, r) + fundamental_profile(ps.params, r)
 
 
+def near_pole(ps: PoleSet, x, step: float) -> bool:
+    """Whether x is within 10 stencil spacings h = step (1 + |x|) of a pole:
+    there ``delta_p_fd`` refuses and ``plap eval`` gives the value only."""
+    dists = np.linalg.norm(np.asarray(x, dtype=float) - ps.locations, axis=1)
+    return bool(dists.min() <= 10 * fd_spacing(x, step))
+
+
+def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
+    """V + K at points x of shape (..., n) from values alone, so a kink of K
+    is harmless; a point on a pole follows the pole rule."""
+    x = np.asarray(x, dtype=float)
+    kv = [0.0 if k is None else k.value(z) for z in x.reshape(-1, x.shape[-1])]
+    return _pole_terms(ps, x)[2] @ ps.weights + np.reshape(kv, x.shape[:-1])
+
+
 def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
     """``evaluate`` plus the per-pole terms (d, r, v, v', v'') it used."""
     if k is None:
@@ -116,7 +131,8 @@ def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
     a = ps.weights
     if not r.all():
         # on a pole: the value the pole rule gives, no derivatives
-        return EvalResult(float(a @ v) + k.value(x), None, None, None, r), terms
+        value = float(superposition_value(ps, k, x))
+        return EvalResult(value, None, None, None, r), terms
 
     u = d / r[:, None]
     t = a * dv / r
@@ -209,8 +225,7 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP) ->
         k = ZeroTerm()
     x = np.asarray(x, dtype=float)
     p = ps.params.p
-    dists = np.linalg.norm(x[None, :] - ps.locations, axis=1)
-    if np.any(dists <= 10 * step):
+    if near_pole(ps, x, step):
         raise PoleSingularityError("query point too close to a pole for the FD stencil")
 
     def flux(z):

@@ -11,6 +11,7 @@ from .core import Params
 
 DEFAULT_SEED = 20160118
 SUITE_NAMES = ("superpose", "concave", "comparison", "evolution")
+TRIALS = 100                # per check of the concave suite
 
 
 @dataclass
@@ -58,11 +59,11 @@ def _random_pole_set(rng, p, n, max_poles=8):
     return superpose.PoleSet(weights, locations, Params(float(p), int(n), 1.0))
 
 
-def _random_point_away(rng, ps, margin=0.3, span=2.0):
+def _random_point_away(rng, ps):
     n = ps.params.n
     while True:
-        x = rng.uniform(-span, span, n)
-        if np.min(np.linalg.norm(x[None, :] - ps.locations, axis=1)) >= margin:
+        x = rng.uniform(-2.0, 2.0, n)
+        if np.min(np.linalg.norm(x[None, :] - ps.locations, axis=1)) >= 0.3:
             return x
 
 
@@ -70,11 +71,11 @@ def _rel(a, b, scale):
     return abs(a - b) / max(abs(a), abs(b), scale)
 
 
-def verify_superpose(seed=DEFAULT_SEED, configs=200) -> SuiteReport:
+def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("superpose")
     worst_dc = worst_fd = worst_sign = worst_iso = worst_scal = worst_null = 0.0
-    for _ in range(configs):
+    for _ in range(200):
         p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
         n = int(rng.choice([2, 3, 5]))
         ps = _random_pole_set(rng, p, n)
@@ -128,12 +129,12 @@ def _random_nsd(rng, n):
     return (q * lam) @ q.T
 
 
-def verify_concave(seed=DEFAULT_SEED, trials=100) -> SuiteReport:
+def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("concave")
 
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(2, 6))
         p = float(rng.uniform(2.01, 6.0))
         h = _random_nsd(rng, n)
@@ -142,7 +143,7 @@ def verify_concave(seed=DEFAULT_SEED, trials=100) -> SuiteReport:
     rep.add("concavity_implies_criterion", worst, 1e-12)
 
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         n = int(rng.integers(2, 6))
         p = float(rng.uniform(2.01, 6.0))
         h = (lambda a: 0.5 * (a + a.T))(rng.standard_normal((n, n)))
@@ -155,7 +156,7 @@ def verify_concave(seed=DEFAULT_SEED, trials=100) -> SuiteReport:
     rep.add("criterion_implies_sign", worst, 1e-12)
 
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         p = float(rng.choice([2.5, 3.0, 4.0]))
         n = int(rng.choice([2, 3]))
         ps = _random_pole_set(rng, p, n, max_poles=5)
@@ -192,10 +193,10 @@ def verify_concave(seed=DEFAULT_SEED, trials=100) -> SuiteReport:
     return rep
 
 
-def verify_comparison(seed=DEFAULT_SEED, configs=5, nodes=33) -> SuiteReport:
+def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("comparison")
-    dom = comparison.GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(nodes, nodes))
+    dom = comparison.GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33))
     spacing = max(dom.spacing)
     tol = comparison.COMPARISON_TOL * (spacing / (1 / 32)) ** 2
 
@@ -215,7 +216,7 @@ def verify_comparison(seed=DEFAULT_SEED, configs=5, nodes=33) -> SuiteReport:
 
     worst = 0.0
     refine_pair = None
-    for i in range(configs):
+    for i in range(5):
         p = float(rng.choice([2.5, 3.0, 4.0]))
         params = Params(p, 2, 1.0)
         count = int(rng.integers(1, 4))
@@ -241,7 +242,7 @@ def verify_comparison(seed=DEFAULT_SEED, configs=5, nodes=33) -> SuiteReport:
     return rep
 
 
-def verify_evolution(seed=DEFAULT_SEED, samples=50) -> SuiteReport:
+def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
     from scipy.optimize import brentq
 
     rng = np.random.default_rng(seed)
@@ -266,7 +267,7 @@ def verify_evolution(seed=DEFAULT_SEED, samples=50) -> SuiteReport:
         radius = evolution.sign_change_radius(kb, t)
         support = evolution.support_radius(kb, t)
         count = 0
-        while count < samples:
+        while count < 50:
             r = float(rng.uniform(0.15 * support, 0.9 * support))
             if abs(r - radius) < 0.05 * support:
                 continue

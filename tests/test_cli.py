@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 from plap import cli
+from plap.schemas import SCHEMAS
 
 CLI = [sys.executable, "-m", "plap.cli"]
 
@@ -77,6 +79,50 @@ def test_bad_config_rejected(tmp_path):
     res = run("eval", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 2
     assert "unknown_key" in res.stderr
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_is_valid_against_its_metaschema(name):
+    schema = SCHEMAS[name]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def with_changes(**changes):
+    return dict(EVAL_CFG, **changes)
+
+
+@pytest.mark.parametrize("cfg", [
+    with_changes(params={"p": 1.0, "n": 2}),
+    with_changes(poles=[{"weight": 1.0, "location": [0.5, 0.0, 0.0]}]),
+    with_changes(points=[[0.1, 0.2], [0.3, 0.4, 0.5]]),
+    with_changes(poles=[{"weight": 0.0, "location": [0.5, 0.0]}]),
+], ids=["p_one", "pole_dimension", "point_dimension", "zero_weights"])
+def test_config_rejected_by_a_constructor_exits_2(tmp_path, capsys, cfg):
+    path = tmp_path / "eval.json"
+    write_json(path, cfg)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_eval_near_pole_row_on_a_kink(tmp_path):
+    # K = min(x0, -x0) has a kink on x0 = 0; the near-pole row needs no
+    # derivative of K, so it must not fail there
+    path, out = tmp_path / "eval.json", tmp_path / "o.csv"
+    write_json(path, {
+        "schema_version": 1,
+        "params": {"p": 3.0, "n": 2},
+        "poles": [{"weight": 1.0, "location": [0.0, 0.5]}],
+        "concave": {"kind": "affine_min", "slopes": [[1.0, 0.0], [-1.0, 0.0]],
+                    "offsets": [0.0, 0.0]},
+        "points": [[0.0, 0.5005]],
+    })
+    assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    header, row = read_csv(out)
+    assert row[header.index("flag")] == "near-pole"
+    assert float(row[header.index("value")]) == pytest.approx(-2.0 * 5e-4**0.5, rel=1e-12)
 
 
 def test_missing_subcommand_usage():

@@ -13,6 +13,7 @@ from plap import (
     solve_p_harmonic,
     superposition_grid,
 )
+from plap.comparison import _energy_state, _hessian, _split_gradient
 from plap.errors import UnsupportedConfigurationError
 
 
@@ -93,6 +94,27 @@ def test_3d_affine(square_65):
     affine = nodes[..., 0] - 0.5 * nodes[..., 1] + 2 * nodes[..., 2]
     sol = solve_p_harmonic(dom, affine, 3.0)
     assert np.abs(sol.values - affine).max() <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (9, 9, 9)])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_hessian_matches_central_differences(shape, p):
+    rng = np.random.default_rng(5)
+    dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
+    cell_vol = float(np.prod(dom.spacing))
+    g_i, offset = _split_gradient(dom, rng.standard_normal(shape))
+    x = rng.standard_normal(g_i.shape[1])
+
+    def gradient(z):
+        return _energy_state(g_i, offset, z, p, cell_vol)[1]
+
+    state = _energy_state(g_i, offset, x, p, cell_vol)[2]
+    hess = _hessian(g_i, state, p, cell_vol).toarray()
+    step = 1e-6
+    fd = np.empty_like(hess)
+    for j, e in enumerate(step * np.eye(x.size)):
+        fd[:, j] = (gradient(x + e) - gradient(x - e)) / (2 * step)
+    assert np.abs(fd - hess).max() <= 1e-6 * np.abs(hess).max()
 
 
 def test_superposition_grid_matches_pointwise():

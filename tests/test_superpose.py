@@ -201,6 +201,14 @@ def test_fd_rejects_points_near_poles():
         delta_p_fd(ps, None, [5e-4, 0.0], step=1e-4)
 
 
+def test_fd_guard_uses_the_stencil_spacing():
+    # far from the origin the spacing h = step (1 + |x|) is 2.1e-3, so a
+    # point 1.1e-3 from the pole would put a stencil point across it
+    ps = PoleSet([1.0], [[20.0, 0.0]], Params(3, 2))
+    with pytest.raises(PoleSingularityError):
+        delta_p_fd(ps, None, [20.0011, 0.0])
+
+
 def test_weight_scaling_power_law():
     rng = np.random.default_rng(14)
     ps = PoleSet(rng.uniform(0.5, 1, 4), rng.uniform(-1, 1, (4, 2)), Params(3, 2))
