@@ -28,19 +28,27 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so no whole table of cells is held in memory
 
 
-def _write_csv(path, header, rows):
+def _fmt_column(values):
+    """Cells of one CSV column: floats with 17 significant digits, anything
+    else (integers, flags) as str."""
+    if values.dtype.kind == "f":
+        return [format(v, ".17g") for v in values.tolist()]
+    return [str(v) for v in values.tolist()]
+
+
+def _write_csv(path, header, columns):
+    """A CSV table from equal-length columns (arrays or sequences)."""
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            chunk = [c[start : start + CSV_CHUNK_ROWS] for c in columns]
+            writer.writerows(zip(*map(_fmt_column, chunk)))
 
 
 def _usage_error(message):
@@ -83,27 +91,34 @@ def _build(cfg):
         dom = comparison.GridDomain(grid["bounds"], grid["shape"]) if grid else None
         if grid and dom.dim != params.n:
             raise ValueError(f"the grid must have dimension {params.n}")
-        return params, ps, _concave_from(cfg.get("concave")), dom
+        return params, ps, _concave_from(cfg.get("concave"), params.n), dom
     except ValueError as exc:
         _usage_error(f"error: {exc}")
 
 
-def _concave_from(term_cfg):
+def _concave_from(term_cfg, n):
+    """The concave term of a config, checked to act on points of dimension n."""
     if term_cfg is None:
         return None
     kind = term_cfg["kind"]
     if kind == "zero":
         return concave.ZeroTerm()
+    if kind == "mollified":
+        return concave.MollifiedTerm(_concave_from(term_cfg["base"], n), float(term_cfg["delta"]))
     if kind == "quadratic":
-        return concave.QuadraticTerm(
+        k = concave.QuadraticTerm(
             np.asarray(term_cfg["a_matrix"], dtype=float),
             b=term_cfg.get("b"),
             c0=float(term_cfg.get("c0", 0.0)),
         )
-    if kind == "affine_min":
-        return concave.AffineMinTerm(term_cfg["slopes"], term_cfg["offsets"])
-    # the schema's enum leaves "mollified"
-    return concave.MollifiedTerm(_concave_from(term_cfg["base"]), float(term_cfg["delta"]))
+        dim = k.a_matrix.shape[0]
+    else:
+        # the schema's enum leaves "affine_min"
+        k = concave.AffineMinTerm(term_cfg["slopes"], term_cfg["offsets"])
+        dim = k.slopes.shape[1]
+    if dim != n:
+        raise ValueError(f"the concave term has dimension {dim}, expected {n}")
+    return k
 
 
 def cmd_eval(args):
@@ -131,7 +146,7 @@ def cmd_eval(args):
             list(x)
             + [res.value, float(np.linalg.norm(res.gradient)), direct, closed, fd, ""]
         )
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, zip(*rows))
     log.info("wrote %d rows to %s", len(rows), args.out)
     return EXIT_OK
 
@@ -146,7 +161,7 @@ def cmd_sign_map(args):
     for p in p_values:
         for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
             rows.append([float(p), n, superpose.sign_region(float(p), n).value])
-    _write_csv(args.out, ["p", "n", "sign_class"], rows)
+    _write_csv(args.out, ["p", "n", "sign_class"], zip(*rows))
     return EXIT_OK
 
 
@@ -178,7 +193,9 @@ def cmd_verify(args):
 
 def cmd_compare(args):
     cfg = _load_config(args.config, "compare")
-    _, ps, k, dom = _build(cfg)
+    params, ps, k, dom = _build(cfg)
+    if not params.p > 2:
+        _usage_error("error: the comparison harness requires p > 2")
     try:
         report = comparison.comparison_check(
             ps,
@@ -191,15 +208,12 @@ def cmd_compare(args):
         print(f"solver failure: {exc} (residual {exc.residual})", file=sys.stderr)
         return EXIT_FAILURE
 
-    nodes = dom.nodes().reshape(-1, dom.dim)
     w = report.w_values.ravel()
     h = report.h_values.ravel()
     header = [f"x{i}" for i in range(dom.dim)] + ["w", "h", "gap", "excised"]
-    rows = [
-        list(nodes[i]) + [w[i], h[i], w[i] - h[i], int(report.excised_mask.ravel()[i])]
-        for i in range(nodes.shape[0])
-    ]
-    _write_csv(args.out, header, rows)
+    columns = [*dom.nodes().reshape(-1, dom.dim).T, w, h, w - h,
+               report.excised_mask.ravel().astype(int)]
+    _write_csv(args.out, header, columns)
     summary = {
         "min_gap": report.min_gap,
         "violations": report.violations,
@@ -222,6 +236,10 @@ def cmd_evolution_sweep(args):
         big_c=float(kcfg.get("big_c", 1.0)),
         small_c=float(kcfg.get("small_c", 1.0)),
     )
+    needs = ("t", "radii") if kernel.kind == evolution.BARENBLATT else ("y", "times")
+    missing = [key for key in needs if key not in cfg]
+    if missing:
+        _usage_error(f"error: a {kernel.kind} sweep needs {' and '.join(missing)}")
     rows = []
     if kernel.kind == evolution.BARENBLATT:
         t = float(cfg["t"])
@@ -238,16 +256,19 @@ def cmd_evolution_sweep(args):
             bt = evolution.kernel_time_derivative(kernel, x, t)
             defect = evolution.barenblatt_defect(kernel, a, x, t)
             rows.append([float(r), bt, defect, int(np.sign(defect))])
-        _write_csv(args.out, ["radius", "kernel_time_derivative", "defect", "defect_sign"], rows)
+        _write_csv(args.out, ["radius", "kernel_time_derivative", "defect", "defect_sign"],
+                   zip(*rows))
     else:
         y = np.asarray(cfg["y"], dtype=float)
+        if not np.any(y):
+            _usage_error("error: the bump offset y must be nonzero")
         sweep = cfg["times"]
         times = np.geomspace(sweep["min"], sweep["max"], int(sweep["count"]))
         for t in times:
             wt = evolution.kernel_time_derivative(kernel, y, float(t))
             defect = evolution.two_bump_defect(kernel, y, float(t))
             rows.append([float(t), wt, defect, int(np.sign(defect))])
-        _write_csv(args.out, ["t", "kernel_time_derivative", "defect", "defect_sign"], rows)
+        _write_csv(args.out, ["t", "kernel_time_derivative", "defect", "defect_sign"], zip(*rows))
     return EXIT_OK
 
 

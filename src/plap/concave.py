@@ -2,6 +2,7 @@
 their mollifications, plus the eigenvalue sufficient condition for the
 sign of the operator term (p-2) xi^T H xi / |xi|^2 + tr H."""
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from .errors import DegenerateDirectionError, KinkError
 TIE_EPSILON = 1e-9          # relative tie detection for min-of-affine pieces
 CRITERION_SLACK = 1e-12     # absorbs eigensolver noise at the equality boundary
 MOLLIFIER_NODES = 16        # Gauss-Legendre nodes per axis of the mollifier quadrature
+MOLLIFIER_BLOCK = 1 << 16   # shifted nodes per base call: (block, Q, d) stays about 1 MB
 NSD_TOL = 1e-12             # scale-aware negative-semidefiniteness threshold
 
 
@@ -22,11 +24,15 @@ class ConcaveTerm:
     ``eval`` raises KinkError where derivatives are undefined, while
     ``eval_lenient`` picks an arbitrary subgradient there (used only inside
     mollification quadrature, where ties are a measure-zero event).
+
+    All three take points of shape (..., d) and keep the leading shape:
+    values (...), gradients (..., d), Hessians (..., d, d).  A single point
+    (d,) gives a float value.
     """
 
     concave: bool = True
 
-    def value(self, x) -> float:
+    def value(self, x):
         raise NotImplementedError
 
     def eval(self, x):
@@ -36,6 +42,11 @@ class ConcaveTerm:
         return self.eval(x)
 
 
+def _scalar(v):
+    """A float for a single point's value, the array for a batch."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
 @dataclass(frozen=True)
 class ZeroTerm(ConcaveTerm):
     """K identically zero."""
@@ -43,12 +54,11 @@ class ZeroTerm(ConcaveTerm):
     concave: bool = field(default=True, init=False)
 
     def value(self, x):
-        return 0.0
+        return _scalar(np.zeros(np.shape(x)[:-1]))
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.size
-        return 0.0, np.zeros(d), np.zeros((d, d))
+        shape = np.shape(x)
+        return self.value(x), np.zeros(shape), np.zeros(shape + shape[-1:])
 
 
 def _is_negative_semidefinite(a: np.ndarray) -> bool:
@@ -85,13 +95,18 @@ class QuadraticTerm(ConcaveTerm):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "concave", _is_negative_semidefinite(a))
 
+    # stacked matmuls and vecdot round every point of a batch exactly as a
+    # single point's 0.5 x @ A @ x + b @ x and A @ x + b
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.a_matrix @ x + self.b @ x + self.c0)
+        xa = ((0.5 * x)[..., None, :] @ self.a_matrix)[..., 0, :]
+        return _scalar(np.vecdot(xa, x) + np.vecdot(x, self.b) + self.c0)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        return self.value(x), self.a_matrix @ x + self.b, self.a_matrix.copy()
+        grad = (self.a_matrix @ x[..., None])[..., 0] + self.b
+        hess = np.broadcast_to(self.a_matrix, x.shape + x.shape[-1:]).copy()
+        return self.value(x), grad, hess
 
 
 @dataclass(frozen=True)
@@ -111,30 +126,33 @@ class AffineMinTerm(ConcaveTerm):
         object.__setattr__(self, "offsets", q)
 
     def _pieces(self, x):
+        """Every piece at every point, pieces first: shape (pieces, ...),
+        so the minimum over pieces runs over whole rows."""
         x = np.asarray(x, dtype=float)
-        return self.slopes @ x + self.offsets
+        vals = self.slopes @ x.reshape(-1, x.shape[-1]).T
+        vals += self.offsets[:, None]
+        return vals.reshape((-1,) + x.shape[:-1])
 
     def value(self, x):
-        return float(self._pieces(x).min())
+        return _scalar(self._pieces(x).min(axis=0))
+
+    def _at(self, vals):
+        """Value, slope and zero Hessian of the minimizing piece."""
+        best = vals.argmin(axis=0)
+        d = self.slopes.shape[1]
+        hess = np.zeros(vals.shape[1:] + (d, d))
+        return _scalar(vals.min(axis=0)), np.take(self.slopes, best, axis=0), hess
 
     def eval(self, x):
         vals = self._pieces(x)
-        order = np.argsort(vals)
-        best = order[0]
         if len(vals) > 1:
-            scale = max(1.0, abs(vals[best]))
-            if vals[order[1]] - vals[best] <= TIE_EPSILON * scale:
-                raise KinkError(
-                    "gradient requested at a tie between affine pieces"
-                )
-        d = self.slopes.shape[1]
-        return float(vals[best]), self.slopes[best].copy(), np.zeros((d, d))
+            low, second = np.partition(vals, 1, axis=0)[:2]
+            if np.any(second - low <= TIE_EPSILON * np.maximum(1.0, np.abs(low))):
+                raise KinkError("gradient requested at a tie between affine pieces")
+        return self._at(vals)
 
     def eval_lenient(self, x):
-        vals = self._pieces(x)
-        best = int(np.argmin(vals))
-        d = self.slopes.shape[1]
-        return float(vals[best]), self.slopes[best].copy(), np.zeros((d, d))
+        return self._at(self._pieces(x))
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +182,8 @@ class MollifiedTerm(ConcaveTerm):
     radius delta, evaluated by tensor-product Gauss-Legendre quadrature.
 
     Derivatives are carried under the quadrature sum, so concavity of the
-    base transfers node by node.
+    base transfers node by node.  The base is called once per block of
+    points, on all their shifted quadrature nodes at once.
     """
 
     base: ConcaveTerm
@@ -176,26 +195,37 @@ class MollifiedTerm(ConcaveTerm):
             raise ValueError("smoothing radius delta must be positive")
         object.__setattr__(self, "concave", self.base.concave)
 
-    def value(self, x):
+    def _blocks(self, x):
+        """Shape of the points x (..., d), the quadrature weights, and per
+        block of points its slice of x and its shifted nodes (block, Q, d)."""
         x = np.asarray(x, dtype=float)
-        pts, wts = _mollifier_grid(x.size)
-        return float(
-            sum(w * self.base.value(x - self.delta * z) for z, w in zip(pts, wts))
+        pts, wts = _mollifier_grid(x.shape[-1])
+        flat = x.reshape(-1, x.shape[-1])
+        rows = max(1, MOLLIFIER_BLOCK // len(wts))
+        blocks = (
+            (slice(s, s + rows), flat[s : s + rows, None, :] - self.delta * pts)
+            for s in range(0, len(flat), rows)
         )
+        return x.shape, wts, blocks
+
+    def value(self, x):
+        shape, wts, blocks = self._blocks(x)
+        val = np.empty(math.prod(shape[:-1]))
+        for rows, z in blocks:
+            val[rows] = self.base.value(z) @ wts
+        return _scalar(val.reshape(shape[:-1]))
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.size
-        pts, wts = _mollifier_grid(d)
-        val = 0.0
-        grad = np.zeros(d)
-        hess = np.zeros((d, d))
-        for z, w in zip(pts, wts):
-            v, g, h = self.base.eval_lenient(x - self.delta * z)
-            val += w * v
-            grad += w * g
-            hess += w * h
-        return val, grad, hess
+        shape, wts, blocks = self._blocks(x)
+        m, d = math.prod(shape[:-1]), shape[-1]
+        val, grad, hess = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
+        for rows, z in blocks:
+            v, g, h = self.base.eval_lenient(z)
+            val[rows] = v @ wts
+            grad[rows] = np.einsum("q,bqi->bi", wts, g)
+            hess[rows] = np.einsum("q,bqij->bij", wts, h)
+        lead = shape[:-1]
+        return _scalar(val.reshape(lead)), grad.reshape(shape), hess.reshape(lead + (d, d))
 
 
 def eigenvalue_criterion(hess, p: float) -> bool:

@@ -115,8 +115,7 @@ def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
     """V + K at points x of shape (..., n) from values alone, so a kink of K
     is harmless; a point on a pole follows the pole rule."""
     x = np.asarray(x, dtype=float)
-    kv = [0.0 if k is None else k.value(z) for z in x.reshape(-1, x.shape[-1])]
-    return _pole_terms(ps, x)[2] @ ps.weights + np.reshape(kv, x.shape[:-1])
+    return _pole_terms(ps, x)[2] @ ps.weights + (0.0 if k is None else k.value(x))
 
 
 def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
@@ -231,7 +230,7 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP) ->
     def flux(z):
         d, r, _, dv, _ = _pole_terms(ps, z)
         g = np.einsum("mi,mij->mj", ps.weights * dv / r, d)
-        g += np.array([k.eval(zi)[1] for zi in z])
+        g += k.eval(z)[1]
         gn = np.linalg.norm(g, axis=1, keepdims=True)
         vanishing = gn < ps.gradient_epsilon
         if p < 2 and vanishing.any():

@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
-from plap import cli
+from plap import cli, comparison
 from plap.schemas import SCHEMAS
 
 CLI = [sys.executable, "-m", "plap.cli"]
@@ -102,6 +103,70 @@ def test_config_rejected_by_a_constructor_exits_2(tmp_path, capsys, cfg):
     write_json(path, cfg)
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+COMPARE_CFG = {
+    "schema_version": 1,
+    "params": {"p": 3.0, "n": 2},
+    "poles": [{"weight": 1.0, "location": [0.2, 0.1]}],
+    "grid": {"bounds": [[-1, 1], [-1, 1]], "shape": [9, 9]},
+}
+QUADRATIC_3D = {"kind": "quadratic", "a_matrix": (-np.eye(3)).tolist()}
+AFFINE_3D = {"kind": "affine_min", "slopes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "offsets": [0.0, 0.0]}
+
+
+def test_compare_csv_matches_a_row_by_row_reference(tmp_path):
+    path, out = tmp_path / "cmp.json", tmp_path / "o.csv"
+    write_json(path, dict(COMPARE_CFG, concave={"kind": "quadratic", "a_matrix": [[-1.0, 0.2], [0.2, -0.5]]}))
+    args = ["compare", "--config", str(path), "--out", str(out), "--summary", str(tmp_path / "s.json")]
+    assert cli.main(args) == cli.EXIT_OK
+    params, ps, k, dom = cli._build(json.loads(path.read_text()))
+    report = comparison.comparison_check(ps, k, dom)
+    nodes = dom.nodes().reshape(-1, 2)
+    w, h = report.w_values.ravel(), report.h_values.ravel()
+    mask = report.excised_mask.ravel()
+    assert mask.any()
+    lines = ["x0,x1,w,h,gap,excised"] + [
+        ",".join([format(float(v), ".17g") for v in (*nodes[i], w[i], h[i], w[i] - h[i])]
+                 + [str(int(mask[i]))])
+        for i in range(len(nodes))
+    ]
+    assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("eval", with_changes(concave=QUADRATIC_3D)),
+    ("eval", with_changes(concave=AFFINE_3D)),
+    ("eval", with_changes(concave={"kind": "mollified", "delta": 0.1, "base": AFFINE_3D})),
+    ("compare", dict(COMPARE_CFG, concave=QUADRATIC_3D)),
+    ("compare", dict(COMPARE_CFG, concave={"kind": "mollified", "delta": 0.1, "base": QUADRATIC_3D})),
+    ("compare", dict(COMPARE_CFG, params={"p": 2.0, "n": 2})),
+    ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2},
+                         "radii": {"min": 0.1, "max": 2.0, "count": 5}}),
+    ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2},
+                         "t": 1.0}),
+    ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "homogeneous", "p": 3.0, "n": 2},
+                         "times": {"min": 0.5, "max": 2.0, "count": 5}}),
+    ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "homogeneous", "p": 3.0, "n": 2},
+                         "y": [1.0, 0.0]}),
+    ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "homogeneous", "p": 3.0, "n": 2},
+                         "y": [0.0, 0.0], "times": {"min": 0.5, "max": 2.0, "count": 5}}),
+], ids=["eval_quadratic_dimension", "eval_affine_dimension", "eval_mollified_base_dimension",
+        "compare_quadratic_dimension", "compare_mollified_base_dimension", "compare_p_two",
+        "barenblatt_without_t", "barenblatt_without_radii", "homogeneous_without_y",
+        "homogeneous_without_times", "homogeneous_zero_y"])
+def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    write_json(path, cfg)
+    args = [command, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+    if command == "compare":
+        args += ["--summary", str(tmp_path / "s.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
     assert exc.value.code == cli.EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,10 +1,15 @@
 """Concave terms, mollification, and the eigenvalue sufficient condition."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plap import (
     AffineMinTerm,
+    GridDomain,
     MollifiedTerm,
     Params,
     PoleSet,
@@ -13,8 +18,9 @@ from plap import (
     delta_p_direct,
     eigenvalue_criterion,
     operator_term,
+    superposition_grid,
 )
-from plap.concave import criterion_sum
+from plap.concave import MOLLIFIER_BLOCK, ConcaveTerm, _mollifier_grid, criterion_sum
 from plap.errors import KinkError
 
 
@@ -201,3 +207,122 @@ def test_concave_superposition_stays_supersolution():
             if np.min(np.linalg.norm(x - ps.locations, axis=1)) < 0.3:
                 continue
             assert delta_p_direct(ps, k, x) <= 1e-10
+
+
+# ------------------------------------------------------- batched contract
+batch_settings = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+def random_term(rng, kind, d):
+    if kind == "zero":
+        return ZeroTerm()
+    if kind == "quadratic":
+        a = rng.standard_normal((d, d))
+        return QuadraticTerm(a + a.T, b=rng.uniform(-1, 1, d), c0=float(rng.uniform(-1, 1)))
+    pieces = int(rng.integers(1, 5))
+    affine = AffineMinTerm(rng.uniform(-1, 1, (pieces, d)), rng.uniform(-0.3, 0.3, pieces))
+    if kind == "affine_min":
+        return affine
+    mollified = MollifiedTerm(affine, float(rng.uniform(0.05, 0.3)))
+    if kind == "mollified":
+        return mollified
+    return MollifiedTerm(mollified, float(rng.uniform(0.05, 0.3)))
+
+
+def pointwise(fn, x):
+    """fn applied point by point over the leading axes of x, restacked."""
+    outs = [fn(z) for z in x.reshape(-1, x.shape[-1])]
+    lead = x.shape[:-1]
+    if not isinstance(outs[0], tuple):
+        return np.reshape(outs, lead)
+    return tuple(np.reshape(part, lead + np.shape(part[0])) for part in zip(*outs))
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["point", "rows", "grid"])
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "affine_min", "mollified", "nested"])
+@batch_settings
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_batched_equals_pointwise(kind, lead, seed, d):
+    if kind == "nested":
+        d = 2  # 144 x 144 base points per node
+    rng = np.random.default_rng(seed)
+    k = random_term(rng, kind, d)
+    x = rng.uniform(-2, 2, lead + (d,))
+    for name in ("value", "eval", "eval_lenient"):
+        fn = getattr(k, name)
+        try:
+            want = pointwise(fn, x)
+        except KinkError:
+            with pytest.raises(KinkError):
+                fn(x)
+            continue
+        got = fn(x)
+        if name == "value":
+            got, want = (got,), (want,)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-14)
+    if lead == ():
+        assert type(k.value(x)) is float and type(k.eval(x)[0]) is float
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mollified_value_matches_a_per_node_loop_across_blocks(d):
+    rng = np.random.default_rng(31)
+    base = AffineMinTerm(rng.uniform(-1, 1, (3, d)), rng.uniform(-0.3, 0.3, 3))
+    mol = MollifiedTerm(base, 0.2)
+    pts, wts = _mollifier_grid(d)
+    rows = MOLLIFIER_BLOCK // len(wts)
+    x = rng.uniform(-1, 1, (rows + 7, d))
+    ref = np.array([
+        sum(w * base.value(xi - mol.delta * z) for z, w in zip(pts, wts)) for xi in x
+    ])
+    got = mol.value(x)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+@batch_settings
+@given(seed=st.integers(0, 2**32 - 1), ties=st.integers(0, 3))
+def test_batched_affine_min_kink_iff_some_point_ties(seed, ties):
+    rng = np.random.default_rng(seed)
+    k = AffineMinTerm([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 1.0])
+    x = rng.uniform(-1, 1, (6, 2))
+    x[rng.choice(6, ties, replace=False), 0] = 0.0  # x0 = 0 ties the first two pieces
+    raises = []
+    for z in x:
+        try:
+            k.eval(z)
+            raises.append(False)
+        except KinkError:
+            raises.append(True)
+    assert sum(raises) == ties
+    if ties:
+        with pytest.raises(KinkError):
+            k.eval(x)
+    else:
+        np.testing.assert_array_equal(k.eval(x)[1], k.eval_lenient(x)[1])
+
+
+class CountingTerm(ConcaveTerm):
+    """Passes every call on to ``base`` and counts ``value`` calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.concave = base.concave
+        self.value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.base.value(x)
+
+    def eval(self, x):
+        return self.base.eval(x)
+
+
+def test_superposition_grid_calls_the_mollified_base_per_block():
+    base = CountingTerm(AffineMinTerm([[1.0, 0.5], [-0.7, 0.2]], [0.0, 0.3]))
+    dom = GridDomain([(-1, 1), (-1, 1)], (65, 65))
+    ps = PoleSet([1.0], [[0.1, 0.2]], Params(3.0, 2))
+    superposition_grid(ps, MollifiedTerm(base, 0.2), dom)
+    nodes, q = 65 * 65, len(_mollifier_grid(2)[1])
+    assert base.value_calls <= math.ceil(nodes * q / MOLLIFIER_BLOCK)

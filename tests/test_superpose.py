@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plap import (
+    AffineMinTerm,
     Params,
     PoleSet,
     QuadraticTerm,
@@ -18,11 +19,13 @@ from plap import (
     riemann_pole_set,
     sign_region,
 )
+from plap.core import fd_spacing
 from plap.errors import (
+    KinkError,
     PoleSingularityError,
     UnsupportedConfigurationError,
 )
-from plap.superpose import delta_p_scale
+from plap.superpose import DEFAULT_FD_STEP, delta_p_scale
 
 
 def rel(a, b, scale=0.0):
@@ -207,6 +210,17 @@ def test_fd_guard_uses_the_stencil_spacing():
     ps = PoleSet([1.0], [[20.0, 0.0]], Params(3, 2))
     with pytest.raises(PoleSingularityError):
         delta_p_fd(ps, None, [20.0011, 0.0])
+
+
+def test_fd_kink_at_one_stencil_point_raises():
+    # K = min(x0, -x0) ties on x0 = 0, which only the stencil point x - h e_0 hits
+    ps = PoleSet([1.0], [[0.0, 0.0]], Params(3, 2))
+    k = AffineMinTerm([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
+    x = np.array([0.0, 1.0])
+    x[0] = fd_spacing(x, DEFAULT_FD_STEP)
+    assert np.isfinite(delta_p_direct(ps, k, x))
+    with pytest.raises(KinkError):
+        delta_p_fd(ps, k, x)
 
 
 def test_weight_scaling_power_law():
