@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 import jsonschema
@@ -29,6 +30,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so no whole table of cells is held in memory
+EVAL_BLOCK = 1 << 17    # FD stencil offsets per block of eval rows: (block, 2n, poles, n) stays about 1 MB
 
 
 def _fmt_column(values):
@@ -122,32 +124,45 @@ def _concave_from(term_cfg, n):
 
 
 def cmd_eval(args):
+    start = time.perf_counter()
     cfg = _load_config(args.config, "eval")
+    loaded = time.perf_counter()
     params, ps, k, _ = _build(cfg)
     step = float(cfg.get("fd_step", superpose.DEFAULT_FD_STEP))
     pure = k is None or isinstance(k, concave.ZeroTerm)
+    n = params.n
+    built = time.perf_counter()
+
+    x = np.asarray(cfg["points"], dtype=float).reshape(-1, n)
+    near = superpose.near_pole(ps, x, step)
+    value, grad_norm, direct, closed, fd = np.full((5, len(x)), np.nan)
+    if near.any():
+        value[near] = superpose.superposition_value(ps, k, x[near])
+    far = np.flatnonzero(~near)
+    block_rows = max(1, EVAL_BLOCK // (2 * n * len(ps) * n))
+    for first in range(0, len(far), block_rows):
+        i = far[first : first + block_rows]
+        res = superpose.evaluate(ps, k, x[i])
+        value[i] = res.value
+        # each row rounded as np.linalg.norm rounds a single vector
+        grad_norm[i] = np.sqrt(np.vecdot(res.gradient, res.gradient))
+        direct[i] = superpose.delta_p_direct(ps, k, x[i])
+        if pure:
+            closed[i] = superpose.delta_p_closed_form(ps, k, x[i])
+        fd[i] = superpose.delta_p_fd(ps, k, x[i], step=step)
+    computed = time.perf_counter()
 
     header = (
-        [f"x{i}" for i in range(params.n)]
+        [f"x{j}" for j in range(n)]
         + ["value", "grad_norm", "delta_p_direct", "delta_p_closed_form", "delta_p_fd", "flag"]
     )
-    rows = []
-    for point in cfg["points"]:
-        x = np.asarray(point, dtype=float)
-        if superpose.near_pole(ps, x, step):
-            value = float(superpose.superposition_value(ps, k, x))
-            rows.append(list(x) + [value] + [float("nan")] * 4 + ["near-pole"])
-            continue
-        res = superpose.evaluate(ps, k, x)
-        direct = superpose.delta_p_direct(ps, k, x)
-        closed = superpose.delta_p_closed_form(ps, k, x) if pure else float("nan")
-        fd = superpose.delta_p_fd(ps, k, x, step=step)
-        rows.append(
-            list(x)
-            + [res.value, float(np.linalg.norm(res.gradient)), direct, closed, fd, ""]
-        )
-    _write_csv(args.out, header, zip(*rows))
-    log.info("wrote %d rows to %s", len(rows), args.out)
+    columns = [*x.T, value, grad_norm, direct, closed, fd, np.where(near, "near-pole", "")]
+    _write_csv(args.out, header, columns)
+    log.info("wrote %d rows to %s", len(x), args.out)
+    log.debug(
+        "eval stages (s): load+validate %.4f, build %.4f, rows %.4f, csv %.4f",
+        loaded - start, built - loaded, computed - built, time.perf_counter() - computed,
+    )
     return EXIT_OK
 
 
@@ -247,6 +262,12 @@ def cmd_evolution_sweep(args):
         sweep = cfg["radii"]
         radii = np.linspace(sweep["min"], sweep["max"], int(sweep["count"]))
         support = evolution.support_radius(kernel, t)
+        edge = [float(r) for r in radii if evolution.near_support_edge(kernel, r, t)]
+        if edge:
+            _usage_error(
+                f"error: radius {edge[0]!r} is at the edge of the support radius "
+                f"{support!r}, where the time derivative is undefined"
+            )
         for r in radii:
             x = np.zeros(params.n)
             x[0] = r

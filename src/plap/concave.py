@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _scalar
 from .errors import DegenerateDirectionError, KinkError
 
 TIE_EPSILON = 1e-9          # relative tie detection for min-of-affine pieces
@@ -40,11 +41,6 @@ class ConcaveTerm:
 
     def eval_lenient(self, x):
         return self.eval(x)
-
-
-def _scalar(v):
-    """A float for a single point's value, the array for a batch."""
-    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(frozen=True)

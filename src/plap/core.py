@@ -49,6 +49,12 @@ class Params:
         return self.c * (p - 2) * (p + n - 2) / (p - 1)
 
 
+def _profile_slope(params: Params, r):
+    """v'(r) = -c r^e with e = (1-n)/(p-1), at radii r > 0 and without the
+    pole rule: the flux of the finite-difference oracle needs v' alone."""
+    return -params.c * r ** ((1 - params.n) / (params.p - 1))
+
+
 def fundamental_profile(params: Params, r):
     """Closed-form fundamental-solution profile v, v', v'' at radii r >= 0.
 
@@ -62,20 +68,21 @@ def fundamental_profile(params: Params, r):
     NaN there: derivatives are unavailable at any pole.
     """
     r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0):
+    low = r.min(initial=math.inf)
+    if not low >= 0:
         raise PoleSingularityError("radii must be nonnegative")
     p, n, c = params.p, params.n, params.c
     a = (p - n) / (p - 1)
-    pole = r == 0
-    on_pole = bool(pole.any())
+    on_pole = low == 0
     if on_pole:
+        pole = r == 0
         r = np.where(pole, 1.0, r)  # placeholder radius, overwritten below
     if p == n:
         v = -c * np.log(r)
     else:
         v = -c * (p - 1) / (p - n) * r**a
     e = (1 - n) / (p - 1)
-    dv = -c * r**e
+    dv = _profile_slope(params, r)
     ddv = -c * e * r ** (e - 1)
     if on_pole:
         v = np.where(pole, math.inf if a <= 0 else 0.0, v)
@@ -84,24 +91,36 @@ def fundamental_profile(params: Params, r):
     return v, dv, ddv
 
 
-def fd_spacing(x, step: float) -> float:
-    """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at x."""
-    return step * (1.0 + float(np.linalg.norm(x)))
+def _scalar(v):
+    """A float for a single point's result, the array for a batch."""
+    return v if getattr(v, "ndim", 0) else float(v)
 
 
-def fd_divergence(flux, x, step: float) -> float:
-    """Central-difference divergence of a vector field at x.
+def fd_spacing(x, step: float):
+    """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at
+    points x of shape (..., n): shape (...), a float for one point."""
+    # |x| rounded as np.linalg.norm rounds a single vector, in every row
+    return _scalar(step * (1.0 + np.sqrt(np.vecdot(x, x))))
+
+
+def fd_divergence(flux, x, step: float):
+    """Central-difference divergence of a vector field at points x of
+    shape (..., n): shape (...), a float for one point.
 
     The spacing is h = fd_spacing(x, step).  ``flux`` is called once, on
-    the 2n stencil points x + h e_j followed by x - h e_j as rows of a
-    (2n, n) array, and returns the field at each of them as rows.
+    the stencil points of shape (..., 2n, n): x + h e_j followed by
+    x - h e_j along the second to last axis.  It returns the field at each
+    of them in the same shape.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    h = fd_spacing(x, step)
-    shifts = h * np.eye(n)
-    f = flux(np.concatenate([x + shifts, x - shifts]))
-    return float(np.sum((np.diagonal(f[:n]) - np.diagonal(f[n:])) / (2 * h)))
+    n = x.shape[-1]
+    h = np.asarray(fd_spacing(x, step))[..., None]
+    shifts = h[..., None] * np.eye(n)
+    f = flux(np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2))
+    diag = np.diagonal(f[..., :n, :], axis1=-2, axis2=-1) - np.diagonal(
+        f[..., n:, :], axis1=-2, axis2=-1
+    )
+    return _scalar(np.sum(diag / (2 * h), axis=-1))
 
 
 def rayleigh_quotient(hess: np.ndarray, z) -> float:

@@ -14,8 +14,9 @@ class DegenerateDirectionError(PlapError, ValueError):
 
 
 class UndefinedOperatorError(PlapError, ValueError):
-    """The p-Laplacian is not defined for this input (e.g. p < 2 with a
-    vanishing gradient, where no continuous extension exists)."""
+    """An operator is not defined for this input: the p-Laplacian for p < 2
+    at a vanishing gradient, where no continuous extension exists, or the
+    Barenblatt time derivative at the edge of its support."""
 
 
 class KinkError(PlapError, ValueError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, fd_divergence
+from .errors import UndefinedOperatorError
 
 BARENBLATT = "barenblatt"
 HOMOGENEOUS = "homogeneous"
@@ -73,6 +74,14 @@ def support_radius(k: EvolutionKernel, t: float) -> float:
     return (k.big_c / coeff) ** ((p - 1) / p) * t**beta
 
 
+def near_support_edge(k: EvolutionKernel, r: float, t: float) -> bool:
+    """Whether radius r lies within EDGE_MARGIN_STEPS relative time steps,
+    scaled by 1 + rs, of the Barenblatt support radius rs: the margin in
+    which B is treated as not differentiable in t."""
+    rs = support_radius(k, t)
+    return abs(r - rs) < EDGE_MARGIN_STEPS * TIME_FD_REL_STEP * (1.0 + rs)
+
+
 def _require_time(t: float):
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
@@ -96,8 +105,8 @@ def kernel_value(k: EvolutionKernel, x, t: float) -> float:
 def kernel_time_derivative(k: EvolutionKernel, x, t: float) -> float:
     """Analytic d/dt of the kernel at fixed x.
 
-    For the Barenblatt kernel x must be strictly inside or strictly
-    outside the support; at the free boundary the kernel is not
+    For the Barenblatt kernel x must lie outside the margin of
+    ``near_support_edge``: at the free boundary the kernel is not
     differentiable in t.
     """
     _require_time(t)
@@ -105,9 +114,8 @@ def kernel_time_derivative(k: EvolutionKernel, x, t: float) -> float:
     p, n = k.params.p, k.params.n
     if k.kind == BARENBLATT:
         beta = k.beta
-        rs = support_radius(k, t)
-        if abs(r - rs) < EDGE_MARGIN_STEPS * TIME_FD_REL_STEP * (1.0 + rs):
-            raise ValueError("time derivative undefined at the support boundary")
+        if near_support_edge(k, r, t):
+            raise UndefinedOperatorError("time derivative undefined at the support boundary")
         inner, s = _barenblatt_inner(k, r, t)
         if inner <= 0.0:
             return 0.0

@@ -16,7 +16,14 @@ from enum import Enum
 import numpy as np
 
 from .concave import ConcaveTerm, ZeroTerm
-from .core import Params, fd_divergence, fd_spacing, fundamental_profile
+from .core import (
+    Params,
+    _profile_slope,
+    _scalar,
+    fd_divergence,
+    fd_spacing,
+    fundamental_profile,
+)
 from .errors import (
     PoleSingularityError,
     UndefinedOperatorError,
@@ -64,25 +71,25 @@ class PoleSet:
         self.params = params
         self.weights.flags.writeable = False
         self.locations.flags.writeable = False
+        # scale-aware cutoff below which |grad V| is treated as vanishing
+        self.gradient_epsilon = 1e-12 * max(1.0, float(self.weights.sum()))
 
     def __len__(self):
         return len(self.weights)
-
-    @property
-    def gradient_epsilon(self) -> float:
-        # scale-aware cutoff below which |grad V| is treated as vanishing
-        return 1e-12 * max(1.0, float(self.weights.sum()))
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """Assembled value/gradient/Hessian plus per-pole geometry.
 
-    angles[i] is the angle in [0, pi] between x - y_i and the total
+    angles[..., i] is the angle in [0, pi] between x - y_i and the total
     gradient (0 by convention when the gradient vanishes).  At a pole the
     value follows the pole rule of ``fundamental_profile`` (+inf for
-    1 < p <= n, else the finite value with that pole contributing 0) and
-    the derivative fields are None.
+    1 < p <= n, else the finite value with that pole contributing 0).
+
+    For points (..., n) every field keeps the leading shape; a single
+    point (n,) has a float value.  The derivative fields are None when any
+    point is on a pole.
     """
 
     value: float
@@ -96,6 +103,20 @@ class EvalResult:
         return self.gradient is not None
 
 
+def _norm(z):
+    """Euclidean norm along the last axis, rounded as ``np.linalg.norm``
+    rounds a single vector's."""
+    return np.sqrt(np.vecdot(z, z))
+
+
+def _masked(values, mask, fill):
+    """``values`` with ``fill`` where ``mask`` holds; a float for one point.
+    (``np.where`` on one point's scalars would cost a route ~5 %.)"""
+    if getattr(values, "ndim", 0):
+        return np.where(mask, fill, values)
+    return fill if mask else float(values)
+
+
 def _pole_terms(ps: PoleSet, x):
     """Offsets x - y_i, radii r_i and the profile v, v', v'' for points
     x of shape (..., n) against every pole; pole axis second to last."""
@@ -104,54 +125,63 @@ def _pole_terms(ps: PoleSet, x):
     return (d, r) + fundamental_profile(ps.params, r)
 
 
-def near_pole(ps: PoleSet, x, step: float) -> bool:
-    """Whether x is within 10 stencil spacings h = step (1 + |x|) of a pole:
-    there ``delta_p_fd`` refuses and ``plap eval`` gives the value only."""
-    dists = np.linalg.norm(np.asarray(x, dtype=float) - ps.locations, axis=1)
-    return bool(dists.min() <= 10 * fd_spacing(x, step))
+def near_pole(ps: PoleSet, x, step: float):
+    """Whether points x (..., n) are within 10 stencil spacings
+    h = step (1 + |x|) of a pole: there ``delta_p_fd`` refuses and
+    ``plap eval`` gives the value only.  A bool for one point."""
+    x = np.asarray(x, dtype=float)
+    dists = np.linalg.norm(x[..., None, :] - ps.locations, axis=-1)
+    near = dists.min(axis=-1) <= 10 * fd_spacing(x, step)
+    return bool(near) if near.ndim == 0 else near
 
 
 def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
     """V + K at points x of shape (..., n) from values alone, so a kink of K
     is harmless; a point on a pole follows the pole rule."""
     x = np.asarray(x, dtype=float)
-    return _pole_terms(ps, x)[2] @ ps.weights + (0.0 if k is None else k.value(x))
+    value = np.vecdot(_pole_terms(ps, x)[2], ps.weights)
+    return value + (0.0 if k is None else k.value(x))
 
 
 def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
-    """``evaluate`` plus the per-pole terms (d, r, v, v', v'') it used."""
-    if k is None:
-        k = ZeroTerm()
+    """``evaluate`` plus |gradient|, the per-pole terms (d, r, v, v', v'')
+    and the Hessian of K it used.  |gradient| and the Hessian of K are None
+    when any point is on a pole, and the Hessian of K also for K = None."""
     x = np.asarray(x, dtype=float)
     n = ps.params.n
-    if x.shape != (n,):
-        raise ValueError(f"query point has shape {x.shape}, expected ({n},)")
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"query points have shape {x.shape}, expected (..., {n})")
     terms = d, r, v, dv, ddv = _pole_terms(ps, x)
-    a = ps.weights
     if not r.all():
         # on a pole: the value the pole rule gives, no derivatives
-        value = float(superposition_value(ps, k, x))
-        return EvalResult(value, None, None, None, r), terms
-
-    u = d / r[:, None]
+        value = _scalar(superposition_value(ps, k, x))
+        return EvalResult(value, None, None, None, r), None, terms, None
+    a = ps.weights
+    u = d / r[..., None]
     t = a * dv / r
-    kv, kg, kh = k.eval(x)
-    grad = (a * dv) @ u + kg
+    value = np.vecdot(v, a)
+    grad = ((a * dv)[..., None, :] @ u)[..., 0, :]
     # sum_i a_i (v_i'' u_i u_i^T + (v_i'/r_i)(I - u_i u_i^T)), no n x n block per pole
-    hess = (u.T * (a * ddv - t)) @ u + t.sum() * np.eye(n) + kh
-
-    gn = float(np.linalg.norm(grad))
-    angles = np.zeros(len(ps))
-    if gn > ps.gradient_epsilon:
-        u_g = grad / gn
-        proj = d @ u_g
-        rej = d - proj[:, None] * u_g[None, :]
-        angles = np.arctan2(np.linalg.norm(rej, axis=1), proj)
-    return EvalResult(float(a @ v) + kv, grad, hess, angles, r), terms
+    hess = (np.swapaxes(u, -1, -2) * (a * ddv - t)[..., None, :]) @ u
+    hess += t.sum(axis=-1)[..., None, None] * np.eye(n)
+    kh = None
+    if k is not None:
+        kv, kg, kh = k.eval(x)
+        value = value + kv
+        grad += kg
+        hess += kh
+    gn = _norm(grad)
+    big = gn > ps.gradient_epsilon
+    u_g = grad / np.maximum(gn, ps.gradient_epsilon)[..., None]
+    proj = (d @ u_g[..., None])[..., 0]
+    rej = d - proj[..., None] * u_g[..., None, :]
+    angles = np.where(big[..., None], np.arctan2(np.linalg.norm(rej, axis=-1), proj), 0.0)
+    return EvalResult(_scalar(value), grad, hess, angles, r), gn, terms, kh
 
 
 def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
-    """Value, gradient, Hessian, angles and distances of V + K at x."""
+    """Value, gradient, Hessian, angles and distances of V + K at points x
+    of shape (..., n)."""
     return _evaluate(ps, k, x)[0]
 
 
@@ -161,31 +191,37 @@ def _finite_derivatives(res: EvalResult):
     return res.gradient, res.hessian
 
 
-def delta_p_direct(ps: PoleSet, k: ConcaveTerm, x) -> float:
+def _vanishing_gradient(ps: PoleSet, grad, what):
+    """|grad| and where it vanishes; for p < 2 a vanishing gradient
+    anywhere is an error."""
+    gn = _norm(grad)
+    vanishing = gn < ps.gradient_epsilon
+    if ps.params.p < 2 and vanishing.any():
+        raise UndefinedOperatorError(f"{what} undefined at vanishing gradient for p < 2")
+    return gn, vanishing
+
+
+def delta_p_direct(ps: PoleSet, k: ConcaveTerm, x):
     """p-Laplacian via the divergence identity on the assembled data.
 
     A vanishing gradient returns the continuous extension 0 for p > 2 and
     is an error for p < 2; p = 2 is the plain Laplacian (trace of the
     Hessian) everywhere.
     """
-    res = evaluate(ps, k, x)
-    grad, hess = _finite_derivatives(res)
+    grad, hess = _finite_derivatives(evaluate(ps, k, x))
     p = ps.params.p
-    trace = float(np.trace(hess))
+    trace = np.trace(hess, axis1=-2, axis2=-1)
     if p == 2:
-        return trace
-    gn = float(np.linalg.norm(grad))
-    if gn < ps.gradient_epsilon:
-        if p > 2:
-            return 0.0
-        raise UndefinedOperatorError(
-            "p-Laplacian undefined at vanishing gradient for p < 2"
-        )
-    rayleigh = float(grad @ hess @ grad) / gn**2
-    return gn ** (p - 2) * ((p - 2) * rayleigh + trace)
+        return _scalar(trace)
+    gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian")
+    # the maximum only keeps the masked rows finite
+    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.maximum(
+        gn, ps.gradient_epsilon
+    ) ** 2
+    return _masked(gn ** (p - 2) * ((p - 2) * rayleigh + trace), vanishing, 0.0)
 
 
-def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x) -> float:
+def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x):
     """p-Laplacian of the pure superposition via the sign identity.
 
     Only valid for K = 0 (None or ZeroTerm); a nonzero concave term has no
@@ -196,74 +232,62 @@ def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x) -> float:
             "the closed form covers pure superpositions only (K = 0)"
         )
     res = evaluate(ps, None, x)
-    _finite_derivatives(res)
+    grad, _ = _finite_derivatives(res)
     p, n = ps.params.p, ps.params.n
-    if p == 2:
-        return 0.0
-    if len(ps) == 1:
-        # the gradient is exactly (anti)parallel to x - y_1, so sin(theta) = 0
-        return 0.0
-    gn = float(np.linalg.norm(res.gradient))
-    if gn < ps.gradient_epsilon:
-        if p > 2:
-            return 0.0
-        raise UndefinedOperatorError(
-            "p-Laplacian undefined at vanishing gradient for p < 2"
-        )
+    if p == 2 or len(ps) == 1:
+        # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
+        # to x - y_1, so sin(theta) = 0
+        return _scalar(np.zeros(np.shape(res.value)))
+    gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian")
     expo = (p + n - 2) / (p - 1)
-    s = float(np.sum(ps.weights * np.sin(res.angles) ** 2 / res.distances**expo))
-    return -ps.params.big_c * gn ** (p - 2) * s
+    s = np.sum(ps.weights * np.sin(res.angles) ** 2 / res.distances**expo, axis=-1)
+    return _masked(-ps.params.big_c * gn ** (p - 2) * s, vanishing, 0.0)
 
 
-def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP) -> float:
+def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
     """Independent oracle: divergence of the flux |grad W|^{p-2} grad W by
     central differences of the analytic gradient, step scaled by 1 + |x|."""
     if not step > 0:
         raise ValueError("step must be positive")
-    if k is None:
-        k = ZeroTerm()
     x = np.asarray(x, dtype=float)
     p = ps.params.p
-    if near_pole(ps, x, step):
+    if np.any(near_pole(ps, x, step)):
         raise PoleSingularityError("query point too close to a pole for the FD stencil")
 
     def flux(z):
-        d, r, _, dv, _ = _pole_terms(ps, z)
-        g = np.einsum("mi,mij->mj", ps.weights * dv / r, d)
-        g += k.eval(z)[1]
-        gn = np.linalg.norm(g, axis=1, keepdims=True)
+        d = z[..., None, :] - ps.locations
+        r = np.linalg.norm(d, axis=-1)
+        g = np.einsum("...m,...mj->...j", ps.weights * _profile_slope(ps.params, r) / r, d)
+        if k is not None:
+            g += k.eval(z)[1]
+        gn = np.linalg.norm(g, axis=-1, keepdims=True)
         vanishing = gn < ps.gradient_epsilon
         if p < 2 and vanishing.any():
-            raise UndefinedOperatorError(
-                "flux undefined at vanishing gradient for p < 2"
-            )
+            raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
         # p >= 2: a vanishing gradient carries zero flux
         return np.where(vanishing, 0.0, gn ** (p - 2) * g)
 
     return fd_divergence(flux, x, step)
 
 
-def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x) -> float:
+def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x):
     """Magnitude yardstick for relative comparisons between the Delta_p
     routes: the sum of absolute values of the per-term ingredients of the
     divergence identity.  Where the routes cancel to (near) zero, residuals
     are meaningful only relative to this scale."""
-    if k is None:
-        k = ZeroTerm()
     p, n = ps.params.p, ps.params.n
-    res, (_, r, _, dv, ddv) = _evaluate(ps, k, x)
-    grad, _ = _finite_derivatives(res)
-    gn = float(np.linalg.norm(grad))
+    res, gn, (_, r, _, dv, ddv), kh = _evaluate(ps, k, x)
+    _finite_derivatives(res)
     mag = np.abs(ddv) + np.abs(dv) / r
-    total = float(ps.weights @ ((n - 1 + 1) * mag + abs(p - 2) * mag))
-    _, _, kh = k.eval(x)
-    kmag = float(np.abs(kh).sum())
-    total += (1 + abs(p - 2)) * kmag
+    total = np.vecdot((n - 1 + 1) * mag + abs(p - 2) * mag, ps.weights)
+    if kh is not None:
+        total = total + (1 + abs(p - 2)) * np.abs(kh).sum(axis=(-2, -1))
+    total = np.maximum(total, 1e-300)
     if p == 2:
-        return max(total, 1e-300)
-    if gn < ps.gradient_epsilon:
-        return 1e-300
-    return gn ** (p - 2) * max(total, 1e-300)
+        return _scalar(total)
+    # the maximum only keeps the masked rows finite
+    power = np.maximum(gn, ps.gradient_epsilon) ** (p - 2)
+    return _masked(power * total, gn < ps.gradient_epsilon, 1e-300)
 
 
 def sign_region(p: float, n: int) -> SignClass:

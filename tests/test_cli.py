@@ -306,3 +306,37 @@ def test_log_env_rejects_non_level(monkeypatch, capsys, value):
     assert cli.main(["sign-map", "--help"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "PLAP_LOG must be a logging level name" in err
+
+
+def test_evolution_sweep_radius_at_the_support_edge_exits_2(tmp_path, capsys):
+    # the support radius at p = 3, n = 2, t = 1 is 3.5568933045; 3.5568933
+    # lies inside the margin where the time derivative is undefined
+    path = tmp_path / "sweep.json"
+    write_json(path, {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2},
+                      "t": 1.0, "radii": {"min": 0.0, "max": 3.5568933, "count": 2}})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolution-sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "3.5568933" in err[0]
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_eval_logs_its_stage_times_at_debug(tmp_path):
+    cfg = tmp_path / "eval.json"
+    write_json(cfg, EVAL_CFG)
+    args = ["eval", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    stages = "eval stages (s): load+validate "
+
+    res = run(*args, env=dict(os.environ, PLAP_LOG="DEBUG"))
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stderr.splitlines() if stages in line]
+    assert len(lines) == 1
+    for stage in ("build", "rows", "csv"):
+        assert f", {stage} " in lines[0]
+
+    env = dict(os.environ)
+    env.pop("PLAP_LOG", None)
+    res = run(*args, env=env)
+    assert res.returncode == 0, res.stderr
+    assert stages not in res.stderr

@@ -229,3 +229,19 @@ def test_barenblatt_requires_positive_time():
         kernel_value(k, np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         kernel_value(k, np.zeros(2), -1.0)
+
+
+def test_time_derivative_refuses_the_support_edge_margin_with_a_plap_error():
+    from plap.errors import PlapError
+    from plap.evolution import EDGE_MARGIN_STEPS, TIME_FD_REL_STEP, near_support_edge
+
+    k = kb()
+    rs = support_radius(k, 1.0)
+    margin = EDGE_MARGIN_STEPS * TIME_FD_REL_STEP * (1.0 + rs)
+    for r in (rs, rs - 0.5 * margin, rs + 0.5 * margin, 3.5568933):
+        assert near_support_edge(k, r, 1.0)
+        with pytest.raises(PlapError):
+            kernel_time_derivative(k, np.array([r, 0.0]), 1.0)
+    for r in (rs - 2 * margin, rs + 2 * margin):
+        assert not near_support_edge(k, r, 1.0)
+        assert np.isfinite(kernel_time_derivative(k, np.array([r, 0.0]), 1.0))
