@@ -16,12 +16,10 @@ import sys
 import time
 
 import numpy as np
-import jsonschema
 
-from . import comparison, concave, evolution, superpose, verify
+from . import comparison, concave, evolution, schemas, superpose, verify
 from .core import Params
 from .errors import PlapError, SolverFailureError
-from .schemas import SCHEMAS
 
 log = logging.getLogger("plap")
 
@@ -58,23 +56,36 @@ def _usage_error(message):
     raise SystemExit(EXIT_USAGE)
 
 
-# built once: jsonschema.validate re-checks the schema against its metaschema
-_VALIDATORS = {
-    name: jsonschema.validators.validator_for(schema)(schema)
-    for name, schema in SCHEMAS.items()
-}
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _within_double(parse):
+    """A json number hook: ``parse``, refusing what a double cannot hold."""
+    def number(text):
+        value = parse(text)
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{text} is too large for a double")
+        return value
+    return number
 
 
 def _load_config(path, schema_name):
-    with open(path) as fh:
-        cfg = json.load(fh)
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_VALIDATORS[schema_name].iter_errors(cfg))
+    try:
+        with open(path) as fh:
+            # json would otherwise take the tokens NaN and Infinity, read
+            # 1e999 as inf, and give an int such as 10**400 that no float()
+            # below can convert
+            cfg = json.load(fh, parse_constant=_reject_constant,
+                            parse_float=_within_double(float), parse_int=_within_double(int))
+    except OSError as exc:
+        _usage_error(f"error: cannot read config {path}: {exc.strerror}")
+    except ValueError as exc:  # JSONDecodeError, a non-finite number, bytes that are not UTF-8
+        _usage_error(f"error: config {path}: {exc}")
+    error = schemas.config_error(cfg, schema_name)
     if error is not None:
-        _usage_error(
-            f"config validation failed at {'/'.join(map(str, error.absolute_path))}: "
-            f"{error.message}"
-        )
+        where, message = error
+        _usage_error(f"config validation failed at {'/'.join(map(str, where))}: {message}")
     return cfg
 
 

@@ -123,9 +123,15 @@ class AffineMinTerm(ConcaveTerm):
 
     def _pieces(self, x):
         """Every piece at every point, pieces first: shape (pieces, ...),
-        so the minimum over pieces runs over whole rows."""
+        so the minimum over pieces runs over whole rows.  The products are
+        summed coordinate by coordinate, not by a matrix product, whose
+        rounding differs between one point and a batch."""
         x = np.asarray(x, dtype=float)
-        vals = self.slopes @ x.reshape(-1, x.shape[-1]).T
+        pts = x.reshape(-1, x.shape[-1])
+        vals = np.multiply.outer(self.slopes[:, 0], pts[:, 0])
+        term = np.empty_like(vals)
+        for j in range(1, pts.shape[1]):
+            vals += np.multiply.outer(self.slopes[:, j], pts[:, j], out=term)
         vals += self.offsets[:, None]
         return vals.reshape((-1,) + x.shape[:-1])
 

@@ -1,8 +1,15 @@
-"""Published JSON schemas for the CLI configuration files.
+"""Published JSON schemas for the CLI configuration files, and their validator.
 
 Every config carries a ``schema_version`` field; unknown keys are
 rejected so that typos cannot silently change an experiment.
+
+``config_error`` interprets the ``SCHEMAS`` dicts directly, with
+jsonschema's semantics for exactly the keywords they use, and reports the
+error jsonschema's ``best_match`` would choose.  It checks an array of
+numbers in one pass over its elements, which is most of a config.
 """
+
+import numbers
 
 _PARAMS = {
     "type": "object",
@@ -152,4 +159,147 @@ SCHEMAS = {
         "required": ["schema_version", "kernel"],
         "additionalProperties": False,
     },
+}
+
+
+def config_error(instance, name):
+    """The error in ``instance`` against ``SCHEMAS[name]`` as (path, message),
+    path a tuple of keys and indices; None if the instance is valid.
+
+    Path and message are those of jsonschema's ``best_match``: the error
+    nearest the root, then the greatest path, then one whose instance does
+    not have its schema's type; ties go to the first error found, with
+    keywords checked in each schema's order.
+    """
+    errors = []
+    _walk(instance, SCHEMAS[name], (), errors)
+    if not errors:
+        return None
+    path, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], not e[2]))
+    return path, message
+
+
+def _is_number(x):
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": _is_number,
+    # an integral float such as 2.0 is an integer, as in jsonschema
+    "integer": lambda x: _is_number(x)
+    and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+_NUMBER = {"type": "number"}
+_NUMBER_TYPES = frozenset((int, float))  # what json parses a number to; a bool is neither
+_REFS = {_CONCAVE["$id"]: _CONCAVE}
+
+
+def _walk(instance, schema, path, errors):
+    for keyword, value in schema.items():
+        _KEYWORDS[keyword](instance, value, schema, path, errors)
+
+
+def _fail(errors, path, instance, schema, message):
+    expected = schema.get("type")
+    errors.append((path, message, expected is not None and _TYPES[expected](instance)))
+
+
+def _type(instance, name, schema, path, errors):
+    if not _TYPES[name](instance):
+        _fail(errors, path, instance, schema, f"{instance!r} is not of type {name!r}")
+
+
+def _properties(instance, properties, schema, path, errors):
+    if isinstance(instance, dict):
+        for key, sub in properties.items():
+            if key in instance:
+                _walk(instance[key], sub, path + (key,), errors)
+
+
+def _required(instance, required, schema, path, errors):
+    if isinstance(instance, dict):
+        for key in required:
+            if key not in instance:
+                _fail(errors, path, instance, schema, f"{key!r} is a required property")
+
+
+def _additional_properties(instance, allowed, schema, path, errors):
+    if not allowed and isinstance(instance, dict):
+        extras = sorted(instance.keys() - schema.get("properties", {}).keys(), key=str)
+        if extras:
+            listed = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            _fail(errors, path, instance, schema,
+                  f"Additional properties are not allowed ({listed} {verb} unexpected)")
+
+
+def _items(instance, items, schema, path, errors):
+    if not isinstance(instance, list):
+        return
+    if items == _NUMBER and all(map(_NUMBER_TYPES.__contains__, map(type, instance))):
+        return
+    for i, item in enumerate(instance):
+        _walk(item, items, path + (i,), errors)
+
+
+def _min_items(instance, bound, schema, path, errors):
+    if isinstance(instance, list) and len(instance) < bound:
+        problem = "should be non-empty" if bound == 1 else "is too short"
+        _fail(errors, path, instance, schema, f"{instance!r} {problem}")
+
+
+def _max_items(instance, bound, schema, path, errors):
+    if isinstance(instance, list) and len(instance) > bound:
+        problem = "is expected to be empty" if bound == 0 else "is too long"
+        _fail(errors, path, instance, schema, f"{instance!r} {problem}")
+
+
+def _minimum(instance, bound, schema, path, errors):
+    if _is_number(instance) and instance < bound:
+        _fail(errors, path, instance, schema, f"{instance!r} is less than the minimum of {bound!r}")
+
+
+def _exclusive_minimum(instance, bound, schema, path, errors):
+    if _is_number(instance) and instance <= bound:
+        _fail(errors, path, instance, schema,
+              f"{instance!r} is less than or equal to the minimum of {bound!r}")
+
+
+def _equal(a, b):
+    """JSON equality of a value with a scalar of a schema: a bool equals only itself."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _const(instance, value, schema, path, errors):
+    if not _equal(instance, value):
+        _fail(errors, path, instance, schema, f"{value!r} was expected")
+
+
+def _enum(instance, values, schema, path, errors):
+    if not any(_equal(instance, v) for v in values):
+        _fail(errors, path, instance, schema, f"{instance!r} is not one of {values!r}")
+
+
+def _ref(instance, ref, schema, path, errors):
+    _walk(instance, _REFS[ref], path, errors)
+
+
+_KEYWORDS = {
+    "$id": lambda *_: None,
+    "$ref": _ref,
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "minimum": _minimum,
+    "exclusiveMinimum": _exclusive_minimum,
+    "const": _const,
+    "enum": _enum,
 }

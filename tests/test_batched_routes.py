@@ -98,6 +98,11 @@ def test_batched_routes_equal_pointwise(kind, lead, seed, n, p):
     assert res.hessian.shape == lead + (n, n) and res.angles.shape == lead + (len(ps),)
     for i in idx:
         one = evaluate(ps, k, x[i])
+        if kind == "affine_min":
+            # K's pieces are summed in one order for a point and a batch
+            assert np.asarray(res.value)[i] == one.value
+            np.testing.assert_array_equal(res.gradient[i], one.gradient)
+            np.testing.assert_array_equal(res.hessian[i], one.hessian)
         scale = max(1.0, abs(one.value))
         assert abs(np.asarray(res.value)[i] - one.value) <= 1e-13 * scale
         g = max(1.0, np.abs(one.gradient).max())

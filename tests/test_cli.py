@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,11 +102,7 @@ def with_changes(**changes):
 def test_config_rejected_by_a_constructor_exits_2(tmp_path, capsys, cfg):
     path = tmp_path / "eval.json"
     write_json(path, cfg)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "--config", str(path), "--out", str(tmp_path / "o.csv")])
-    assert exc.value.code == cli.EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    main_exits_2_with_one_error_line(capsys, "eval", path, tmp_path)
 
 
 COMPARE_CFG = {
@@ -138,6 +135,18 @@ def test_compare_csv_matches_a_row_by_row_reference(tmp_path):
     assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 
+def main_exits_2_with_one_error_line(capsys, command, path, out_dir):
+    args = [command, "--config", str(path), "--out", str(out_dir / "o.csv")]
+    if command == "compare":
+        args += ["--summary", str(out_dir / "s.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("eval", with_changes(concave=QUADRATIC_3D)),
     ("eval", with_changes(concave=AFFINE_3D)),
@@ -162,14 +171,47 @@ def test_compare_csv_matches_a_row_by_row_reference(tmp_path):
 def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)
-    args = [command, "--config", str(path), "--out", str(tmp_path / "o.csv")]
-    if command == "compare":
-        args += ["--summary", str(tmp_path / "s.json")]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args)
-    assert exc.value.code == cli.EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    main_exits_2_with_one_error_line(capsys, command, path, tmp_path)
+
+
+SIGN_MAP_CFG = {"schema_version": 1, "p_min": 0.5, "p_max": 3.0, "p_step": 0.5, "n_min": 1, "n_max": 3}
+SWEEP_CFG = {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2}, "t": 1.0,
+             "radii": {"min": 0.1, "max": 2.0, "count": 5}}
+LOADERS = {"eval": EVAL_CFG, "sign-map": SIGN_MAP_CFG, "compare": COMPARE_CFG,
+           "evolution-sweep": SWEEP_CFG}
+
+
+@pytest.mark.parametrize("defect", ["truncated", "missing", "directory"])
+@pytest.mark.parametrize("command", sorted(LOADERS))
+def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, defect):
+    path = tmp_path / "cfg.json"
+    text = json.dumps(LOADERS[command])
+    if defect == "truncated":
+        path.write_text(text[: len(text) // 2])
+    elif defect == "directory":
+        path.mkdir()
+    line = main_exits_2_with_one_error_line(capsys, command, path, tmp_path)
+    assert str(path) in line
+
+
+@pytest.mark.parametrize("cfg,token", [
+    (with_changes(poles=[{"weight": math.nan, "location": [0.5, 0.0]}]), "NaN"),
+    (with_changes(params={"p": math.nan, "n": 2}), "NaN"),
+    (with_changes(poles=[{"weight": 1.0, "location": [math.inf, 0.0]}]), "Infinity"),
+    (with_changes(fd_step=math.inf), "Infinity"),
+    (with_changes(points=[[0.1, 0.2], [math.nan, 0.2]]), "NaN"),
+    (with_changes(points=[[0.1, -math.inf]]), "-Infinity"),
+    (with_changes(fd_step=1e300), "1e999"),
+    (with_changes(poles=[{"weight": 10**400, "location": [0.5, 0.0]}]), "1" + "0" * 400),
+], ids=["nan_weight", "nan_p", "infinite_location", "infinite_fd_step", "nan_point",
+        "negative_infinite_point", "overflowing_fd_step", "overflowing_integer_weight"])
+def test_non_finite_number_in_a_config_exits_2(tmp_path, capsys, cfg, token):
+    path = tmp_path / "eval.json"
+    # json.dumps writes NaN, Infinity and -Infinity; 1e999 is a literal json reads as inf
+    path.write_text(json.dumps(cfg).replace("1e+300", "1e999"))
+    line = main_exits_2_with_one_error_line(capsys, "eval", path, tmp_path)
+    assert f"{path}: {token} is " in line
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_eval_near_pole_row_on_a_kink(tmp_path):
