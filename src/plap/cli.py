@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -29,6 +30,7 @@ EXIT_USAGE = 2
 
 CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so no whole table of cells is held in memory
 EVAL_BLOCK = 1 << 17    # FD stencil offsets per block of eval rows: (block, 2n, poles, n) stays about 1 MB
+MAX_ROWS = 10**6        # of a sign-map, compare or evolution-sweep table
 
 
 def _fmt_column(values):
@@ -54,6 +56,13 @@ def _write_csv(path, header, columns):
 def _usage_error(message):
     print(message, file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+def _check_rows(count, table):
+    """Exit 2 unless a table of ``count`` rows (a float: it may be inf)
+    stays within MAX_ROWS; called before anything of that size exists."""
+    if not count <= MAX_ROWS:
+        _usage_error(f"error: the {table} would have {count:.4g} rows, above the limit of {MAX_ROWS}")
 
 
 def _reject_constant(token):
@@ -179,10 +188,21 @@ def cmd_eval(args):
 
 def cmd_sign_map(args):
     cfg = _load_config(args.config, "sign_map")
-    # round to decimals so accumulated steps land exactly on the zero lines
-    p_values = np.round(
-        np.arange(cfg["p_min"], cfg["p_max"] + 0.5 * cfg["p_step"], cfg["p_step"]), 12
-    )
+    p_min, p_step = float(cfg["p_min"]), float(cfg["p_step"])
+    # the length of np.arange(p_min, p_max + p_step / 2, p_step), in floats: it may be inf
+    p_count = max(0.0, float(np.ceil((float(cfg["p_max"]) - p_min) / p_step + 0.5)))
+    n_count = max(0.0, float(cfg["n_max"]) - float(cfg["n_min"]) + 1.0)
+    # the p column is built even when the n range is empty
+    _check_rows(p_count * max(n_count, 1.0), "sign map")
+    # p_min + i p_step rounded to decimals lands exactly on the zero lines;
+    # np.arange's step, (p_min + p_step) - p_min, carries the rounding of
+    # p_min and drifts its rows off them once |p_min| reaches about 10
+    p_values = np.round(p_min + p_step * np.arange(int(p_count)), 12)
+    if np.any(np.diff(p_values) <= 0.0):
+        _usage_error(
+            f"error: p_step {cfg['p_step']!r} is below the 12-decimal rounding of p, "
+            "so rows would repeat a p value"
+        )
     rows = []
     for p in p_values:
         for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
@@ -192,12 +212,7 @@ def cmd_sign_map(args):
 
 
 def cmd_verify(args):
-    try:
-        reports = verify.run_suite(args.suite, seed=args.seed)
-    except KeyError:
-        print(f"unknown suite {args.suite!r}; choose from "
-              f"{', '.join(verify.SUITE_NAMES + ('all',))}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = verify.run_suite(args.suite, seed=args.seed)
     payload = {
         "seed": args.seed,
         "suites": [rep.to_dict() for rep in reports],
@@ -220,6 +235,7 @@ def cmd_verify(args):
 def cmd_compare(args):
     cfg = _load_config(args.config, "compare")
     params, ps, k, dom = _build(cfg)
+    _check_rows(math.prod(map(float, dom.shape)), "comparison grid")
     if not params.p > 2:
         _usage_error("error: the comparison harness requires p > 2")
     try:
@@ -266,11 +282,12 @@ def cmd_evolution_sweep(args):
     missing = [key for key in needs if key not in cfg]
     if missing:
         _usage_error(f"error: a {kernel.kind} sweep needs {' and '.join(missing)}")
+    sweep = cfg[needs[1]]
+    _check_rows(float(sweep["count"]), "sweep")
     rows = []
     if kernel.kind == evolution.BARENBLATT:
         t = float(cfg["t"])
         a = float(cfg.get("a", 2.0))
-        sweep = cfg["radii"]
         radii = np.linspace(sweep["min"], sweep["max"], int(sweep["count"]))
         support = evolution.support_radius(kernel, t)
         edge = [float(r) for r in radii if evolution.near_support_edge(kernel, r, t)]
@@ -294,7 +311,6 @@ def cmd_evolution_sweep(args):
         y = np.asarray(cfg["y"], dtype=float)
         if not np.any(y):
             _usage_error("error: the bump offset y must be nonzero")
-        sweep = cfg["times"]
         times = np.geomspace(sweep["min"], sweep["max"], int(sweep["count"]))
         for t in times:
             wt = evolution.kernel_time_derivative(kernel, y, float(t))
@@ -302,6 +318,13 @@ def cmd_evolution_sweep(args):
             rows.append([float(t), wt, defect, int(np.sign(defect))])
         _write_csv(args.out, ["t", "kernel_time_derivative", "defect", "defect_sign"], zip(*rows))
     return EXIT_OK
+
+
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser():
@@ -322,8 +345,8 @@ def build_parser():
     p_map.set_defaults(func=cmd_sign_map)
 
     p_verify = sub.add_parser("verify", help="run randomized invariant suites")
-    p_verify.add_argument("--suite", required=True)
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_verify.add_argument("--suite", required=True, choices=verify.SUITE_NAMES + ("all",))
+    p_verify.add_argument("--seed", type=nonnegative_int, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -1,6 +1,12 @@
 """Randomized invariant suites, shared between the CLI ``verify`` command
 and the test suite.  Each check reports its worst residual; a suite passes
-when every check does."""
+when every check does.
+
+These suites are the only implementation of the randomized checks: the
+release criteria in ``tests/test_acceptance.py`` call them.  The superpose
+and concave suites draw 1-8 poles (1-5 in the concave suite) with weights in
+[0.1, 2] and locations in [-1, 1]^n, and query points in [-2, 2]^n at least
+``MIN_POLE_DISTANCE`` from every pole."""
 
 from dataclasses import dataclass, field
 
@@ -12,6 +18,7 @@ from .core import Params
 DEFAULT_SEED = 20160118
 SUITE_NAMES = ("superpose", "concave", "comparison", "evolution")
 TRIALS = 100                # per check of the concave suite
+MIN_POLE_DISTANCE = 0.05    # of a query point from every pole
 
 
 @dataclass
@@ -54,7 +61,7 @@ class SuiteReport:
 
 def _random_pole_set(rng, p, n, max_poles=8):
     count = int(rng.integers(1, max_poles + 1))
-    weights = rng.uniform(0.2, 2.0, count)
+    weights = rng.uniform(0.1, 2.0, count)
     locations = rng.uniform(-1.0, 1.0, (count, n))
     return superpose.PoleSet(weights, locations, Params(float(p), int(n), 1.0))
 
@@ -63,7 +70,7 @@ def _random_point_away(rng, ps):
     n = ps.params.n
     while True:
         x = rng.uniform(-2.0, 2.0, n)
-        if np.min(np.linalg.norm(x[None, :] - ps.locations, axis=1)) >= 0.3:
+        if np.min(np.linalg.norm(x[None, :] - ps.locations, axis=1)) >= MIN_POLE_DISTANCE:
             return x
 
 
@@ -136,7 +143,7 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
     worst = 0.0
     for _ in range(TRIALS):
         n = int(rng.integers(2, 6))
-        p = float(rng.uniform(2.01, 6.0))
+        p = float(rng.uniform(2.01, 8.0))
         h = _random_nsd(rng, n)
         if not concave.eigenvalue_criterion(h, p):
             worst = max(worst, concave.criterion_sum(h, p))
@@ -155,7 +162,7 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
             worst = max(worst, concave.operator_term(term, p, xi, np.zeros(n)))
     rep.add("criterion_implies_sign", worst, 1e-12)
 
-    worst = 0.0
+    worst = -np.inf  # the largest value of Δ_p(V + K) itself, so its margin shows
     for _ in range(TRIALS):
         p = float(rng.choice([2.5, 3.0, 4.0]))
         n = int(rng.choice([2, 3]))
@@ -254,7 +261,7 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
         worst = max(worst, float(np.abs(g).max()))
     rep.add("two_bump_gradient_symmetry", worst, 1e-14)
 
-    worst = 0.0
+    worst_defect = worst_radius = 0.0
     for p, n, big_c, t in ((3.0, 2, 1.0, 1.0), (4.0, 3, 2.0, 0.5)):
         kb = evolution.EvolutionKernel(
             evolution.BARENBLATT, Params(p, n, 1.0), big_c=big_c
@@ -263,25 +270,16 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
         support = evolution.support_radius(kb, t)
         count = 0
         while count < 50:
-            r = float(rng.uniform(0.15 * support, 0.9 * support))
+            r = float(rng.uniform(0.05 * support, 0.9 * support))
             if abs(r - radius) < 0.05 * support:
-                continue
-            x = np.zeros(n)
-            x[0] = r
-            a = float(rng.choice([0.5, 2.0]))
-            lhs = evolution.barenblatt_defect_fd(kb, a, x, t)
-            rhs = evolution.barenblatt_defect(kb, a, x, t)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+                continue  # the defect crosses zero there
+            direction = rng.standard_normal(n)
+            x = r * direction / np.linalg.norm(direction)
+            for a in (0.5, 2.0):
+                lhs = evolution.barenblatt_defect_fd(kb, a, x, t)
+                rhs = evolution.barenblatt_defect(kb, a, x, t)
+                worst_defect = max(worst_defect, abs(lhs - rhs) / abs(rhs))
             count += 1
-    rep.add("barenblatt_defect_identity", worst, 1e-3)
-
-    worst = 0.0
-    for p, n, big_c, t in ((3.0, 2, 1.0, 1.0), (4.0, 3, 2.0, 0.5)):
-        kb = evolution.EvolutionKernel(
-            evolution.BARENBLATT, Params(p, n, 1.0), big_c=big_c
-        )
-        radius = evolution.sign_change_radius(kb, t)
-        support = evolution.support_radius(kb, t)
 
         def bt_fd(r):
             x = np.zeros(n)
@@ -292,9 +290,10 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
                 - evolution.kernel_value(kb, x, t - dt)
             ) / (2 * dt)
 
-        bracketed = brentq(bt_fd, 0.5 * radius, min(1.5 * radius, 0.98 * support))
-        worst = max(worst, abs(bracketed - radius) / radius)
-    rep.add("sign_change_radius_bracketing", worst, 0.01)
+        bracketed = brentq(bt_fd, 0.05 * support, 0.99 * support)
+        worst_radius = max(worst_radius, abs(bracketed - radius) / radius)
+    rep.add("barenblatt_defect_identity", worst_defect, 1e-3)
+    rep.add("sign_change_radius_bracketing", worst_radius, 0.01)
 
     worst = 0.0
     kb = evolution.EvolutionKernel(evolution.BARENBLATT, Params(3.0, 2, 1.0))
@@ -311,14 +310,12 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
 
 def run_suite(name, seed=DEFAULT_SEED):
     """Run one named suite (or 'all'); returns a list of SuiteReport."""
+    # looked up at call time, so a suite patched on the module is the one run
     runners = {
         "superpose": verify_superpose,
         "concave": verify_concave,
         "comparison": verify_comparison,
         "evolution": verify_evolution,
     }
-    if name == "all":
-        return [runners[s](seed) for s in SUITE_NAMES]
-    if name not in runners:
-        raise KeyError(name)
-    return [runners[name](seed)]
+    names = SUITE_NAMES if name == "all" else (name,)
+    return [runners[s](seed) for s in names]

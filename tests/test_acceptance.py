@@ -1,17 +1,18 @@
 """Acceptance suite: one test per release criterion, each printing a
 single pass/fail line with the observed worst-case number.
 
+Criteria 1, 3 and 7, and the radius half of criterion 8, run the
+randomized suites of ``plap.verify`` at ``SEED`` and report their checks;
+they fail if any check of the suite fails.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import time
 
 import numpy as np
-import pytest
-from scipy.optimize import brentq
 
 from plap import (
-    BARENBLATT,
     HOMOGENEOUS,
     EvolutionKernel,
     GridDomain,
@@ -19,26 +20,18 @@ from plap import (
     PoleSet,
     QuadraticTerm,
     SignClass,
-    barenblatt_defect,
-    barenblatt_defect_fd,
     comparison_check,
     criterion_sum,
-    delta_p_closed_form,
-    delta_p_direct,
-    delta_p_fd,
-    delta_p_scale,
     eigenvalue_criterion,
-    kernel_time_derivative,
     operator_term,
-    sign_change_radius,
     sign_region,
     solve_p_harmonic,
-    support_radius,
     two_bump_defect,
     two_bump_defect_fd,
 )
+from plap.verify import DEFAULT_SEED, verify_concave, verify_evolution, verify_superpose
 
-SEED = 20160118
+SEED = DEFAULT_SEED
 
 
 def report(name, passed, detail):
@@ -46,49 +39,31 @@ def report(name, passed, detail):
     assert passed, f"{name}: {detail}"
 
 
-def random_pole_set(rng, params, max_poles=8, spread=1.0):
-    num = int(rng.integers(1, max_poles + 1))
-    weights = rng.uniform(0.1, 2.0, size=num)
-    locations = rng.uniform(-spread, spread, size=(num, params.n))
-    return PoleSet(weights, locations, params)
+def timed_suite(suite):
+    """The suite's report at SEED, its checks by name and its wall time."""
+    t0 = time.perf_counter()
+    rep = suite(SEED)
+    return rep, {c.name: c for c in rep.checks}, time.perf_counter() - t0
 
 
-def random_point(rng, ps, min_dist=0.05, spread=1.5):
-    while True:
-        x = rng.uniform(-spread, spread, size=ps.locations.shape[1])
-        if np.min(np.linalg.norm(x - ps.locations, axis=1)) > min_dist:
-            return x
+def residual(check):
+    return f"{check.worst_residual:.3e} (tol {check.tolerance:g})"
 
 
-def rel_err(a, b, scale):
-    return abs(a - b) / max(abs(a), abs(b), scale)
+def suite_failures(rep):
+    failed = [c.name for c in rep.checks if not c.passed]
+    return f", failed checks: {', '.join(failed)}" if failed else ""
 
 
 def test_criterion_1_three_way_agreement():
-    rng = np.random.default_rng(SEED)
-    t0 = time.perf_counter()
-    worst_closed = worst_fd = 0.0
-    count = 0
-    while count < 200:
-        p = rng.choice([2.0, 2.5, 3.0, 4.0])
-        n = int(rng.choice([2, 3, 5]))
-        params = Params(p, n)
-        ps = random_pole_set(rng, params)
-        x = random_point(rng, ps)
-        scale = delta_p_scale(ps, None, x)
-        direct = delta_p_direct(ps, None, x)
-        closed = delta_p_closed_form(ps, None, x)
-        fd = delta_p_fd(ps, None, x)
-        worst_closed = max(worst_closed, rel_err(direct, closed, scale))
-        worst_fd = max(worst_fd, rel_err(fd, closed, scale))
-        count += 1
-    elapsed = time.perf_counter() - t0
-    ok = worst_closed <= 1e-10 and worst_fd <= 1e-4 and elapsed <= 10.0
+    rep, checks, elapsed = timed_suite(verify_superpose)
+    ok = rep.passed and elapsed <= 10.0
     report(
         "criterion 1 (three-way agreement, 200 configs)",
         ok,
-        f"closed-vs-direct {worst_closed:.3e} (tol 1e-10), "
-        f"fd-vs-closed {worst_fd:.3e} (tol 1e-4), {elapsed:.2f}s",
+        f"closed-vs-direct {residual(checks['three_way_direct_vs_closed'])}, "
+        f"fd-vs-closed {residual(checks['three_way_fd_vs_closed'])}, "
+        f"{elapsed:.2f}s{suite_failures(rep)}",
     )
 
 
@@ -121,25 +96,13 @@ def test_criterion_2_sign_region_map():
 
 
 def test_criterion_3_concave_terms_preserve_sign():
-    rng = np.random.default_rng(SEED + 1)
-    t0 = time.perf_counter()
-    worst = -np.inf
-    for _ in range(100):
-        p = rng.choice([2.5, 3.0, 4.0])
-        n = int(rng.choice([2, 3]))
-        params = Params(p, n)
-        ps = random_pole_set(rng, params, max_poles=5)
-        m = rng.normal(size=(n, n))
-        k = QuadraticTerm(-(m @ m.T) - 0.1 * np.eye(n), b=rng.normal(size=n))
-        for _ in range(5):
-            x = random_point(rng, ps)
-            worst = max(worst, delta_p_direct(ps, k, x))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and elapsed <= 10.0
+    rep, checks, elapsed = timed_suite(verify_concave)
+    ok = rep.passed and elapsed <= 10.0
     report(
         "criterion 3 (concave term keeps supersolution sign, 100 pairs)",
         ok,
-        f"max value {worst:.3e} (tol 1e-10), {elapsed:.2f}s",
+        f"max value {residual(checks['concave_superposition_sign'])}, "
+        f"{elapsed:.2f}s{suite_failures(rep)}",
     )
 
 
@@ -222,47 +185,17 @@ def test_criterion_6_solver_validation():
 
 
 def test_criterion_7_evolution_defect_identity():
-    k = EvolutionKernel(kind=BARENBLATT, params=Params(3.0, 2))
-    t = 1.0
-    rs = support_radius(k, t)
-    rsc = sign_change_radius(k, t)
-    rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
-    samples = 0
-    while samples < 50:
-        r = rng.uniform(0.05, 0.9) * rs
-        if abs(r - rsc) < 0.05 * rs:
-            continue  # closed form crosses zero here; relative error is meaningless
-        theta = rng.uniform(0, 2 * np.pi)
-        x = r * np.array([np.cos(theta), np.sin(theta)])
-        for a in (0.5, 2.0):
-            closed = barenblatt_defect(k, a, x, t)
-            fd = barenblatt_defect_fd(k, a, x, t)
-            worst = max(worst, abs(closed - fd) / max(abs(closed), abs(fd)))
-        samples += 1
-    ok = worst <= 1e-3
+    rep, checks, elapsed = timed_suite(verify_evolution)
     report(
-        "criterion 7 (evolution defect identity, 50 points x 2 amplitudes)",
-        ok,
-        f"worst fd-vs-closed relative error {worst:.3e} (tol 1e-3)",
+        "criterion 7 (evolution defect identity, 2 kernels x 50 points x 2 amplitudes)",
+        rep.passed,
+        f"worst fd-vs-closed relative error {residual(checks['barenblatt_defect_identity'])}, "
+        f"{elapsed:.2f}s{suite_failures(rep)}",
     )
 
 
 def test_criterion_8_sign_change_radius_and_two_bump():
-    worst_radius = 0.0
-    for p, n, big_c, t in [(3.0, 2, 1.0, 1.0), (4.0, 3, 2.0, 0.5)]:
-        k = EvolutionKernel(kind=BARENBLATT, params=Params(p, n), big_c=big_c)
-
-        def bt(r):
-            x = np.zeros(n)
-            x[0] = r
-            return kernel_time_derivative(k, x, t)
-
-        rs = support_radius(k, t)
-        root = brentq(bt, 0.05 * rs, 0.99 * rs, xtol=1e-10)
-        predicted = sign_change_radius(k, t)
-        worst_radius = max(worst_radius, abs(root - predicted) / predicted)
-
+    rep, checks, _ = timed_suite(verify_evolution)
     kw = EvolutionKernel(kind=HOMOGENEOUS, params=Params(3.0, 2))
     y = np.array([1.2, 0.0])
     signs = {np.sign(two_bump_defect(kw, y, float(t))) for t in np.geomspace(0.05, 50, 40)}
@@ -270,11 +203,11 @@ def test_criterion_8_sign_change_radius_and_two_bump():
     closed = two_bump_defect(kw, y, 1.0)
     fd = two_bump_defect_fd(kw, y, 1.0)
     two_bump_err = abs(closed - fd) / max(abs(closed), abs(fd))
-    ok = worst_radius <= 0.01 and has_sign_change and two_bump_err <= 1e-3
+    ok = rep.passed and has_sign_change and two_bump_err <= 1e-3
     report(
         "criterion 8 (sign-change radius + two-bump defect)",
         ok,
-        f"bisected radius relative error {worst_radius:.3e} (tol 1e-2), "
+        f"bracketed radius relative error {residual(checks['sign_change_radius_bracketing'])}, "
         f"two-bump sign change in t: {has_sign_change}, "
-        f"two-bump fd-vs-closed {two_bump_err:.3e} (tol 1e-3)",
+        f"two-bump fd-vs-closed {two_bump_err:.3e} (tol 1e-3){suite_failures(rep)}",
     )

@@ -181,6 +181,41 @@ LOADERS = {"eval": EVAL_CFG, "sign-map": SIGN_MAP_CFG, "compare": COMPARE_CFG,
            "evolution-sweep": SWEEP_CFG}
 
 
+@pytest.mark.parametrize("command,cfg,count", [
+    ("sign-map", dict(SIGN_MAP_CFG, n_max=10**12), "6e+12"),
+    ("sign-map", dict(SIGN_MAP_CFG, p_max=1e300, p_step=1e-300), "inf"),
+    ("evolution-sweep", dict(SWEEP_CFG, radii={"min": 0.1, "max": 2.0, "count": 10**15}), "1e+15"),
+    ("compare", dict(COMPARE_CFG, grid={"bounds": [[-1, 1], [-1, 1]], "shape": [100000, 100000]}),
+     "1e+10"),
+], ids=["sign_map_n_max", "sign_map_p_step", "sweep_count", "compare_shape"])
+def test_table_above_the_row_limit_exits_2(tmp_path, capsys, command, cfg, count):
+    path = tmp_path / "cfg.json"
+    write_json(path, cfg)
+    line = main_exits_2_with_one_error_line(capsys, command, path, tmp_path)
+    assert f"would have {count} rows, above the limit of {cli.MAX_ROWS}" in line
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_row_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ROWS", 5)
+    path, out = tmp_path / "sweep.json", tmp_path / "o.csv"
+    write_json(path, SWEEP_CFG)  # 5 radii
+    assert cli.main(["evolution-sweep", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert len(read_csv(out)) == 1 + 5
+    write_json(path, dict(SWEEP_CFG, radii=dict(SWEEP_CFG["radii"], count=6)))
+    line = main_exits_2_with_one_error_line(capsys, "evolution-sweep", path, tmp_path)
+    assert "would have 6 rows" in line
+
+
+def test_sign_map_step_below_the_rounding_exits_2(tmp_path, capsys):
+    # rounded to 12 decimals, the six p values 2 + i 1e-13 would all read 2
+    path = tmp_path / "map.json"
+    write_json(path, dict(SIGN_MAP_CFG, p_min=2, p_max=2.0000000000005, p_step=1e-13))
+    line = main_exits_2_with_one_error_line(capsys, "sign-map", path, tmp_path)
+    assert "p_step 1e-13 is below the 12-decimal rounding" in line
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("defect", ["truncated", "missing", "directory"])
 @pytest.mark.parametrize("command", sorted(LOADERS))
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, defect):
@@ -256,18 +291,40 @@ def test_sign_map(tmp_path):
     assert table[("1.5", "2")] == "NonNegative"
 
 
+VERIFY_CHECKS = [
+    "three_way_direct_vs_closed", "three_way_fd_vs_closed", "sign_soundness",
+    "isometry_equivariance", "weight_scaling", "single_pole_nullity",
+    "concavity_implies_criterion", "criterion_implies_sign", "concave_superposition_sign",
+    "mollification_sup_shrinks", "mollified_hessian_nsd",
+    "discrete_maximum_principle", "comparison_principle", "refinement_no_persistent_violation",
+    "two_bump_gradient_symmetry", "barenblatt_defect_identity", "sign_change_radius_bracketing",
+    "support_radius_consistent",
+]
+
+
 def test_verify_ok(tmp_path):
+    # every suite at a second fixed seed; the release criteria and
+    # test_comparison run them at the default seed
     out = tmp_path / "report.json"
-    res = run("verify", "--suite", "superpose", "--seed", "7", "--out", str(out))
-    assert res.returncode == 0, res.stderr
+    res = run("verify", "--suite", "all", "--seed", "7", "--out", str(out))
+    assert res.returncode == 0, res.stderr or out.read_text()
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert report["seed"] == 7
+    assert [s["suite"] for s in report["suites"]] == ["superpose", "concave", "comparison", "evolution"]
+    assert [c["name"] for s in report["suites"] for c in s["checks"]] == VERIFY_CHECKS
 
 
 def test_verify_unknown_suite():
     res = run("verify", "--suite", "nope")
     assert res.returncode == 2
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "superpose", "--seed", "-1"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_compare(tmp_path):

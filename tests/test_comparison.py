@@ -15,6 +15,7 @@ from plap import (
 )
 from plap.comparison import _energy_state, _hessian, _split_gradient
 from plap.errors import UnsupportedConfigurationError
+from plap.verify import verify_comparison
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +176,9 @@ def test_refinement_shrinks_violations():
         rep = comparison_check(ps, k, dom, tol=1e-2)
         worst.append(max(0.0, -rep.min_gap))
     assert worst[1] <= max(worst[0], 1e-3)
+
+
+def test_verify_comparison_passes_at_the_default_seed():
+    # the release criteria run the other three verify suites at this seed
+    rep = verify_comparison()
+    assert rep.passed, [c.to_dict() for c in rep.checks if not c.passed]

@@ -15,7 +15,6 @@ from plap import (
     PoleSet,
     QuadraticTerm,
     ZeroTerm,
-    delta_p_direct,
     eigenvalue_criterion,
     operator_term,
     superposition_grid,
@@ -144,14 +143,6 @@ def test_criterion_requires_p_above_two():
         eigenvalue_criterion(-np.eye(2), 2.0)
 
 
-def test_concavity_implies_criterion():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        p = float(rng.uniform(2.01, 8.0))
-        assert eigenvalue_criterion(random_nsd(rng, n), p)
-
-
 def test_criterion_implies_operator_sign():
     rng = np.random.default_rng(24)
     hits = 0
@@ -190,23 +181,6 @@ def test_operator_term_counterexample_nonpositive():
     for _ in range(200):
         xi = rng.standard_normal(n)
         assert operator_term(k, p, xi, np.zeros(n)) <= 1e-12
-
-
-def test_concave_superposition_stays_supersolution():
-    rng = np.random.default_rng(27)
-    for _ in range(40):
-        p = float(rng.choice([2.5, 3.0, 4.0]))
-        n = int(rng.choice([2, 3]))
-        count = int(rng.integers(1, 5))
-        ps = PoleSet(
-            rng.uniform(0.3, 2, count), rng.uniform(-1, 1, (count, n)), Params(p, n)
-        )
-        k = QuadraticTerm(random_nsd(rng, n), b=rng.uniform(-1, 1, n))
-        for _ in range(5):
-            x = rng.uniform(-2, 2, n)
-            if np.min(np.linalg.norm(x - ps.locations, axis=1)) < 0.3:
-                continue
-            assert delta_p_direct(ps, k, x) <= 1e-10
 
 
 # ------------------------------------------------------- batched contract

@@ -16,7 +16,6 @@ from plap.evolution import (
     sign_change_radius,
     support_radius,
     two_bump_defect,
-    two_bump_defect_fd,
     two_bump_gradient,
     two_bump_value,
 )
@@ -212,15 +211,6 @@ def test_two_bump_defect_sign_follows_time_derivative():
         wt = kernel_time_derivative(k, y, t)
         assert np.sign(d) == np.sign(wt)
     assert two_bump_defect(k, np.array([0.2, 0.0]), t) < 0.0
-
-
-def test_two_bump_defect_fd_agrees():
-    k = kh(p=3.0, n=2)
-    y = np.array([1.2, 0.0])
-    t = 1.0
-    closed = two_bump_defect(k, y, t)
-    fd = two_bump_defect_fd(k, y, t)
-    assert abs(closed - fd) / max(abs(closed), abs(fd)) <= 1e-3
 
 
 def test_barenblatt_requires_positive_time():

@@ -1,7 +1,8 @@
 """Property tests for the stated invariants: the pole rule at every call
 site, single-pole nullity, isometry equivariance and s^(p-1) weight
 scaling of the closed form, agreement of the batched finite-difference
-route, and the sign-change radius lying inside the Barenblatt support.
+route, the sign-change radius lying inside the Barenblatt support, and the
+zero lines of ``plap sign-map``.
 
 Pole configurations come from a numpy generator seeded by hypothesis, like
 the randomized ``verify`` suites, so no draw lands on a critical point of V
@@ -10,6 +11,8 @@ by construction."""
 import csv
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -176,3 +179,46 @@ def test_sign_change_radius_inside_support(p, n, big_c, t):
     assert radius < support
     ratio = (n * (p - 2) / (n * (p - 2) + p)) ** ((p - 1) / p)
     assert radius / support == pytest.approx(ratio, rel=1e-12)
+
+
+# ------------------------------------------------------------- sign map
+
+@property_settings
+@given(
+    step_digits=st.integers(1, 99),
+    decimals=st.integers(1, 3),
+    below=st.integers(0, 400),
+    above=st.integers(0, 20),
+    n_min=st.integers(1, 3),
+    n_span=st.integers(0, 3),
+)
+def test_sign_map_reads_the_zero_lines(step_digits, decimals, below, above, n_min, n_span):
+    """A decimal grid with p = 2 on it: every row at p = 2 or n = 1 reads
+    IdenticallyZero and every row at p = 1 reads Excluded, and the grid
+    lands on p = 1 exactly when 1 is a whole number of steps below 2."""
+    step = step_digits / 10**decimals
+    cfg = {
+        "schema_version": 1,
+        "p_min": round(2 - below * step, decimals),
+        "p_max": round(2 + above * step, decimals),
+        "p_step": step,
+        "n_min": n_min,
+        "n_max": n_min + n_span,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "map.json"), os.path.join(tmp, "map.csv")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert cli.main(["sign-map", "--config", path, "--out", out]) == cli.EXIT_OK
+        with open(out) as fh:
+            rows = [(float(p), int(n), cls) for p, n, cls in list(csv.reader(fh))[1:]]
+
+    assert len(rows) == (below + above + 1) * (n_span + 1)
+    assert sum(p == 2.0 for p, _, _ in rows) == n_span + 1
+    one_on_grid = 10**decimals % step_digits == 0 and below * step_digits >= 10**decimals
+    assert sum(p == 1.0 for p, _, _ in rows) == (n_span + 1 if one_on_grid else 0)
+    for p, n, cls in rows:
+        if p == 1.0:
+            assert cls == "Excluded"
+        elif p == 2.0 or n == 1:
+            assert cls == "IdenticallyZero"
