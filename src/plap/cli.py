@@ -20,7 +20,7 @@ import numpy as np
 
 from . import comparison, concave, evolution, schemas, superpose, verify
 from .core import Params
-from .errors import PlapError, SolverFailureError
+from .errors import PlapError, SolverFailureError, UnsupportedConfigurationError
 
 log = logging.getLogger("plap")
 
@@ -203,11 +203,12 @@ def cmd_sign_map(args):
             f"error: p_step {cfg['p_step']!r} is below the 12-decimal rounding of p, "
             "so rows would repeat a p value"
         )
-    rows = []
-    for p in p_values:
-        for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
-            rows.append([float(p), n, superpose.sign_region(float(p), n).value])
-    _write_csv(args.out, ["p", "n", "sign_class"], zip(*rows))
+    # Python ints, so an n beyond int64 is still written as an integer
+    n_values = np.array(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1), dtype=object)
+    p_column = np.repeat(p_values, len(n_values))
+    n_column = np.tile(n_values, len(p_values))
+    classes = superpose.sign_classes(p_column, n_column)
+    _write_csv(args.out, ["p", "n", "sign_class"], [p_column, n_column, classes])
     return EXIT_OK
 
 
@@ -249,6 +250,9 @@ def cmd_compare(args):
     except SolverFailureError as exc:
         print(f"solver failure: {exc} (residual {exc.residual})", file=sys.stderr)
         return EXIT_FAILURE
+    except UnsupportedConfigurationError as exc:
+        # a grid whose band does not fit, or a pole on a node or the boundary
+        _usage_error(f"error: {exc}")
 
     w = report.w_values.ravel()
     h = report.h_values.ravel()

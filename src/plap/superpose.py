@@ -290,18 +290,30 @@ def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x):
     return _masked(power * total, gn < ps.gradient_epsilon, 1e-300)
 
 
-def sign_region(p: float, n: int) -> SignClass:
-    """Sign of the superposition's p-Laplacian as a function of (p, n).
+# indexed by sign_classes' code: 0 and 1 the sign of the factor, then the zero lines, then p = 1
+_SIGN_NAMES = np.array([c.value for c in (SignClass.NON_NEGATIVE, SignClass.NON_POSITIVE,
+                                          SignClass.IDENTICALLY_ZERO, SignClass.EXCLUDED)])
+
+
+def sign_classes(p, n):
+    """Sign classes (``SignClass`` values) of the superposition's
+    p-Laplacian over broadcast arrays of p and n.
 
     Classifies by the sign of -(p-2)(p+n-2)/(p-1); the zero lines are
-    p = 2, n = 1 and p + n = 2.
+    p = 2, n = 1 and p + n = 2, and p = 1 is excluded.
     """
-    if p == 1:
-        return SignClass.EXCLUDED
-    if p == 2 or n == 1 or p + n == 2:
-        return SignClass.IDENTICALLY_ZERO
-    factor = -(p - 2) * (p + n - 2) / (p - 1)
-    return SignClass.NON_POSITIVE if factor < 0 else SignClass.NON_NEGATIVE
+    # float(n) is how Python adds an int n to a float p, for any size of n
+    p, n = np.asarray(p, dtype=float), np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        negative = -(p - 2) * (p + n - 2) / (p - 1) < 0
+    zero = (p == 2) | (n == 1) | (p + n == 2)
+    return _SIGN_NAMES[np.where(p == 1, 3, np.where(zero, 2, negative.astype(int)))]
+
+
+def sign_region(p: float, n: int) -> SignClass:
+    """Sign of the superposition's p-Laplacian at one (p, n); see
+    ``sign_classes``."""
+    return SignClass(sign_classes(p, n).item())
 
 
 def riemann_pole_set(centers, density_values, cell_volume, params: Params) -> PoleSet:

@@ -196,6 +196,24 @@ def test_table_above_the_row_limit_exits_2(tmp_path, capsys, command, cfg, count
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_compare_grid_whose_band_cannot_fit_exits_2(tmp_path, capsys):
+    # 60^3 nodes are within the row limit, but the Newton systems' band is 5 GB
+    path = tmp_path / "cfg.json"
+    write_json(path, dict(COMPARE_CFG, params={"p": 3.0, "n": 3},
+                          poles=[{"weight": 1.0, "location": [0.2, 0.1, 0.0]}],
+                          grid={"bounds": [[-1, 1]] * 3, "shape": [60, 60, 60]}))
+    line = main_exits_2_with_one_error_line(capsys, "compare", path, tmp_path)
+    assert "60x60x60 grid have a band of 4.98 GiB, above the limit of 1 GiB" in line
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_compare_pole_on_the_boundary_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    write_json(path, dict(COMPARE_CFG, poles=[{"weight": 1.0, "location": [1.0, 0.0]}]))
+    line = main_exits_2_with_one_error_line(capsys, "compare", path, tmp_path)
+    assert "boundary" in line
+
+
 def test_row_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_ROWS", 5)
     path, out = tmp_path / "sweep.json", tmp_path / "o.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from plap import (
     GridDomain,
@@ -13,8 +14,16 @@ from plap import (
     solve_p_harmonic,
     superposition_grid,
 )
-from plap.comparison import _energy_state, _hessian, _split_gradient
-from plap.errors import UnsupportedConfigurationError
+from plap import comparison
+from plap.comparison import (
+    _band_solve,
+    _check_band,
+    _energy_state,
+    _half_band,
+    _hessian,
+    _split_gradient,
+)
+from plap.errors import SolverFailureError, UnsupportedConfigurationError
 from plap.verify import verify_comparison
 
 
@@ -103,7 +112,7 @@ def test_hessian_matches_central_differences(shape, p):
     rng = np.random.default_rng(5)
     dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
     cell_vol = float(np.prod(dom.spacing))
-    g_i, offset = _split_gradient(dom, rng.standard_normal(shape))
+    g_i, offset, _ = _split_gradient(dom, rng.standard_normal(shape))
     x = rng.standard_normal(g_i.shape[1])
 
     def gradient(z):
@@ -116,6 +125,82 @@ def test_hessian_matches_central_differences(shape, p):
     for j, e in enumerate(step * np.eye(x.size)):
         fd[:, j] = (gradient(x + e) - gradient(x - e)) / (2 * step)
     assert np.abs(fd - hess).max() <= 1e-6 * np.abs(hess).max()
+
+
+# the fixed problems whose solver outputs are compared across changes
+FIXED_PROBLEMS = [((65, 65), 2.0), ((65, 65), 3.0), ((65, 65), 4.0), ((33, 33), 2.5),
+                  ((9, 9, 9), 3.0), ((17, 17, 17), 4.0)]
+
+
+def smooth_data(dom):
+    x = dom.nodes()
+    data = np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1])
+    if dom.dim == 3:
+        data = data + x[..., 2] ** 2 - x[..., 0] * x[..., 2]
+    return data
+
+
+@pytest.mark.parametrize("shape,p", FIXED_PROBLEMS)
+def test_band_solve_matches_superlu(shape, p):
+    """The p = 2 start system and the first Newton system of each fixed
+    problem, solved by the banded Cholesky and by SuperLU."""
+    dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
+    cell_vol = float(np.prod(dom.spacing))
+    g_i, offset, _ = _split_gradient(dom, smooth_data(dom))
+    half_band = _half_band(shape)
+    start = g_i.T @ g_i
+    rhs = -(g_i.T @ offset.ravel())
+    _, grad_e, state = _energy_state(g_i, offset, spla.spsolve(start.tocsc(), rhs), p, cell_vol)
+    for a, b in ((start, rhs), (_hessian(g_i, state, p, cell_vol), -grad_e)):
+        reference = spla.spsolve(a.tocsc(), b)
+        x = _band_solve(a, b, half_band, residual=0.0)
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("shape,half_band", [
+    ((9, 9), 8), ((9, 65), 8), ((65, 9), 8), ((12, 9), 8), ((9, 9, 9), 57), ((9, 9, 65), 57),
+    ((65, 9, 9), 57), ((9, 65, 9), 57), ((9, 17, 11), 71), ((11, 9, 17), 71),
+])
+def test_half_band_is_the_assembled_band_with_the_longest_axis_outermost(shape, half_band):
+    # in the natural order (9, 65) would have a half-band of 64 and (9, 9, 65) of 505
+    dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
+    g_i, _, _ = _split_gradient(dom, np.zeros(shape))
+    a = (g_i.T @ g_i).tocoo()
+    assert _half_band(shape) == (a.row - a.col).max() == half_band
+
+
+@pytest.mark.parametrize("shape,axes", [((9, 33), (1, 0)), ((9, 9, 33), (2, 1, 0))])
+def test_solution_follows_a_transposed_grid(shape, axes):
+    """The same problem with its axes permuted has the permuted solution,
+    whichever order the two grids number their unknowns in."""
+    bounds = [(-1.0, 1.0), (-0.5, 0.75), (-2.0, 2.0)][: len(shape)]
+    dom = GridDomain(bounds=bounds, shape=shape)
+    moved = GridDomain(bounds=[bounds[a] for a in axes], shape=[shape[a] for a in axes])
+    data = smooth_data(dom) + 0.3 * dom.nodes()[..., -1]
+    sol = solve_p_harmonic(dom, data, 3.0).values
+    sol_moved = solve_p_harmonic(moved, data.transpose(axes), 3.0).values
+    assert np.abs(sol_moved - sol.transpose(axes)).max() <= 1e-12 * np.abs(sol).max()
+
+
+def test_indefinite_newton_system_raises_solver_failure(monkeypatch):
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
+    monkeypatch.setattr(comparison, "_hessian", lambda *args: -_hessian(*args))
+    with pytest.raises(SolverFailureError) as exc:
+        solve_p_harmonic(dom, smooth_data(dom), 3.0)
+    assert np.isfinite(exc.value.residual) and exc.value.residual > comparison.NEWTON_TOL
+
+
+def test_band_above_the_limit_is_rejected_before_solving(monkeypatch):
+    _check_band((33, 33, 33))  # 0.24 GB
+    with pytest.raises(UnsupportedConfigurationError, match="4.98 GiB"):
+        _check_band((60, 60, 60))
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
+    monkeypatch.setattr(comparison, "MAX_BAND_BYTES", 8 * (_half_band(dom.shape) + 1) * 15**2 - 1)
+    monkeypatch.setattr(comparison, "superposition_grid", None)  # nothing is evaluated
+    with pytest.raises(UnsupportedConfigurationError, match="17x17 grid"):
+        comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
+    with pytest.raises(UnsupportedConfigurationError):
+        solve_p_harmonic(dom, np.zeros(dom.shape), 3.0)
 
 
 def test_superposition_grid_matches_pointwise():

@@ -4,8 +4,8 @@ scaling of the closed form, agreement of the batched finite-difference
 route, the sign-change radius lying inside the Barenblatt support, and the
 zero lines of ``plap sign-map``.
 
-Pole configurations come from a numpy generator seeded by hypothesis, like
-the randomized ``verify`` suites, so no draw lands on a critical point of V
+Pole configurations come from the randomized ``verify`` suites' own
+generators, seeded by hypothesis, so no draw lands on a critical point of V
 by construction."""
 
 import csv
@@ -36,6 +36,7 @@ from plap import (
 from plap import cli
 from plap.errors import UnsupportedConfigurationError
 from plap.superpose import delta_p_scale
+from plap.verify import _random_point_away, _random_pole_set
 
 # deterministic and without an example database, so a run leaves no files
 property_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -48,16 +49,13 @@ def rel(a, b, scale):
     return abs(a - b) / max(abs(a), abs(b), scale)
 
 
-def random_config(seed, p, n, max_poles=8):
-    """A pole set with weights in [0.2, 2] and locations in [-1, 1]^n, and
-    a query point at least 0.3 from every pole."""
+def random_config(seed, p, n):
+    """A pole set and a query point drawn as ``plap verify`` draws them:
+    weights in [0.1, 2], locations in [-1, 1]^n and a point in [-2, 2]^n
+    at least ``verify.MIN_POLE_DISTANCE`` from every pole."""
     rng = np.random.default_rng(seed)
-    count = int(rng.integers(1, max_poles + 1))
-    ps = PoleSet(rng.uniform(0.2, 2.0, count), rng.uniform(-1, 1, (count, n)), Params(p, n))
-    while True:
-        x = rng.uniform(-2, 2, n)
-        if np.min(np.linalg.norm(x - ps.locations, axis=1)) >= 0.3:
-            return ps, x, rng
+    ps = _random_pole_set(rng, p, n)
+    return ps, _random_point_away(rng, ps), rng
 
 
 # ------------------------------------------------------------- pole rule
