@@ -7,6 +7,10 @@ their p-Laplacian through three independent routes:
                            -C |g|^{p-2} sum_i a_i sin^2(theta_i) / r_i^{(p+n-2)/(p-1)},
   * delta_p_fd          -- central finite differences of the analytic flux.
 
+Each takes points (..., n).  A stacked ``PoleSet`` (``PoleSet.stack``)
+holds B sets at once, and its batch axis broadcasts against the points'
+leading shape, so points (B, n) give every set's result at its own point.
+
 Also the (p, n) sign classifier of the superposition's p-Laplacian.
 """
 
@@ -43,36 +47,86 @@ class SignClass(Enum):
 class PoleSet:
     """Immutable weighted pole configuration {(a_i, y_i)}.
 
-    Duplicate locations are merged (weights summed) and zero-weight poles
+    Duplicate locations are merged (weights summed left to right, the first
+    location kept, in order of first occurrence) and zero-weight poles
     dropped at construction; at least one positive weight must remain.
+
+    ``PoleSet.stack`` makes a batch of sets: weights (B, m), locations
+    (B, m, n), ``gradient_epsilon`` and ``counts`` (B,).  An unstacked set
+    has weights (m,), locations (m, n), a float ``gradient_epsilon`` and
+    the int ``counts`` = m.
     """
 
     def __init__(self, weights, locations, params: Params):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         y = np.atleast_2d(np.asarray(locations, dtype=float))
+        if w.ndim != 1 or y.ndim != 2:
+            raise ValueError("need a list of weights and a list of locations")
         if y.shape[0] != w.shape[0]:
             raise ValueError("need one location per weight")
         if y.shape[1] != params.n:
             raise ValueError(
                 f"pole locations have dimension {y.shape[1]}, expected {params.n}"
             )
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be non-negative")
-        merged = {}
-        for wi, yi in zip(w, y):
-            if wi == 0.0:
-                continue
-            key = tuple(yi)
-            merged[key] = merged.get(key, 0.0) + wi
-        if not merged:
+        keep = w != 0.0
+        w, y = w[keep], y[keep]
+        if not len(w):
             raise ValueError("at least one positive weight is required")
-        self.weights = np.array(list(merged.values()))
-        self.locations = np.array([list(k) for k in merged])
+        # equal rows (float ==, so 0.0 and -0.0 merge and NaN never does)
+        # are neighbours after a stable lexicographic sort, first occurrence
+        # first
+        order = np.lexsort(y.T[::-1])
+        rows = y[order]
+        starts = np.ones(len(w), dtype=bool)
+        starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        if not starts.all():
+            first = order[starts]
+            rank = np.empty(len(first), dtype=np.intp)
+            rank[np.argsort(first)] = np.arange(len(first))
+            group = np.empty(len(w), dtype=np.intp)
+            group[order] = rank[np.cumsum(starts) - 1]
+            merged = np.zeros(len(first))
+            np.add.at(merged, group, w)  # unbuffered, so summed in input order
+            w, y = merged, y[np.sort(first)]
+        self.weights = w
+        self.locations = y
         self.params = params
+        self.counts = len(w)
         self.weights.flags.writeable = False
         self.locations.flags.writeable = False
         # scale-aware cutoff below which |grad V| is treated as vanishing
         self.gradient_epsilon = 1e-12 * max(1.0, float(self.weights.sum()))
+
+    @classmethod
+    def stack(cls, sets):
+        """One batch of the unstacked sets ``sets``, which share ``params``.
+
+        A row with fewer poles than the longest is padded with weight-0
+        copies of its own first pole: a padded pole is never nearer to a
+        point than a real one and adds nothing to V or to its derivatives.
+        """
+        sets = list(sets)
+        if not sets:
+            raise ValueError("need at least one pole set to stack")
+        params = sets[0].params
+        if any(s.params != params or s.weights.ndim != 1 for s in sets):
+            raise ValueError("only unstacked pole sets with the same params stack")
+        counts = np.array([s.counts for s in sets])
+        real = np.arange(counts.max()) < counts[:, None]
+        first = np.cumsum(counts) - counts
+        out = cls.__new__(cls)
+        out.weights = np.zeros(real.shape)
+        out.weights[real] = np.concatenate([s.weights for s in sets])
+        pick = np.where(real, first[:, None] + np.arange(real.shape[1]), first[:, None])
+        out.locations = np.concatenate([s.locations for s in sets])[pick]
+        out.params = params
+        out.counts = counts
+        out.gradient_epsilon = np.array([s.gradient_epsilon for s in sets])
+        for a in (out.weights, out.locations, out.counts, out.gradient_epsilon):
+            a.flags.writeable = False
+        return out
 
     def __len__(self):
         return len(self.weights)
@@ -139,8 +193,9 @@ def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
     """V + K at points x of shape (..., n) from values alone, so a kink of K
     is harmless; a point on a pole follows the pole rule."""
     x = np.asarray(x, dtype=float)
-    value = np.vecdot(_pole_terms(ps, x)[2], ps.weights)
-    return value + (0.0 if k is None else k.value(x))
+    # a padded pole (weight 0) on x must not add 0 * inf
+    v = np.where(ps.weights > 0, _pole_terms(ps, x)[2], 0.0)
+    return np.vecdot(v, ps.weights) + (0.0 if k is None else k.value(x))
 
 
 def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
@@ -191,11 +246,11 @@ def _finite_derivatives(res: EvalResult):
     return res.gradient, res.hessian
 
 
-def _vanishing_gradient(ps: PoleSet, grad, what):
-    """|grad| and where it vanishes; for p < 2 a vanishing gradient
-    anywhere is an error."""
+def _vanishing_gradient(ps: PoleSet, grad, what, exempt=False):
+    """|grad| and where it vanishes outside ``exempt``; for p < 2 a
+    vanishing gradient anywhere else is an error."""
     gn = _norm(grad)
-    vanishing = gn < ps.gradient_epsilon
+    vanishing = (gn < ps.gradient_epsilon) & np.logical_not(exempt)
     if ps.params.p < 2 and vanishing.any():
         raise UndefinedOperatorError(f"{what} undefined at vanishing gradient for p < 2")
     return gn, vanishing
@@ -234,14 +289,15 @@ def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x):
     res = evaluate(ps, None, x)
     grad, _ = _finite_derivatives(res)
     p, n = ps.params.p, ps.params.n
-    if p == 2 or len(ps) == 1:
-        # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
-        # to x - y_1, so sin(theta) = 0
+    # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
+    # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
+    single = ps.counts == 1
+    if p == 2 or np.all(single):
         return _scalar(np.zeros(np.shape(res.value)))
-    gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian")
+    gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian", single)
     expo = (p + n - 2) / (p - 1)
     s = np.sum(ps.weights * np.sin(res.angles) ** 2 / res.distances**expo, axis=-1)
-    return _masked(-ps.params.big_c * gn ** (p - 2) * s, vanishing, 0.0)
+    return _masked(-ps.params.big_c * gn ** (p - 2) * s, vanishing | single, 0.0)
 
 
 def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
@@ -254,14 +310,18 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
     if np.any(near_pole(ps, x, step)):
         raise PoleSingularityError("query point too close to a pole for the FD stencil")
 
+    # a stack's arrays gain the stencil axis of z (..., 2n, n)
+    y, a = ps.locations[..., None, :, :], ps.weights[..., None, :]
+    eps = np.asarray(ps.gradient_epsilon)[..., None, None]
+
     def flux(z):
-        d = z[..., None, :] - ps.locations
+        d = z[..., None, :] - y
         r = np.linalg.norm(d, axis=-1)
-        g = np.einsum("...m,...mj->...j", ps.weights * _profile_slope(ps.params, r) / r, d)
+        g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r) / r, d)
         if k is not None:
             g += k.eval(z)[1]
         gn = np.linalg.norm(g, axis=-1, keepdims=True)
-        vanishing = gn < ps.gradient_epsilon
+        vanishing = gn < eps
         if p < 2 and vanishing.any():
             raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
         # p >= 2: a vanishing gradient carries zero flux

@@ -243,6 +243,38 @@ def test_a_batch_with_a_point_on_a_pole_gives_values_only():
     np.testing.assert_array_equal(res.value, [evaluate(ps, None, z).value for z in x])
 
 
+@pytest.mark.parametrize("kind", [None, "quadratic"])
+@pytest.mark.parametrize("p,n", [(3.0, 2), (4.0, 3), (2.5, 3), (1.5, 2), (2.0, 2), (3.0, 3)])
+def test_a_stacked_point_on_a_real_pole_follows_the_pole_rule(p, n, kind):
+    """Rows on a pole give the unstacked value: +inf for p <= n, finite
+    for p > n.  The padded copies of a row's first pole sit on the point
+    too and must not turn that into 0 * inf = NaN."""
+    rng = np.random.default_rng(23)
+    pa = Params(p, n)
+    sets = [
+        PoleSet([1.3], rng.uniform(-1, 1, (1, n)), pa),            # padded with 3 copies
+        PoleSet(rng.uniform(0.2, 2, 4), rng.uniform(-1, 1, (4, n)), pa),
+        PoleSet(rng.uniform(0.2, 2, 2), rng.uniform(-1, 1, (2, n)), pa),
+        PoleSet(rng.uniform(0.2, 2, 3), rng.uniform(-1, 1, (3, n)), pa),
+    ]
+    # on the first pole, on the third, on the first, and off every pole
+    x = np.array([sets[0].locations[0], sets[1].locations[2], sets[2].locations[0],
+                  far_points(rng, sets[3], ())])
+    stack = PoleSet.stack(sets)
+    k = random_term(rng, kind, n)
+    res = evaluate(stack, k, x)
+    assert not res.derivatives_available
+    assert not np.isnan(res.value).any()
+    for i, ps in enumerate(sets):
+        want = evaluate(ps, k, x[i]).value
+        if i < 3:
+            assert (want == math.inf) == (p <= n)
+        assert res.value[i] == pytest.approx(want, rel=1e-14)
+    for route in ROUTES.values():
+        with pytest.raises(PoleSingularityError):
+            route(stack, None, x)
+
+
 # ------------------------------------------------------------- plap eval
 
 def eval_config(rng, n, poles, far, with_k):

@@ -1,8 +1,9 @@
 """Property tests for the stated invariants: the pole rule at every call
 site, single-pole nullity, isometry equivariance and s^(p-1) weight
 scaling of the closed form, agreement of the batched finite-difference
-route, the sign-change radius lying inside the Barenblatt support, and the
-zero lines of ``plap sign-map``.
+route, stacked pole sets giving each set's own routes row by row, the
+sign-change radius lying inside the Barenblatt support, and the zero lines
+of ``plap sign-map``.
 
 Pole configurations come from the randomized ``verify`` suites' own
 generators, seeded by hypothesis, so no draw lands on a critical point of V
@@ -27,6 +28,7 @@ from plap import (
     PoleSet,
     QuadraticTerm,
     delta_p_closed_form,
+    delta_p_direct,
     delta_p_fd,
     evaluate,
     sign_change_radius,
@@ -35,7 +37,7 @@ from plap import (
 )
 from plap import cli
 from plap.errors import UnsupportedConfigurationError
-from plap.superpose import delta_p_scale
+from plap.superpose import DEFAULT_FD_STEP, delta_p_scale, near_pole
 from plap.verify import _random_point_away, _random_pole_set
 
 # deterministic and without an example database, so a run leaves no files
@@ -160,6 +162,38 @@ def test_batched_fd_agrees_with_closed_form(seed, p, n):
     c = delta_p_closed_form(ps, None, x)
     f = delta_p_fd(ps, None, x)
     assert rel(f, c, delta_p_scale(ps, None, x)) <= 1e-4
+
+
+# ---------------------------------------------------------- stacked sets
+
+@property_settings
+@given(seed=seeds, p=st.floats(1.5, 5.0), n=dims, count=st.integers(1, 8))
+def test_stacked_routes_equal_the_per_set_routes(seed, p, n, count):
+    """A stack of 1-8 sets of 1-8 poles each: every route gives each set's
+    own result in its row, to rounding (a padded row sums its poles in
+    another order), and a one-pole row gives exactly 0 from the closed
+    form."""
+    rng = np.random.default_rng(seed)
+    sets = [_random_pole_set(rng, p, n) for _ in range(count)]
+    x = np.array([_random_point_away(rng, ps) for ps in sets])
+    stack = PoleSet.stack(sets)
+    assert stack.weights.shape == stack.locations.shape[:2] == (count, max(stack.counts))
+    for route in (delta_p_direct, delta_p_closed_form, delta_p_fd, delta_p_scale):
+        got = route(stack, None, x)
+        assert got.shape == (count,)
+        for i, ps in enumerate(sets):
+            want = route(ps, None, x[i])
+            assert abs(got[i] - want) <= 1e-13 * delta_p_scale(ps, None, x[i]), route.__name__
+    closed = delta_p_closed_form(stack, None, x)
+    assert np.all(closed[stack.counts == 1] == 0.0)
+    # every other row moved to within 0-20 stencil spacings of one of its poles
+    for i in range(0, count, 2):
+        pole = sets[i].locations[rng.integers(len(sets[i]))]
+        direction = rng.standard_normal(n)
+        dist = rng.uniform(0, 20) * DEFAULT_FD_STEP * (1 + np.linalg.norm(pole))
+        x[i] = pole + dist * direction / np.linalg.norm(direction)
+    near = near_pole(stack, x, DEFAULT_FD_STEP)
+    assert near.tolist() == [near_pole(ps, x[i], DEFAULT_FD_STEP) for i, ps in enumerate(sets)]
 
 
 # ------------------------------------------------------------- evolution

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plap import (
     AffineMinTerm,
@@ -43,14 +45,93 @@ def test_pole_set_drops_zero_weights():
     assert len(ps) == 1
 
 
+def merged_by_the_loop(weights, locations):
+    """The merge rule as a per-pole loop, the reference for ``PoleSet``:
+    zero weights dropped, equal locations (float ==) merged in order of
+    first occurrence, keeping the first location, weights summed left to
+    right."""
+    merged = {}
+    for wi, yi in zip(np.asarray(weights, dtype=float), np.asarray(locations, dtype=float)):
+        if wi == 0.0:
+            continue
+        key = tuple(yi)
+        merged[key] = merged.get(key, 0.0) + wi
+    return np.array(list(merged.values())), np.array([list(k) for k in merged])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1e-17, 2.5]),
+            st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0]), min_size=3, max_size=3),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_pole_set_merges_as_the_loop_does(n, rows):
+    weights = [w for w, _ in rows]
+    locations = [y[:n] for _, y in rows]
+    if not any(weights):
+        with pytest.raises(ValueError, match="at least one positive weight"):
+            PoleSet(weights, locations, Params(3, n))
+        return
+    ps = PoleSet(weights, locations, Params(3, n))
+    want_w, want_y = merged_by_the_loop(weights, locations)
+    np.testing.assert_array_equal(ps.weights, want_w)
+    np.testing.assert_array_equal(ps.locations, want_y)
+    # the first location kept, down to the sign of a zero
+    np.testing.assert_array_equal(np.signbit(ps.locations), np.signbit(want_y))
+    assert ps.counts == len(ps) == len(want_w)
+    assert ps.gradient_epsilon == 1e-12 * max(1.0, float(want_w.sum()))
+
+
+def test_pole_set_merge_matches_the_loop_on_a_large_set():
+    rng = np.random.default_rng(3)
+    weights = rng.choice([0.0, 0.1, 0.3, 1.7], 5000)
+    locations = rng.integers(-4, 5, (5000, 3)) * 0.25
+    ps = PoleSet(weights, locations, Params(2.5, 3))
+    want_w, want_y = merged_by_the_loop(weights, locations)
+    np.testing.assert_array_equal(ps.weights, want_w)
+    np.testing.assert_array_equal(ps.locations, want_y)
+
+
+def test_pole_set_never_merges_nan_locations():
+    ps = PoleSet([1.0, 2.0], [[math.nan, 0.0], [math.nan, 0.0]], Params(3, 2))
+    assert len(ps) == 2
+
+
 def test_pole_set_rejects_all_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one positive weight"):
         PoleSet([0.0], [[0, 0]], Params(3, 2))
 
 
 def test_pole_set_rejects_negative_weight():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         PoleSet([-1.0], [[0, 0]], Params(3, 2))
+
+
+def test_pole_set_does_not_freeze_the_callers_arrays():
+    w, y = np.array([1.0, 2.0]), np.array([[0.0, 0.0], [1.0, 1.0]])
+    PoleSet(w, y, Params(3, 2))
+    assert w.flags.writeable and y.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "weights,locations,match",
+    [
+        ([1.0, 2.0], [[0, 0]], "one location per weight"),
+        ([1.0], [[0, 0, 0]], "dimension 3, expected 2"),
+        ([1.0, -1.0], [[0, 0], [1, 1]], "non-negative"),
+        ([0.0, 0.0], [[0, 0], [1, 1]], "at least one positive weight"),
+        ([[1.0]], [[0, 0]], "a list of weights"),
+    ],
+)
+def test_pole_set_rejects_bad_input(weights, locations, match):
+    with pytest.raises(ValueError, match=match):
+        PoleSet(weights, locations, Params(3, 2))
 
 
 def test_eval_single_pole_newtonian():
