@@ -8,7 +8,7 @@ name (DEBUG, INFO, WARNING, ERROR, CRITICAL) for diagnostics on stderr.
 """
 
 import argparse
-import csv
+import itertools
 import json
 import logging
 import math
@@ -33,24 +33,20 @@ EVAL_BLOCK = 1 << 17    # FD stencil offsets per block of eval rows: (block, 2n,
 MAX_ROWS = 10**6        # of a sign-map, compare or evolution-sweep table
 
 
-def _fmt_column(values):
-    """Cells of one CSV column: floats with 17 significant digits, anything
-    else (integers, flags) as str."""
-    if values.dtype.kind == "f":
-        return [format(v, ".17g") for v in values.tolist()]
-    return [str(v) for v in values.tolist()]
-
-
 def _write_csv(path, header, columns):
-    """A CSV table from equal-length columns (arrays or sequences)."""
+    """A CSV table from equal-length columns (arrays or sequences): floats
+    with 17 significant digits, anything else (integers, flags) as str.
+    Rows end in \r\n, as csv.writer ends them; no header or cell holds a
+    comma, quote or line break, so none is quoted."""
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0]) if columns else 0
+    row_format = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for start in range(0, rows, CSV_CHUNK_ROWS):
-            chunk = [c[start : start + CSV_CHUNK_ROWS] for c in columns]
-            writer.writerows(zip(*map(_fmt_column, chunk)))
+            chunk = [c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns]
+            cells = tuple(itertools.chain.from_iterable(zip(*chunk)))
+            fh.write(row_format * len(chunk[0]) % cells)
 
 
 def _usage_error(message):

@@ -3,25 +3,27 @@ rectangular grids and a check that the p-harmonic solution h with boundary
 data h = W on the box boundary stays below the superposition W inside.
 
 The discrete energy is sum_cells (|grad_h u|^2 + eps^2)^{p/2} * cell volume
-with a cell-centered (face-averaged) difference gradient G, restricted once
-to the interior unknowns.  Minimization is by damped Newton iteration on the
-(smooth, convex) regularized energy: each step solves with the exact sparse
-Hessian and backtracks on the energy, so accepted steps are non-increasing
-and the minimizer is grid-unique.
+with a cell-centered (face-averaged) difference gradient G: each cell's
+gradient is a fixed combination of the node values at its 2^dim corners.
+Minimization is by damped Newton iteration on the (smooth, convex)
+regularized energy: each step solves with the exact Hessian and backtracks
+on the energy, so accepted steps are non-increasing and the minimizer is
+grid-unique.
 
 Every linear system (the p = 2 start and each Newton step) is symmetric
 positive definite and is solved by a banded Cholesky factorisation.  The
 unknowns are numbered with the interior axis of most nodes varying slowest,
-which keeps the band narrowest on any grid shape.
-"""
+which keeps the band narrowest on any grid shape.  Two corners of a cell
+are a fixed distance apart in that numbering, so the band is assembled
+straight from the per-cell blocks, one slice of one diagonal per pair of
+corners."""
 
 from dataclasses import dataclass
-from functools import reduce
+import itertools
 import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .concave import ConcaveTerm
 from .errors import SolverFailureError, UnsupportedConfigurationError
@@ -128,63 +130,120 @@ def _check_band(shape):
         )
 
 
-def _split_gradient(dom: GridDomain, boundary: np.ndarray):
-    """The stacked cell-centered gradient G (dim blocks of rows, one row per
-    cell; block j differences along axis j and averages midpoints along the
-    others), split into its columns for the interior unknowns, G_I, and the
-    fixed part G_B u_B of the boundary data, shaped (dim, cells).  Also
-    returns the flat node index of each unknown, numbered in the order of
-    ``_unknown_axes``."""
-    blocks = []
-    for axis in range(dom.dim):
-        factors = [
-            sp.diags([-1 / h, 1 / h] if i == axis else [0.5, 0.5], [0, 1], shape=(m - 1, m))
-            for i, (m, h) in enumerate(zip(dom.shape, dom.spacing))
-        ]
-        blocks.append(reduce(lambda a, b: sp.kron(a, b, format="csr"), factors))
-    g = sp.vstack(blocks, format="csc")
-    bmask = dom.boundary_mask().ravel()
-    offset = g @ np.where(bmask, boundary.ravel(), 0.0)
-    nodes = np.arange(bmask.size).reshape(dom.shape).transpose(_unknown_axes(dom.shape)).ravel()
-    unknowns = nodes[~bmask[nodes]]
-    return g[:, unknowns], offset.reshape(dom.dim, -1), unknowns
+class _Stencil:
+    """The cell gradient of a grid as a stencil over the 2^dim corners of
+    each cell, and the layout of the interior unknowns and of the lower
+    band of their Newton systems.
+
+    Corner k of a cell lies ``corners[k]`` (0 or 1 per axis) above the
+    cell's lowest node; ``weights[k, j]`` is its weight in the gradient
+    component j, a difference along axis j averaged over the midpoints
+    along the other axes.
+    """
+
+    def __init__(self, dom: GridDomain):
+        dim = dom.dim
+        self.corners = list(itertools.product((0, 1), repeat=dim))
+        self.weights = np.array([
+            [(1 if c[j] else -1) / h * 0.5 ** (dim - 1) for j, h in enumerate(dom.spacing)]
+            for c in self.corners
+        ])
+        self.cell_shape = tuple(m - 1 for m in dom.shape)
+        self.inner = (slice(1, -1),) * dim
+        self.order = _unknown_axes(dom.shape)
+        self.numbered = tuple(dom.shape[axis] - 2 for axis in self.order)
+        self.count = math.prod(self.numbered)
+        self.half_band = _half_band(dom.shape)
+        # node values at corner k of every cell, and the cells that have
+        # an interior node at corner k, in interior-node order
+        self.node_slices = [tuple(slice(1, None) if ci else slice(None, -1) for ci in c)
+                            for c in self.corners]
+        self.cell_slices = [tuple(slice(None, -1) if ci else slice(1, None) for ci in c)
+                            for c in self.corners]
+        stride = {axis: math.prod(self.numbered[pos + 1:]) for pos, axis in enumerate(self.order)}
+        # corners k and l of a cell couple unknowns ``offset`` apart in the
+        # numbering; each pair with offset >= 0 fills one slice of diagonal
+        # ``offset`` of the lower band, over the cells whose corners k and l
+        # are both interior, at the column of corner l
+        span = {(0, 0): (slice(1, None), slice(None)), (1, 1): (slice(None, -1), slice(None)),
+                (1, 0): (slice(1, -1), slice(None, -1)), (0, 1): (slice(1, -1), slice(1, None))}
+        self.pairs = []
+        for k, ck in enumerate(self.corners):
+            for l, cl in enumerate(self.corners):
+                offset = sum(stride[axis] * (ck[axis] - cl[axis]) for axis in range(dim))
+                if offset >= 0:
+                    cells, cols = zip(*(span[ck[axis], cl[axis]] for axis in range(dim)))
+                    self.pairs.append((k, l, cells, cols + (offset,)))
+        self.dots = self.weights @ self.weights.T
+
+    def scatter(self, u, x):
+        """Write the unknowns x into the interior of the node array u."""
+        u[self.inner].transpose(self.order)[...] = x.reshape(self.numbered)
+
+    def gradient(self, u):
+        """Cell gradients of the node values u, shaped (dim, *cells)."""
+        corners = np.stack([u[s] for s in self.node_slices])
+        return np.tensordot(self.weights, corners, axes=(0, 0))
+
+    def project(self, f):
+        """weights[k] . f per cell for every corner k, shaped (2^dim, *cells)."""
+        return np.tensordot(self.weights, f, axes=(1, 0))
+
+    def divergence(self, f):
+        """G_I^T f for cell vectors f (dim, *cells): the unknowns' entries of
+        the transposed gradient, in their numbering."""
+        t = self.project(f)
+        r = t[0][self.cell_slices[0]].copy()
+        for k in range(1, len(self.corners)):
+            r += t[k][self.cell_slices[k]]
+        return r.transpose(self.order).ravel()
+
+    def band(self, w, s=None, g=None):
+        """Lower band of G_I^T B G_I, where B has the per-cell blocks w I,
+        plus s g g^T if s and the cell vectors g are given.  It is
+        Fortran-ordered, shaped (half_band + 1, unknowns), as LAPACK
+        stores it."""
+        if g is not None:
+            proj = self.project(g)
+            s_proj = s * proj
+        ab = np.zeros((self.count, self.half_band + 1))
+        # the band's diagonals over the interior nodes, indexed along the grid axes
+        diagonals = ab.reshape(*self.numbered, -1).transpose(*np.argsort(self.order), -1)
+        for k, l, cells, at in self.pairs:
+            value = self.dots[k, l] * w[cells]
+            if g is not None:
+                value += s_proj[k][cells] * proj[l][cells]
+            target = diagonals[at]
+            target += value
+        return ab.T
 
 
-def _energy_state(g_i, offset, x, p, cell_vol):
-    """Energy at the unknowns x, its gradient and the per-cell gradient g,
+def _energy_state(st: _Stencil, u, x, p, cell_vol):
+    """Energy at the unknowns x, written into the node array u, its
+    gradient over the unknowns and the per-cell gradient g,
     q = |g|^2 + eps^2 and weight w = q^{(p-2)/2}."""
-    g = (g_i @ x).reshape(offset.shape) + offset
+    st.scatter(u, x)
+    g = st.gradient(u)
     q = np.sum(g**2, axis=0) + REG_EPS**2
     energy = cell_vol * float(np.sum(q ** (p / 2)))
     w = q ** ((p - 2) / 2)
-    grad_e = p * cell_vol * (g_i.T @ (w * g).ravel())
+    grad_e = p * cell_vol * st.divergence(w * g)
     return energy, grad_e, (g, q, w)
 
 
-def _hessian(g_i, state, p, cell_vol):
-    """Exact sparse Hessian G_I^T B G_I of the regularized energy, with B
-    scattered from the per-cell blocks w I + (p-2) q^{(p-4)/2} g g^T;
+def _hessian(st: _Stencil, state, p, cell_vol):
+    """Lower band of the exact Hessian G_I^T B G_I of the regularized
+    energy, B the per-cell blocks p vol (w I + (p-2) q^{(p-4)/2} g g^T);
     positive definite for p >= 2."""
     g, q, w = state
-    dim, cells = g.shape
-    blocks = (p - 2) * q ** ((p - 4) / 2) * g[:, None] * g[None, :]
-    blocks[range(dim), range(dim)] += w
-    index = np.arange(dim * cells).reshape(dim, cells)
-    rows, cols = np.broadcast_arrays(index[:, None], index[None, :])
-    b = sp.csr_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(dim * cells,) * 2
-    )
-    return (g_i.T @ b @ g_i) * (p * cell_vol)
+    scale = p * cell_vol
+    return st.band(scale * w, scale * (p - 2) * q ** ((p - 4) / 2), g)
 
 
-def _band_solve(a, rhs, half_band, residual):
-    """Solve a x = rhs for a symmetric positive definite sparse a by a
-    Cholesky factorisation of its lower band.  A leading minor that is not
-    positive raises SolverFailureError carrying ``residual``."""
-    a = a.tocoo()
-    lower = a.row >= a.col
-    ab = np.zeros((half_band + 1, a.shape[0]), order="F")
-    ab[a.row[lower] - a.col[lower], a.col[lower]] = a.data[lower]
+def _band_solve(ab, rhs, residual):
+    """Solve a x = rhs for a symmetric positive definite a given by its
+    lower band ab by a Cholesky factorisation.  A leading minor that is
+    not positive raises SolverFailureError carrying ``residual``."""
     try:
         return scipy.linalg.solveh_banded(
             ab, rhs, overwrite_ab=True, lower=True, check_finite=False
@@ -215,22 +274,24 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> GridFun
         raise ValueError("boundary values must be finite")
 
     cell_vol = float(np.prod(dom.spacing))
-    g_i, offset, unknowns = _split_gradient(dom, boundary)
-    half_band = _half_band(dom.shape)
+    st = _Stencil(dom)
+    u = boundary.copy()
 
-    # initial guess: the unweighted (p = 2) discrete-harmonic extension
-    rhs = -(g_i.T @ offset.ravel())
-    x = _band_solve(g_i.T @ g_i, rhs, half_band, residual=float(np.abs(rhs).max()))
-    energy, grad_e, state = _energy_state(g_i, offset, x, p, cell_vol)
+    # initial guess: the unweighted (p = 2) discrete-harmonic extension,
+    # G_I^T G_I x = -G_I^T G_B u_B
+    u[st.inner] = 0.0
+    rhs = -st.divergence(st.gradient(u))
+    x = _band_solve(st.band(np.ones(st.cell_shape)), rhs, residual=float(np.abs(rhs).max()))
+    energy, grad_e, state = _energy_state(st, u, x, p, cell_vol)
     residual = float(np.abs(grad_e).max())
     for _ in range(MAX_NEWTON_ITER):
         if residual <= NEWTON_TOL:
             break
-        direction = _band_solve(_hessian(g_i, state, p, cell_vol), -grad_e, half_band, residual)
+        direction = _band_solve(_hessian(st, state, p, cell_vol), -grad_e, residual)
         step = 1.0
         while step > 2.0**-40:
             x_trial = x + step * direction
-            trial = _energy_state(g_i, offset, x_trial, p, cell_vol)
+            trial = _energy_state(st, u, x_trial, p, cell_vol)
             if trial[0] <= energy * (1 + 1e-15) + 1e-300:
                 x, (energy, grad_e, state) = x_trial, trial
                 break
@@ -246,8 +307,7 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> GridFun
             f"(residual {residual:.3e})",
             residual=residual,
         )
-    u = boundary.copy()
-    u.flat[unknowns] = x
+    st.scatter(u, x)
     return GridFunction(domain=dom, values=u)
 
 

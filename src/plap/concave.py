@@ -59,7 +59,7 @@ class ZeroTerm(ConcaveTerm):
 
 def _is_negative_semidefinite(a: np.ndarray) -> bool:
     lam = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
+    scale = max(1.0, float(np.abs(lam).max()))  # the 2-norm of the symmetric a
     return bool(lam[-1] <= NSD_TOL * scale)
 
 
@@ -81,7 +81,7 @@ class QuadraticTerm(ConcaveTerm):
         a = np.asarray(self.a_matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A must be a square matrix")
-        if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        if not np.abs(a - a.T).max() <= 1e-12 * max(1.0, np.abs(a).max()):
             raise ValueError("A must be symmetric")
         a = 0.5 * (a + a.T)
         b = np.zeros(a.shape[0]) if self.b is None else np.asarray(self.b, dtype=float)
@@ -241,7 +241,7 @@ def eigenvalue_criterion(hess, p: float) -> bool:
     h = np.asarray(hess, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("H must be square")
-    if not np.allclose(h, h.T, rtol=0, atol=1e-10 * max(1.0, np.abs(h).max())):
+    if not np.abs(h - h.T).max() <= 1e-10 * max(1.0, np.abs(h).max()):
         raise ValueError("H must be symmetric")
     lam = np.linalg.eigvalsh(h)
     return bool(lam[:-1].sum() + (p - 1) * lam[-1] <= CRITERION_SLACK)

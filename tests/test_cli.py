@@ -135,6 +135,34 @@ def test_compare_csv_matches_a_row_by_row_reference(tmp_path):
     assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 
+def test_csv_matches_csv_writer_on_every_kind_of_cell(tmp_path, monkeypatch):
+    """inf, nan and -0.0 floats, integers (beyond int64 too), booleans and
+    flag strings, over several chunks: the bytes csv.writer writes from the
+    cells formatted one at a time."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+    header = ["f", "i", "big", "b", "flag"]
+    columns = [
+        np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1 / 3, -1e300, 5e-324, 2.5, 7.0]),
+        np.arange(-5, 5),
+        np.array([2**70 + i for i in range(10)], dtype=object),
+        np.arange(10) % 2 == 0,
+        np.where(np.arange(10) % 3 == 0, "near-pole", ""),
+    ]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(
+            [format(v, ".17g") if c.dtype.kind == "f" else str(v) for v in c.tolist()]
+            for c in columns
+        )))
+    out = tmp_path / "o.csv"
+    cli._write_csv(out, header, columns)
+    assert out.read_bytes() == ref.read_bytes()
+    cli._write_csv(out, header, [c[:0] for c in columns])
+    assert out.read_bytes() == b"f,i,big,b,flag\r\n"
+
+
 def main_exits_2_with_one_error_line(capsys, command, path, out_dir):
     args = [command, "--config", str(path), "--out", str(out_dir / "o.csv")]
     if command == "compare":
@@ -396,6 +424,12 @@ def test_evolution_sweep_homogeneous(tmp_path):
     assert res.returncode == 0, res.stderr
     rows = read_csv(out)
     assert len(rows) == 11
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    code = "import sys, plap.cli; sys.exit('scipy.sparse' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_log_env_smoke(tmp_path):

@@ -1,8 +1,13 @@
 """Discrete p-harmonic solver oracles and the comparison harness."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from plap import (
     GridDomain,
@@ -16,12 +21,13 @@ from plap import (
 )
 from plap import comparison
 from plap.comparison import (
+    _Stencil,
     _band_solve,
     _check_band,
     _energy_state,
     _half_band,
     _hessian,
-    _split_gradient,
+    _unknown_axes,
 )
 from plap.errors import SolverFailureError, UnsupportedConfigurationError
 from plap.verify import verify_comparison
@@ -106,20 +112,106 @@ def test_3d_affine(square_65):
     assert np.abs(sol.values - affine).max() <= 1e-8
 
 
+def sparse_gradient(dom, boundary):
+    """Reference for the stencil: the stacked cell-centered gradient G as a
+    sparse matrix (dim blocks of rows, one row per cell; block j differences
+    along axis j and averages midpoints along the others), split into its
+    columns for the interior unknowns, G_I, in their numbering, and the
+    fixed part G_B u_B of the boundary data, shaped (dim, cells)."""
+    blocks = []
+    for axis in range(dom.dim):
+        factors = [
+            sp.diags([-1 / h, 1 / h] if i == axis else [0.5, 0.5], [0, 1], shape=(m - 1, m))
+            for i, (m, h) in enumerate(zip(dom.shape, dom.spacing))
+        ]
+        blocks.append(functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors))
+    g = sp.vstack(blocks, format="csc")
+    bmask = dom.boundary_mask().ravel()
+    offset = g @ np.where(bmask, boundary.ravel(), 0.0)
+    nodes = np.arange(bmask.size).reshape(dom.shape).transpose(_unknown_axes(dom.shape)).ravel()
+    unknowns = nodes[~bmask[nodes]]
+    return g[:, unknowns], offset.reshape(dom.dim, -1), unknowns
+
+
+def sparse_energy_state(g_i, offset, x, p, cell_vol):
+    g = (g_i @ x).reshape(offset.shape) + offset
+    q = np.sum(g**2, axis=0) + comparison.REG_EPS**2
+    w = q ** ((p - 2) / 2)
+    grad_e = p * cell_vol * (g_i.T @ (w * g).ravel())
+    return cell_vol * float(np.sum(q ** (p / 2))), grad_e, (g, q, w)
+
+
+def sparse_hessian(g_i, state, p, cell_vol):
+    """G_I^T B G_I with B scattered from the per-cell blocks."""
+    g, q, w = state
+    dim, cells = g.shape
+    blocks = (p - 2) * q ** ((p - 4) / 2) * g[:, None] * g[None, :]
+    blocks[range(dim), range(dim)] += w
+    index = np.arange(dim * cells).reshape(dim, cells)
+    rows, cols = np.broadcast_arrays(index[:, None], index[None, :])
+    b = sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(dim * cells,) * 2)
+    return (g_i.T @ b @ g_i) * (p * cell_vol)
+
+
+def lower_band(a, half_band):
+    a = a.tocoo()
+    lower = a.row >= a.col
+    ab = np.zeros((half_band + 1, a.shape[0]), order="F")
+    ab[a.row[lower] - a.col[lower], a.col[lower]] = a.data[lower]
+    return ab
+
+
+def dense(ab):
+    """The symmetric matrix whose lower band is ab."""
+    a = np.zeros((ab.shape[1],) * 2)
+    for k, diagonal in enumerate(ab):
+        i = np.arange(ab.shape[1] - k)
+        a[i + k, i] = a[i, i + k] = diagonal[: i.size]
+    return a
+
+
+def stencil_state(dom, boundary, x, p):
+    """The stencil, the energy state at the unknowns x and its Newton band."""
+    st = _Stencil(dom)
+    cell_vol = float(np.prod(dom.spacing))
+    energy, grad_e, state = _energy_state(st, boundary.copy(), x, p, cell_vol)
+    return st, energy, grad_e, _hessian(st, state, p, cell_vol)
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (65, 65), (33, 9), (9, 13, 21), (17, 17, 17)])
+@pytest.mark.parametrize("p", [2.5, 4.0])
+def test_band_matches_the_sparse_reference(shape, p):
+    rng = np.random.default_rng(7)
+    dom = GridDomain(bounds=[(-1, 1), (-0.5, 1.5), (0, 3)][: len(shape)], shape=shape)
+    boundary = rng.standard_normal(shape)
+    cell_vol = float(np.prod(dom.spacing))
+    g_i, offset, _ = sparse_gradient(dom, boundary)
+    x = rng.standard_normal(g_i.shape[1])
+    st, energy, grad_e, band = stencil_state(dom, boundary, x, p)
+    ref_energy, ref_grad, ref_state = sparse_energy_state(g_i, offset, x, p, cell_vol)
+    half_band = _half_band(shape)
+    assert band.shape == (half_band + 1, g_i.shape[1]) and band.flags.f_contiguous
+    ref_band = lower_band(sparse_hessian(g_i, ref_state, p, cell_vol), half_band)
+    assert np.abs(band - ref_band).max() <= 1e-15 * np.abs(ref_band).max()
+    start, ref_start = st.band(np.ones(st.cell_shape)), lower_band(g_i.T @ g_i, half_band)
+    assert np.abs(start - ref_start).max() <= 1e-15 * np.abs(ref_start).max()
+    assert energy == pytest.approx(ref_energy, rel=1e-15)
+    assert np.abs(grad_e - ref_grad).max() <= 1e-15 * np.abs(ref_grad).max()
+
+
 @pytest.mark.parametrize("shape", [(9, 9), (9, 9, 9)])
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
 def test_hessian_matches_central_differences(shape, p):
     rng = np.random.default_rng(5)
     dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
-    cell_vol = float(np.prod(dom.spacing))
-    g_i, offset, _ = _split_gradient(dom, rng.standard_normal(shape))
-    x = rng.standard_normal(g_i.shape[1])
+    boundary = rng.standard_normal(shape)
+    x = rng.standard_normal(math.prod(m - 2 for m in shape))
+    st, cell_vol = _Stencil(dom), float(np.prod(dom.spacing))
 
     def gradient(z):
-        return _energy_state(g_i, offset, z, p, cell_vol)[1]
+        return _energy_state(st, boundary.copy(), z, p, cell_vol)[1]
 
-    state = _energy_state(g_i, offset, x, p, cell_vol)[2]
-    hess = _hessian(g_i, state, p, cell_vol).toarray()
+    hess = dense(stencil_state(dom, boundary, x, p)[3])
     step = 1e-6
     fd = np.empty_like(hess)
     for j, e in enumerate(step * np.eye(x.size)):
@@ -143,18 +235,61 @@ def smooth_data(dom):
 @pytest.mark.parametrize("shape,p", FIXED_PROBLEMS)
 def test_band_solve_matches_superlu(shape, p):
     """The p = 2 start system and the first Newton system of each fixed
-    problem, solved by the banded Cholesky and by SuperLU."""
+    problem, solved by the banded Cholesky of the stencil's bands and by
+    SuperLU on the sparse reference matrices."""
     dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
+    data = smooth_data(dom)
     cell_vol = float(np.prod(dom.spacing))
-    g_i, offset, _ = _split_gradient(dom, smooth_data(dom))
-    half_band = _half_band(shape)
+    g_i, offset, _ = sparse_gradient(dom, data)
     start = g_i.T @ g_i
     rhs = -(g_i.T @ offset.ravel())
-    _, grad_e, state = _energy_state(g_i, offset, spla.spsolve(start.tocsc(), rhs), p, cell_vol)
-    for a, b in ((start, rhs), (_hessian(g_i, state, p, cell_vol), -grad_e)):
+    x0 = spla.spsolve(start.tocsc(), rhs)
+    st, _, grad_e, band = stencil_state(dom, data, x0, p)
+    ref_state = sparse_energy_state(g_i, offset, x0, p, cell_vol)[2]
+    systems = ((start, st.band(np.ones(st.cell_shape)), rhs),
+               (sparse_hessian(g_i, ref_state, p, cell_vol), band, -grad_e))
+    for a, ab, b in systems:
         reference = spla.spsolve(a.tocsc(), b)
-        x = _band_solve(a, b, half_band, residual=0.0)
+        x = _band_solve(ab, b, residual=0.0)
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def sparse_reference_solve(dom, boundary, p):
+    """solve_p_harmonic's damped Newton iteration on the sparse reference
+    operators; returns the node values and the number of Newton steps."""
+    cell_vol = float(np.prod(dom.spacing))
+    g_i, offset, unknowns = sparse_gradient(dom, boundary)
+    half_band = _half_band(dom.shape)
+    rhs = -(g_i.T @ offset.ravel())
+    x = solveh_banded(lower_band(g_i.T @ g_i, half_band), rhs, lower=True)
+    energy, grad_e, state = sparse_energy_state(g_i, offset, x, p, cell_vol)
+    steps = 0
+    while np.abs(grad_e).max() > comparison.NEWTON_TOL:
+        ab = lower_band(sparse_hessian(g_i, state, p, cell_vol), half_band)
+        direction = solveh_banded(ab, -grad_e, lower=True)
+        steps += 1
+        step = 1.0
+        while True:
+            trial = sparse_energy_state(g_i, offset, x + step * direction, p, cell_vol)
+            if trial[0] <= energy * (1 + 1e-15) + 1e-300:
+                x, (energy, grad_e, state) = x + step * direction, trial
+                break
+            step *= 0.5
+    u = boundary.copy()
+    u.flat[unknowns] = x
+    return u, steps
+
+
+@pytest.mark.parametrize("shape,p", FIXED_PROBLEMS)
+def test_fixed_problems_match_the_sparse_reference_solver(monkeypatch, shape, p):
+    dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
+    data = smooth_data(dom)
+    steps = []
+    monkeypatch.setattr(comparison, "_hessian", lambda *args: steps.append(1) or _hessian(*args))
+    sol = solve_p_harmonic(dom, data, p).values
+    reference, ref_steps = sparse_reference_solve(dom, data, p)
+    assert np.abs(sol - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert len(steps) == ref_steps
 
 
 @pytest.mark.parametrize("shape,half_band", [
@@ -164,9 +299,11 @@ def test_band_solve_matches_superlu(shape, p):
 def test_half_band_is_the_assembled_band_with_the_longest_axis_outermost(shape, half_band):
     # in the natural order (9, 65) would have a half-band of 64 and (9, 9, 65) of 505
     dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
-    g_i, _, _ = _split_gradient(dom, np.zeros(shape))
+    g_i, _, _ = sparse_gradient(dom, np.zeros(shape))
     a = (g_i.T @ g_i).tocoo()
     assert _half_band(shape) == (a.row - a.col).max() == half_band
+    st = _Stencil(dom)
+    assert np.any(st.band(np.ones(st.cell_shape))[-1] != 0.0)
 
 
 @pytest.mark.parametrize("shape,axes", [((9, 33), (1, 0)), ((9, 9, 33), (2, 1, 0))])

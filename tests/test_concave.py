@@ -1,6 +1,7 @@
 """Concave terms, mollification, and the eigenvalue sufficient condition."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from plap import (
     operator_term,
     superposition_grid,
 )
+from plap import comparison, concave, superpose, verify
 from plap.concave import MOLLIFIER_BLOCK, ConcaveTerm, _mollifier_grid, criterion_sum
 from plap.errors import KinkError
 
@@ -304,3 +306,60 @@ def test_superposition_grid_calls_the_mollified_base_per_block():
     superposition_grid(ps, MollifiedTerm(base, 0.2), dom)
     nodes, q = 65 * 65, len(_mollifier_grid(2)[1])
     assert base.value_calls <= math.ceil(nodes * q / MOLLIFIER_BLOCK)
+
+
+def test_symmetry_nsd_and_criterion_decisions_on_verify_draws_match_allclose_and_the_svd_norm(
+        monkeypatch):
+    """Every matrix the concave and comparison suites hand to QuadraticTerm
+    or eigenvalue_criterion over seeds 0-199 is decided as np.allclose at
+    rtol 0 (symmetry) and the SVD 2-norm (the NSD scale) decided it.  Work
+    that draws no random numbers (Delta_p, operator terms, pole sets, grid
+    solves) is stubbed, so the draws are verify's own."""
+    quadratic, criterion = [], []
+    post_init, decide = concave.QuadraticTerm.__post_init__, concave.eigenvalue_criterion
+
+    def record_quadratic(self):
+        a = np.asarray(self.a_matrix, dtype=float)
+        post_init(self)
+        quadratic.append((a, self.concave))
+
+    def record_criterion(h, p):
+        criterion.append((np.asarray(h, dtype=float), p, decide(h, p)))
+        return criterion[-1][2]
+
+    monkeypatch.setattr(concave.QuadraticTerm, "__post_init__", record_quadratic)
+    monkeypatch.setattr(concave, "eigenvalue_criterion", record_criterion)
+    monkeypatch.setattr(concave, "operator_term", lambda *args: 0.0)
+    monkeypatch.setattr(superpose, "delta_p_direct", lambda ps, k, x: np.zeros(len(x)))
+    monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(
+        params=params, locations=y))
+    monkeypatch.setattr(comparison, "solve_p_harmonic",
+                        lambda dom, data, p: comparison.GridFunction(dom, data))
+    monkeypatch.setattr(comparison, "comparison_check",
+                        lambda *args, **kwargs: SimpleNamespace(min_gap=0.0))
+    for seed in range(200):
+        verify.verify_concave(seed)
+        verify.verify_comparison(seed)
+
+    def by_size(records):
+        """Stacks of the recorded matrices and their other fields, one per size."""
+        for n in sorted({r[0].shape[0] for r in records}):
+            group = [r for r in records if r[0].shape[0] == n]
+            yield (np.array(field) for field in zip(*group))
+
+    def symmetric(a, rel):
+        # np.allclose(a, a.T, rtol=0, atol=rel * max(1, max |a|)) for each matrix of a stack
+        atol = rel * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        return np.isclose(a, a.swapaxes(1, 2), rtol=0, atol=atol[:, None, None]).all(axis=(1, 2))
+
+    assert len(quadratic) > 200 * 10 and len(criterion) == 200 * 2 * verify.TRIALS
+    for a, nsd in by_size(quadratic):
+        sym = 0.5 * (a + a.swapaxes(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(sym, 2, axis=(1, 2)))
+        assert symmetric(a, 1e-12).all()
+        assert np.array_equal(nsd, np.linalg.eigvalsh(sym)[:, -1] <= concave.NSD_TOL * scale)
+    for h, p, decision in by_size(criterion):
+        lam = np.linalg.eigvalsh(h)
+        assert symmetric(h, 1e-10).all()
+        assert np.array_equal(
+            decision, lam[:, :-1].sum(axis=1) + (p - 1) * lam[:, -1] <= concave.CRITERION_SLACK)
