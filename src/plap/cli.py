@@ -284,39 +284,32 @@ def cmd_evolution_sweep(args):
         _usage_error(f"error: a {kernel.kind} sweep needs {' and '.join(missing)}")
     sweep = cfg[needs[1]]
     _check_rows(float(sweep["count"]), "sweep")
-    rows = []
     if kernel.kind == evolution.BARENBLATT:
         t = float(cfg["t"])
         a = float(cfg.get("a", 2.0))
         radii = np.linspace(sweep["min"], sweep["max"], int(sweep["count"]))
-        support = evolution.support_radius(kernel, t)
-        edge = [float(r) for r in radii if evolution.near_support_edge(kernel, r, t)]
-        if edge:
+        edge = radii[evolution.near_support_edge(kernel, radii, t)]
+        if edge.size:
             _usage_error(
-                f"error: radius {edge[0]!r} is at the edge of the support radius "
-                f"{support!r}, where the time derivative is undefined"
+                f"error: radius {float(edge[0])!r} is at the edge of the support radius "
+                f"{evolution.support_radius(kernel, t)!r}, where the time derivative is undefined"
             )
-        for r in radii:
-            x = np.zeros(params.n)
-            x[0] = r
-            if r >= support:
-                rows.append([float(r), 0.0, 0.0, 0])
-                continue
-            bt = evolution.kernel_time_derivative(kernel, x, t)
-            defect = evolution.barenblatt_defect(kernel, a, x, t)
-            rows.append([float(r), bt, defect, int(np.sign(defect))])
-        _write_csv(args.out, ["radius", "kernel_time_derivative", "defect", "defect_sign"],
-                   zip(*rows))
+        x = np.zeros((radii.size, params.n))
+        x[:, 0] = radii
+        header, column = "radius", radii
+        derivative = evolution.kernel_time_derivative(kernel, x, t)
+        defect = evolution.barenblatt_defect(kernel, a, x, t)
     else:
         y = np.asarray(cfg["y"], dtype=float)
+        if y.shape != (params.n,):
+            _usage_error(f"error: the bump offset y has {y.size} coordinates, but n = {params.n}")
         if not np.any(y):
             _usage_error("error: the bump offset y must be nonzero")
-        times = np.geomspace(sweep["min"], sweep["max"], int(sweep["count"]))
-        for t in times:
-            wt = evolution.kernel_time_derivative(kernel, y, float(t))
-            defect = evolution.two_bump_defect(kernel, y, float(t))
-            rows.append([float(t), wt, defect, int(np.sign(defect))])
-        _write_csv(args.out, ["t", "kernel_time_derivative", "defect", "defect_sign"], zip(*rows))
+        header, column = "t", np.geomspace(sweep["min"], sweep["max"], int(sweep["count"]))
+        derivative = evolution.kernel_time_derivative(kernel, y, column)
+        defect = evolution.two_bump_defect(kernel, y, column)
+    _write_csv(args.out, [header, "kernel_time_derivative", "defect", "defect_sign"],
+               [column, derivative, defect, np.sign(defect).astype(int)])
     return EXIT_OK
 
 

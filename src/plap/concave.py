@@ -243,8 +243,7 @@ def eigenvalue_criterion(hess, p: float) -> bool:
         raise ValueError("H must be square")
     if not np.abs(h - h.T).max() <= 1e-10 * max(1.0, np.abs(h).max()):
         raise ValueError("H must be symmetric")
-    lam = np.linalg.eigvalsh(h)
-    return bool(lam[:-1].sum() + (p - 1) * lam[-1] <= CRITERION_SLACK)
+    return criterion_sum(h, p) <= CRITERION_SLACK
 
 
 def criterion_sum(hess, p: float) -> float:

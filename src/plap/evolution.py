@@ -8,13 +8,18 @@ Notation (p > 2 throughout):
   B(x,t) = t^{-n b} (C - ((p-2)/p) b^{1/(p-1)} (|x|/t^b)^{p/(p-1)})_+^{(p-1)/(p-2)},
            b = 1/(n(p-2)+p),
   W(x,t) = c t^{-n/(p(p-1))} exp(-((p-1)/p)(1/p)^{1/(p-1)} (|x|/t^{1/p})^{p/(p-1)}).
+
+Every kernel function takes points x of shape (..., n) and a time t that
+broadcasts against their leading shape, and returns one row per point: a
+float (or an (n,) gradient) for a single point and t.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, fd_divergence
+from .core import Params, _scalar, fd_divergence
 from .errors import UndefinedOperatorError
 
 BARENBLATT = "barenblatt"
@@ -54,162 +59,143 @@ class EvolutionKernel:
         return 1.0 / (n * (p - 2) + p)
 
 
-def _barenblatt_inner(k: EvolutionKernel, r: float, t: float):
-    """C - ((p-2)/p) beta^{1/(p-1)} (r/t^beta)^{p/(p-1)} and the scaled radius."""
+def _similarity(k: EvolutionKernel):
+    """(g, coeff): both kernels depend on |x| through coeff s^{p/(p-1)}
+    with the scaled radius s = |x| / t^g; g is beta for B and 1/p for W."""
     p = k.params.p
-    beta = k.beta
-    s = r / t**beta
-    coeff = (p - 2) / p * beta ** (1.0 / (p - 1))
-    return k.big_c - coeff * s ** (p / (p - 1)), s
+    if k.kind == BARENBLATT:
+        return k.beta, (p - 2) / p * k.beta ** (1.0 / (p - 1))
+    return 1.0 / p, (p - 1) / p * (1.0 / p) ** (1.0 / (p - 1))
 
 
-def support_radius(k: EvolutionKernel, t: float) -> float:
+def _profile(k: EvolutionKernel, x, t):
+    """|x|, B or W, d/dr and d/dt at points x of shape (..., n) and times t
+    that broadcast against their leading shape: four arrays of the
+    broadcast shape.
+
+    This is the only code that evaluates either kernel, and the only place
+    where the Barenblatt truncation gives 0 outside the support.  It works
+    on flat arrays whatever the shape: numpy's scalar ** rounds differently
+    from its array **, so a single point and the same row of a batch give
+    the same bits only that way.
+    """
+    p, n = k.params.p, k.params.n
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != n:
+        raise ValueError(f"points have shape {x.shape}, expected (..., {n})")
+    t = np.asarray(t, dtype=float)
+    _require_time(t)
+    # |x| rounded as np.linalg.norm rounds a single vector, in every row
+    r, t = np.broadcast_arrays(np.sqrt(np.vecdot(x, x)), t)
+    shape = r.shape
+    r, t = r.ravel(), t.ravel()
+    g, coeff = _similarity(k)
+    tg = t**g
+    s = r / tg
+    q = s ** (p / (p - 1))
+    if k.kind == BARENBLATT:
+        inner = np.maximum(k.big_c - coeff * q, 0.0)
+        m = (p - 1) / (p - 2)
+        lead = t ** (-n * g) * inner ** (m - 1)
+        value = lead * inner
+        # dq/dt = -g p/(p-1) q / t
+        dt = lead / t * (-n * g * inner + g * m * coeff * p / (p - 1) * q)
+        # d/dr inner = -coeff p/(p-1) s^{1/(p-1)} / t^g
+        dr = lead * m * (-coeff * p / (p - 1) * s ** (1.0 / (p - 1)) / tg)
+    else:
+        value = k.small_c * t ** (-n / (p * (p - 1))) * np.exp(-coeff * q)
+        dt = value / t * (-n / (p * (p - 1)) + coeff / (p - 1) * q)
+        dr = -value * coeff * p / (p - 1) * s ** (1.0 / (p - 1)) / tg
+    return [v.reshape(shape) for v in (r, value, dr, dt)]
+
+
+def support_radius(k: EvolutionKernel, t):
     """Radius where the Barenblatt truncation first hits zero."""
     _require_time(t)
     if k.kind != BARENBLATT:
         raise ValueError("support radius is only meaningful for the Barenblatt kernel")
     p = k.params.p
-    beta = k.beta
-    coeff = (p - 2) / p * beta ** (1.0 / (p - 1))
+    beta, coeff = _similarity(k)
     return (k.big_c / coeff) ** ((p - 1) / p) * t**beta
 
 
-def near_support_edge(k: EvolutionKernel, r: float, t: float) -> bool:
+def near_support_edge(k: EvolutionKernel, r, t):
     """Whether radius r lies within EDGE_MARGIN_STEPS relative time steps,
     scaled by 1 + rs, of the Barenblatt support radius rs: the margin in
-    which B is treated as not differentiable in t."""
+    which B is treated as not differentiable in t.  Elementwise for
+    arrays r and t."""
     rs = support_radius(k, t)
     return abs(r - rs) < EDGE_MARGIN_STEPS * TIME_FD_REL_STEP * (1.0 + rs)
 
 
-def _require_time(t: float):
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
+def _require_time(t):
+    low = np.asarray(t, dtype=float).min(initial=math.inf)
+    if not low > 0:
+        raise ValueError(f"time must be positive, got {low}")
 
 
-def kernel_value(k: EvolutionKernel, x, t: float) -> float:
+def kernel_value(k: EvolutionKernel, x, t):
     """B(x,t) or W(x,t)."""
-    _require_time(t)
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    p, n = k.params.p, k.params.n
-    if k.kind == BARENBLATT:
-        inner, _ = _barenblatt_inner(k, r, t)
-        if inner <= 0.0:
-            return 0.0
-        return t ** (-n * k.beta) * inner ** ((p - 1) / (p - 2))
-    rho = r / t ** (1.0 / p)
-    expo = (p - 1) / p * (1.0 / p) ** (1.0 / (p - 1)) * rho ** (p / (p - 1))
-    return k.small_c * t ** (-n / (p * (p - 1))) * np.exp(-expo)
+    return _scalar(_profile(k, x, t)[1])
 
 
-def kernel_time_derivative(k: EvolutionKernel, x, t: float) -> float:
+def kernel_time_derivative(k: EvolutionKernel, x, t):
     """Analytic d/dt of the kernel at fixed x.
 
-    For the Barenblatt kernel x must lie outside the margin of
+    For the Barenblatt kernel no point may lie in the margin of
     ``near_support_edge``: at the free boundary the kernel is not
     differentiable in t.
     """
-    _require_time(t)
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    p, n = k.params.p, k.params.n
-    if k.kind == BARENBLATT:
-        beta = k.beta
-        if near_support_edge(k, r, t):
-            raise UndefinedOperatorError("time derivative undefined at the support boundary")
-        inner, s = _barenblatt_inner(k, r, t)
-        if inner <= 0.0:
-            return 0.0
-        m = (p - 1) / (p - 2)
-        coeff = (p - 2) / p * beta ** (1.0 / (p - 1))
-        q = s ** (p / (p - 1))
-        # d/dt [t^{-n beta} inner^m]; dq/dt = -beta p/(p-1) q / t
-        return (
-            t ** (-n * beta - 1)
-            * inner ** (m - 1)
-            * (-n * beta * inner + beta * m * coeff * p / (p - 1) * q)
-        )
-    rho = r / t ** (1.0 / p)
-    kappa = (p - 1) / p * (1.0 / p) ** (1.0 / (p - 1))
-    w = kernel_value(k, x, t)
-    return w / t * (-n / (p * (p - 1)) + kappa / (p - 1) * rho ** (p / (p - 1)))
+    r, _, _, dt = _profile(k, x, t)
+    if k.kind == BARENBLATT and np.any(near_support_edge(k, r, t)):
+        raise UndefinedOperatorError("time derivative undefined at the support boundary")
+    return _scalar(dt)
 
 
-def kernel_spatial_gradient(k: EvolutionKernel, x, t: float) -> np.ndarray:
-    """Analytic spatial gradient; radial, vanishing at the origin."""
-    _require_time(t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return np.zeros_like(x)
-    p, n = k.params.p, k.params.n
-    if k.kind == BARENBLATT:
-        inner, s = _barenblatt_inner(k, r, t)
-        if inner <= 0.0:
-            return np.zeros_like(x)
-        m = (p - 1) / (p - 2)
-        coeff = (p - 2) / p * k.beta ** (1.0 / (p - 1))
-        # d/dr inner = -coeff p/(p-1) s^{1/(p-1)} / t^beta
-        dv = (
-            t ** (-n * k.beta)
-            * m
-            * inner ** (m - 1)
-            * (-coeff * p / (p - 1) * s ** (1.0 / (p - 1)) / t**k.beta)
-        )
-        return dv * x / r
-    kappa = (p - 1) / p * (1.0 / p) ** (1.0 / (p - 1))
-    rho = r / t ** (1.0 / p)
-    w = kernel_value(k, x, t)
-    dv = -w * kappa * p / (p - 1) * rho ** (1.0 / (p - 1)) / t ** (1.0 / p)
-    return dv * x / r
+def kernel_spatial_gradient(k: EvolutionKernel, x, t):
+    """Analytic spatial gradient, shape (..., n): radial, and zero at the
+    origin."""
+    r, _, dr, _ = _profile(k, x, t)
+    r = r[..., None]
+    dv = dr[..., None] * np.asarray(x, dtype=float)
+    return np.divide(dv, r, out=np.zeros_like(dv), where=r > 0)
 
 
-def barenblatt_defect(k: EvolutionKernel, a: float, x, t: float) -> float:
+def barenblatt_defect(k: EvolutionKernel, a: float, x, t):
     """Defect of the scaled Barenblatt solution:
     Delta_p(a B) - (a B)_t = (a^{p-1} - a) B_t.  Identically zero for a = 1."""
     if k.kind != BARENBLATT:
         raise ValueError("defect identity applies to the Barenblatt kernel")
     if not a > 0:
         raise ValueError("scale factor a must be positive")
-    p = k.params.p
     if a == 1.0:
-        return 0.0
-    return (a ** (p - 1) - a) * kernel_time_derivative(k, x, t)
+        return 0.0 * kernel_value(k, x, t)  # zeros of the batch's shape
+    # + 0.0 turns the -0.0 of a zero B_t times a < 1 into 0.0
+    return (a ** (k.params.p - 1) - a) * kernel_time_derivative(k, x, t) + 0.0
 
 
-def _flux(grad_fn, p):
-    """The flux |g|^{p-2} g of a pointwise gradient, row by row.  With
-    p > 2 a vanishing gradient carries zero flux."""
-
-    def flux(points):
-        g = np.array([grad_fn(z) for z in points])
-        return np.linalg.norm(g, axis=1, keepdims=True) ** (p - 2) * g
-
-    return flux
+def _flux(g, p):
+    """The flux |g|^{p-2} g of gradients g of shape (..., n).  With p > 2 a
+    vanishing gradient carries zero flux."""
+    return np.linalg.norm(g, axis=-1, keepdims=True) ** (p - 2) * g
 
 
-def barenblatt_defect_fd(
-    k: EvolutionKernel,
-    a: float,
-    x,
-    t: float,
-) -> float:
+def barenblatt_defect_fd(k: EvolutionKernel, a: float, x, t):
     """Left side of the defect identity assembled numerically:
     spatial Delta_p(a B) via a divergence-of-flux stencil minus a central
     time difference of a B.  Keep x away from origin and free boundary."""
     if k.kind != BARENBLATT:
         raise ValueError("defect identity applies to the Barenblatt kernel")
-    p = k.params.p
-
-    def grad_fn(z):
-        return a * kernel_spatial_gradient(k, z, t)
-
-    lap = fd_divergence(_flux(grad_fn, p), x, SPACE_FD_STEP)
+    stencil_t = np.expand_dims(t, -1)  # against the (..., 2n) stencil points
+    lap = fd_divergence(
+        lambda z: _flux(a * kernel_spatial_gradient(k, z, stencil_t), k.params.p), x, SPACE_FD_STEP
+    )
     dt = TIME_FD_REL_STEP * t
     bt = (a * kernel_value(k, x, t + dt) - a * kernel_value(k, x, t - dt)) / (2 * dt)
     return lap - bt
 
 
-def sign_change_radius(k: EvolutionKernel, t: float) -> float:
+def sign_change_radius(k: EvolutionKernel, t):
     """Radius where B_t (and hence the scaled-Barenblatt defect) changes
     sign: (C p n)^{(p-1)/p} beta^{(p-2)/p} t^beta.
 
@@ -223,21 +209,21 @@ def sign_change_radius(k: EvolutionKernel, t: float) -> float:
     return (k.big_c * p * n) ** ((p - 1) / p) * k.beta ** ((p - 2) / p) * t**k.beta
 
 
-def two_bump_value(k: EvolutionKernel, y, x, t: float) -> float:
+def two_bump_value(k: EvolutionKernel, y, x, t):
     """V(x,t) = W(x+y,t) + W(x-y,t)."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     return kernel_value(k, x + y, t) + kernel_value(k, x - y, t)
 
 
-def two_bump_gradient(k: EvolutionKernel, y, x, t: float) -> np.ndarray:
+def two_bump_gradient(k: EvolutionKernel, y, x, t):
     """Analytic spatial gradient of the two-bump combination."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     return kernel_spatial_gradient(k, x + y, t) + kernel_spatial_gradient(k, x - y, t)
 
 
-def two_bump_defect(k: EvolutionKernel, y, t: float) -> float:
+def two_bump_defect(k: EvolutionKernel, y, t):
     """Value of (|V|^{p-2} V)_t - Delta_p V at the origin for the two-bump
     combination: 2 (p-1) (2 W(y,t))^{p-2} W_t(y,t).
 
@@ -246,16 +232,15 @@ def two_bump_defect(k: EvolutionKernel, y, t: float) -> float:
     """
     if k.kind != HOMOGENEOUS:
         raise ValueError("the two-bump defect uses the homogeneous kernel")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if float(np.linalg.norm(y)) == 0.0:
+    r, w, _, wt = _profile(k, y, t)
+    if not r.all():
         raise ValueError("the bump offset y must be nonzero")
     p = k.params.p
-    w = kernel_value(k, y, t)
-    wt = kernel_time_derivative(k, y, t)
-    return 2 * (p - 1) * (2 * w) ** (p - 2) * wt
+    # np.power, since numpy's scalar ** rounds differently from its array **
+    return _scalar(2 * (p - 1) * np.power(2 * w, p - 2) * wt)
 
 
-def two_bump_defect_fd(k: EvolutionKernel, y, t: float) -> float:
+def two_bump_defect_fd(k: EvolutionKernel, y, t):
     """FD assembly of (|V|^{p-2} V)_t - Delta_p V at a point x near the
     origin (offset TWO_BUMP_OFFSET along the first axis); converges to the
     closed form as the offset goes to 0."""
@@ -264,20 +249,19 @@ def two_bump_defect_fd(k: EvolutionKernel, y, t: float) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     p = k.params.p
     x = np.zeros_like(y)
-    x[0] = TWO_BUMP_OFFSET
+    x[..., 0] = TWO_BUMP_OFFSET
 
     dt = TIME_FD_REL_STEP * t
 
     def signed_power(v):
-        return abs(v) ** (p - 2) * v
+        return np.power(np.abs(v), p - 2) * v
 
     term_t = (
         signed_power(two_bump_value(k, y, x, t + dt))
         - signed_power(two_bump_value(k, y, x, t - dt))
     ) / (2 * dt)
-
-    def grad_fn(z):
-        return two_bump_gradient(k, y, z, t)
-
-    lap = fd_divergence(_flux(grad_fn, p), x, TWO_BUMP_SPACE_STEP)
+    stencil_y, stencil_t = y[..., None, :], np.expand_dims(t, -1)
+    lap = fd_divergence(
+        lambda z: _flux(two_bump_gradient(k, stencil_y, z, stencil_t), p), x, TWO_BUMP_SPACE_STEP
+    )
     return term_t - lap

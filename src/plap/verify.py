@@ -262,16 +262,16 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("evolution")
 
-    worst = 0.0
     kw = evolution.EvolutionKernel(evolution.HOMOGENEOUS, Params(3.0, 2, 1.0))
+    offsets, times = [], []
     for _ in range(20):
         y = rng.uniform(-1, 1, 2)
         if np.linalg.norm(y) < 0.1:
             continue
-        t = float(rng.uniform(0.2, 5.0))
-        g = evolution.two_bump_gradient(kw, y, np.zeros(2), t)
-        worst = max(worst, float(np.abs(g).max()))
-    rep.add("two_bump_gradient_symmetry", worst, 1e-14)
+        offsets.append(y)
+        times.append(rng.uniform(0.2, 5.0))
+    g = evolution.two_bump_gradient(kw, offsets, np.zeros(2), times)
+    rep.add("two_bump_gradient_symmetry", float(np.abs(g).max()), 1e-14)
 
     worst_defect = worst_radius = 0.0
     for p, n, big_c, t in ((3.0, 2, 1.0, 1.0), (4.0, 3, 2.0, 0.5)):
@@ -280,41 +280,35 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
         )
         radius = evolution.sign_change_radius(kb, t)
         support = evolution.support_radius(kb, t)
-        count = 0
-        while count < 50:
+        points = []
+        while len(points) < 50:
             r = float(rng.uniform(0.05 * support, 0.9 * support))
             if abs(r - radius) < 0.05 * support:
                 continue  # the defect crosses zero there
             direction = rng.standard_normal(n)
-            x = r * direction / np.linalg.norm(direction)
-            for a in (0.5, 2.0):
-                lhs = evolution.barenblatt_defect_fd(kb, a, x, t)
-                rhs = evolution.barenblatt_defect(kb, a, x, t)
-                worst_defect = max(worst_defect, abs(lhs - rhs) / abs(rhs))
-            count += 1
+            points.append(r * direction / np.linalg.norm(direction))
+        for a in (0.5, 2.0):
+            lhs = evolution.barenblatt_defect_fd(kb, a, points, t)
+            rhs = evolution.barenblatt_defect(kb, a, points, t)
+            worst_defect = max(worst_defect, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
 
         def bt_fd(r):
             x = np.zeros(n)
             x[0] = r
             dt = 1e-6 * t
-            return (
-                evolution.kernel_value(kb, x, t + dt)
-                - evolution.kernel_value(kb, x, t - dt)
-            ) / (2 * dt)
+            later, earlier = evolution.kernel_value(kb, x, [t + dt, t - dt])
+            return (later - earlier) / (2 * dt)
 
         bracketed = brentq(bt_fd, 0.05 * support, 0.99 * support)
         worst_radius = max(worst_radius, abs(bracketed - radius) / radius)
     rep.add("barenblatt_defect_identity", worst_defect, 1e-3)
     rep.add("sign_change_radius_bracketing", worst_radius, 0.01)
 
-    worst = 0.0
     kb = evolution.EvolutionKernel(evolution.BARENBLATT, Params(3.0, 2, 1.0))
     t = 1.0
-    support = evolution.support_radius(kb, t)
     step = 1e-8
-    r = support
-    inside = evolution.kernel_value(kb, [r - step, 0.0], t)
-    outside = evolution.kernel_value(kb, [r + step, 0.0], t)
+    r = evolution.support_radius(kb, t)
+    inside, outside = evolution.kernel_value(kb, [[r - step, 0.0], [r + step, 0.0]], t)
     worst = 0.0 if (inside > 0.0 and outside == 0.0) else 1.0
     rep.add("support_radius_consistent", worst, 0.0)
     return rep

@@ -473,6 +473,16 @@ def test_evolution_sweep_radius_at_the_support_edge_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_evolution_sweep_bump_offset_of_the_wrong_dimension_exits_2(tmp_path, capsys):
+    # a 3-vector y for an n = 2 kernel used to be read as a 2-D radius |y|
+    path = tmp_path / "sweep.json"
+    write_json(path, {"schema_version": 1, "kernel": {"kind": "homogeneous", "p": 3.0, "n": 2},
+                      "y": [0.5, 0.2, 0.3], "times": {"min": 0.5, "max": 2.0, "count": 5}})
+    line = main_exits_2_with_one_error_line(capsys, "evolution-sweep", path, tmp_path)
+    assert "n = 2" in line and "3 coordinates" in line
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_eval_logs_its_stage_times_at_debug(tmp_path):
     cfg = tmp_path / "eval.json"
     write_json(cfg, EVAL_CFG)

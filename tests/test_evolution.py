@@ -13,9 +13,11 @@ from plap.evolution import (
     kernel_spatial_gradient,
     kernel_time_derivative,
     kernel_value,
+    near_support_edge,
     sign_change_radius,
     support_radius,
     two_bump_defect,
+    two_bump_defect_fd,
     two_bump_gradient,
     two_bump_value,
 )
@@ -223,7 +225,7 @@ def test_barenblatt_requires_positive_time():
 
 def test_time_derivative_refuses_the_support_edge_margin_with_a_plap_error():
     from plap.errors import PlapError
-    from plap.evolution import EDGE_MARGIN_STEPS, TIME_FD_REL_STEP, near_support_edge
+    from plap.evolution import EDGE_MARGIN_STEPS, TIME_FD_REL_STEP
 
     k = kb()
     rs = support_radius(k, 1.0)
@@ -235,3 +237,91 @@ def test_time_derivative_refuses_the_support_edge_margin_with_a_plap_error():
     for r in (rs - 2 * margin, rs + 2 * margin):
         assert not near_support_edge(k, r, 1.0)
         assert np.isfinite(kernel_time_derivative(k, np.array([r, 0.0]), 1.0))
+
+
+KERNELS = [(BARENBLATT, 3.0, 2), (BARENBLATT, 4.0, 3), (BARENBLATT, 2.5, 1), (BARENBLATT, 7.0, 2),
+           (HOMOGENEOUS, 3.0, 2), (HOMOGENEOUS, 4.0, 3), (HOMOGENEOUS, 2.5, 1), (HOMOGENEOUS, 7.0, 2)]
+
+
+def batch(k, t, count=60):
+    """Points (count, n): the origin, then random points reaching past the
+    Barenblatt support, none in its edge margin."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(count, k.params.n)) * 2.0
+    x[0] = 0.0
+    if k.kind == BARENBLATT:
+        x = x[~near_support_edge(k, np.linalg.norm(x, axis=1), t)]
+        assert (np.linalg.norm(x, axis=1) > support_radius(k, t)).any()
+    return x
+
+
+@pytest.mark.parametrize("kind,p,n", KERNELS)
+def test_a_batch_gives_the_one_point_calls_bit_for_bit(kind, p, n):
+    k = EvolutionKernel(kind=kind, params=Params(p, n), big_c=1.3, small_c=0.7)
+    t = 1.7
+    x = batch(k, t)
+    cases = [(fn, x) for fn in (kernel_value, kernel_time_derivative, kernel_spatial_gradient)]
+    if kind == BARENBLATT:
+        for a in (0.5, 1.0, 2.0):
+            cases += [(lambda k, x, t, a=a: barenblatt_defect(k, a, x, t), x),
+                      (lambda k, x, t, a=a: barenblatt_defect_fd(k, a, x, t), x)]
+    else:  # the bump offset y must be nonzero
+        cases += [(two_bump_defect, x[1:]), (two_bump_defect_fd, x[1:])]
+    for fn, points in cases:
+        rows = fn(k, points, t)
+        assert rows.shape == points.shape[: 2 if fn is kernel_spatial_gradient else 1]
+        singles = np.array([fn(k, z, t) for z in points])
+        np.testing.assert_array_equal(rows, singles)
+        assert (np.signbit(rows) == np.signbit(singles)).all()
+
+
+@pytest.mark.parametrize("kind,p,n", KERNELS[:2] + KERNELS[4:6])
+def test_a_time_array_against_one_point_gives_the_per_time_calls(kind, p, n):
+    k = EvolutionKernel(kind=kind, params=Params(p, n))
+    x = np.full(n, 0.4)
+    times = np.geomspace(0.3, 3.0, 7)
+    for fn in (kernel_value, kernel_time_derivative, kernel_spatial_gradient):
+        np.testing.assert_array_equal(fn(k, x, times), np.array([fn(k, x, t) for t in times]))
+
+
+def test_a_batch_with_a_row_in_the_support_edge_margin_is_refused():
+    from plap.errors import UndefinedOperatorError
+
+    k = kb()
+    rs = support_radius(k, 1.0)
+    x = np.array([[0.5, 0.0], [rs, 0.0], [rs + 1.0, 0.0]])
+    with pytest.raises(UndefinedOperatorError):
+        kernel_time_derivative(k, x, 1.0)
+    with pytest.raises(UndefinedOperatorError):
+        barenblatt_defect(k, 2.0, x, 1.0)
+    assert np.isfinite(kernel_time_derivative(k, x[[0, 2]], 1.0)).all()
+
+
+@pytest.mark.parametrize("times", [[1.0, 0.0, 2.0], [1.0, -1.0], [np.nan, 1.0]])
+def test_a_time_array_with_an_entry_not_positive_is_refused(times):
+    for fn in (kernel_value, kernel_time_derivative, kernel_spatial_gradient):
+        with pytest.raises(ValueError, match="time must be positive"):
+            fn(kb(), np.zeros(2), np.array(times))
+    with pytest.raises(ValueError, match="time must be positive"):
+        support_radius(kb(), np.array(times))
+
+
+def test_points_of_the_wrong_dimension_are_refused():
+    k = kh(n=2)
+    for x in (np.zeros(3), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., 2\)"):
+            kernel_value(k, x, 1.0)
+    with pytest.raises(ValueError):
+        two_bump_defect(k, [0.5, 0.2, 0.3], 1.0)
+
+
+def test_exact_zero_defects_are_positive_zeros():
+    # p = 4, n = 2, t = 4: r_c = 2 exactly, where B_t rounds to exactly 0
+    k = kb(p=4.0, n=2)
+    assert sign_change_radius(k, 4.0) == 2.0
+    x = np.array([[2.0, 0.0], [5.0, 0.0], [0.0, 6.0]])  # r_c, then outside the support
+    assert (kernel_time_derivative(k, x, 4.0) == 0.0).all()
+    for a in (0.5, 1.0):
+        d = barenblatt_defect(k, a, x, 4.0)
+        assert d.shape == (3,) and (d == 0.0).all() and not np.signbit(d).any()
+    assert barenblatt_defect(k, 1.0, x[None], 4.0).shape == (1, 3)
