@@ -1,11 +1,7 @@
 """Numerical verification toolkit for superpositions of fundamental
 solutions of the p-Laplace equation."""
 
-from .core import (
-    Params,
-    fundamental_profile,
-    rayleigh_quotient,
-)
+from .core import Params, fundamental_profile
 from .concave import (
     AffineMinTerm,
     ConcaveTerm,
@@ -25,13 +21,11 @@ from .superpose import (
     delta_p_fd,
     delta_p_scale,
     evaluate,
-    riemann_pole_set,
     sign_region,
 )
 from .comparison import (
     ComparisonReport,
     GridDomain,
-    GridFunction,
     comparison_check,
     solve_p_harmonic,
     superposition_grid,
@@ -57,7 +51,6 @@ from . import errors
 __all__ = [
     "Params",
     "fundamental_profile",
-    "rayleigh_quotient",
     "ConcaveTerm",
     "ZeroTerm",
     "QuadraticTerm",
@@ -75,9 +68,7 @@ __all__ = [
     "delta_p_fd",
     "delta_p_scale",
     "sign_region",
-    "riemann_pole_set",
     "GridDomain",
-    "GridFunction",
     "ComparisonReport",
     "solve_p_harmonic",
     "superposition_grid",

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import comparison, concave, evolution, schemas, superpose, verify
-from .core import Params
+from .core import Params, row_norm
 from .errors import PlapError, SolverFailureError, UnsupportedConfigurationError
 
 log = logging.getLogger("plap")
@@ -160,8 +160,7 @@ def cmd_eval(args):
         i = far[first : first + block_rows]
         res = superpose.evaluate(ps, k, x[i])
         value[i] = res.value
-        # each row rounded as np.linalg.norm rounds a single vector
-        grad_norm[i] = np.sqrt(np.vecdot(res.gradient, res.gradient))
+        grad_norm[i] = row_norm(res.gradient)
         direct[i] = superpose.delta_p_direct(ps, k, x[i])
         if pure:
             closed[i] = superpose.delta_p_closed_form(ps, k, x[i])
@@ -231,10 +230,8 @@ def cmd_verify(args):
 
 def cmd_compare(args):
     cfg = _load_config(args.config, "compare")
-    params, ps, k, dom = _build(cfg)
+    _, ps, k, dom = _build(cfg)
     _check_rows(math.prod(map(float, dom.shape)), "comparison grid")
-    if not params.p > 2:
-        _usage_error("error: the comparison harness requires p > 2")
     try:
         report = comparison.comparison_check(
             ps,
@@ -247,7 +244,7 @@ def cmd_compare(args):
         print(f"solver failure: {exc} (residual {exc.residual})", file=sys.stderr)
         return EXIT_FAILURE
     except UnsupportedConfigurationError as exc:
-        # a grid whose band does not fit, or a pole on a node or the boundary
+        # p <= 2, a grid whose band does not fit, or a pole on a node or the boundary
         _usage_error(f"error: {exc}")
 
     w = report.w_values.ravel()

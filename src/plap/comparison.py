@@ -89,21 +89,6 @@ class GridDomain:
         return mask
 
 
-@dataclass
-class GridFunction:
-    """Node values plus the interior/boundary marker of the grid."""
-
-    domain: GridDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.domain.shape:
-            raise ValueError("values do not match the grid shape")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function values must be finite")
-
-
 def _unknown_axes(shape):
     """Grid axes from the most nodes to the fewest (ties in axis order): the
     unknowns are numbered with the first of them varying slowest."""
@@ -254,14 +239,15 @@ def _band_solve(ab, rhs, residual):
         ) from exc
 
 
-def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> GridFunction:
+def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndarray:
     """Minimize the regularized discrete p-Dirichlet energy over interior
     node values with Dirichlet data taken from ``boundary`` on the box
     boundary.  ``boundary`` is a full-shape array; interior entries are
-    ignored.  Raises SolverFailureError if the energy-gradient sup-norm
-    does not reach NEWTON_TOL within MAX_NEWTON_ITER iterations or a
-    Newton system is not positive definite, and
-    UnsupportedConfigurationError if its band exceeds MAX_BAND_BYTES.
+    ignored.  Returns the node values, boundary included.  Raises
+    SolverFailureError if the energy-gradient sup-norm does not reach
+    NEWTON_TOL within MAX_NEWTON_ITER iterations or a Newton system is not
+    positive definite, and UnsupportedConfigurationError if its band
+    exceeds MAX_BAND_BYTES.
     """
     if not p >= 2:
         raise ValueError("the solver covers p >= 2 only")
@@ -308,7 +294,7 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> GridFun
             residual=residual,
         )
     st.scatter(u, x)
-    return GridFunction(domain=dom, values=u)
+    return u
 
 
 def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarray:
@@ -363,7 +349,7 @@ def comparison_check(
     """
     p = ps.params.p
     if not p > 2:
-        raise ValueError("the comparison harness requires p > 2")
+        raise UnsupportedConfigurationError("the comparison harness requires p > 2")
     _check_band(dom.shape)
 
     w_grid = superposition_grid(ps, k, dom)
@@ -382,7 +368,7 @@ def comparison_check(
 
     boundary_data = w_grid + shift
     h = solve_p_harmonic(dom, boundary_data, p)
-    gap = w_grid - h.values
+    gap = w_grid - h
 
     interior = ~bmask & ~near_pole
     min_gap = float(gap[interior].min())
@@ -397,6 +383,6 @@ def comparison_check(
         tol=tol,
         excised=int(np.sum(near_pole & ~bmask)),
         w_values=w_export,
-        h_values=h.values,
+        h_values=h,
         excised_mask=near_pole,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, PoleSingularityError
+from .errors import PoleSingularityError
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,16 @@ def _scalar(v):
     return v if getattr(v, "ndim", 0) else float(v)
 
 
+def row_norm(z):
+    """Euclidean norm along the last axis, each row rounded as
+    ``np.linalg.norm`` rounds a single vector."""
+    return np.sqrt(np.vecdot(z, z))
+
+
 def fd_spacing(x, step: float):
     """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at
     points x of shape (..., n): shape (...), a float for one point."""
-    # |x| rounded as np.linalg.norm rounds a single vector, in every row
-    return _scalar(step * (1.0 + np.sqrt(np.vecdot(x, x))))
+    return _scalar(step * (1.0 + row_norm(x)))
 
 
 def fd_divergence(flux, x, step: float):
@@ -121,16 +126,3 @@ def fd_divergence(flux, x, step: float):
         f[..., n:, :], axis1=-2, axis2=-1
     )
     return _scalar(np.sum(diag / (2 * h), axis=-1))
-
-
-def rayleigh_quotient(hess: np.ndarray, z) -> float:
-    """z^T H z / |z|^2.
-
-    For a radial Hessian this equals v'' cos^2(theta) + (v'/r) sin^2(theta)
-    with theta the angle between x - y and z.
-    """
-    z = np.asarray(z, dtype=float)
-    zz = float(z @ z)
-    if zz == 0.0:
-        raise DegenerateDirectionError("Rayleigh quotient of the zero vector")
-    return float(z @ np.asarray(hess) @ z) / zz

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, _scalar, fd_divergence
+from .core import Params, _scalar, fd_divergence, row_norm
 from .errors import UndefinedOperatorError
 
 BARENBLATT = "barenblatt"
@@ -85,8 +85,7 @@ def _profile(k: EvolutionKernel, x, t):
         raise ValueError(f"points have shape {x.shape}, expected (..., {n})")
     t = np.asarray(t, dtype=float)
     _require_time(t)
-    # |x| rounded as np.linalg.norm rounds a single vector, in every row
-    r, t = np.broadcast_arrays(np.sqrt(np.vecdot(x, x)), t)
+    r, t = np.broadcast_arrays(row_norm(x), t)
     shape = r.shape
     r, t = r.ravel(), t.ravel()
     g, coeff = _similarity(k)

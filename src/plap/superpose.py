@@ -27,6 +27,7 @@ from .core import (
     fd_divergence,
     fd_spacing,
     fundamental_profile,
+    row_norm,
 )
 from .errors import (
     PoleSingularityError,
@@ -157,18 +158,9 @@ class EvalResult:
         return self.gradient is not None
 
 
-def _norm(z):
-    """Euclidean norm along the last axis, rounded as ``np.linalg.norm``
-    rounds a single vector's."""
-    return np.sqrt(np.vecdot(z, z))
-
-
 def _masked(values, mask, fill):
-    """``values`` with ``fill`` where ``mask`` holds; a float for one point.
-    (``np.where`` on one point's scalars would cost a route ~5 %.)"""
-    if getattr(values, "ndim", 0):
-        return np.where(mask, fill, values)
-    return fill if mask else float(values)
+    """``values`` with ``fill`` where ``mask`` holds; a float for one point."""
+    return _scalar(np.where(mask, fill, values))
 
 
 def _pole_terms(ps: PoleSet, x):
@@ -225,7 +217,7 @@ def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
         value = value + kv
         grad += kg
         hess += kh
-    gn = _norm(grad)
+    gn = row_norm(grad)
     big = gn > ps.gradient_epsilon
     u_g = grad / np.maximum(gn, ps.gradient_epsilon)[..., None]
     proj = (d @ u_g[..., None])[..., 0]
@@ -249,7 +241,7 @@ def _finite_derivatives(res: EvalResult):
 def _vanishing_gradient(ps: PoleSet, grad, what, exempt=False):
     """|grad| and where it vanishes outside ``exempt``; for p < 2 a
     vanishing gradient anywhere else is an error."""
-    gn = _norm(grad)
+    gn = row_norm(grad)
     vanishing = (gn < ps.gradient_epsilon) & np.logical_not(exempt)
     if ps.params.p < 2 and vanishing.any():
         raise UndefinedOperatorError(f"{what} undefined at vanishing gradient for p < 2")
@@ -374,21 +366,3 @@ def sign_region(p: float, n: int) -> SignClass:
     """Sign of the superposition's p-Laplacian at one (p, n); see
     ``sign_classes``."""
     return SignClass(sign_classes(p, n).item())
-
-
-def riemann_pole_set(centers, density_values, cell_volume, params: Params) -> PoleSet:
-    """Finite-pole approximation of an integral potential: one pole per
-    grid cell, weighted by density value times cell volume."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    vals = np.atleast_1d(np.asarray(density_values, dtype=float))
-    if np.any(vals < 0):
-        raise ValueError("density values must be non-negative")
-    if not cell_volume > 0:
-        raise ValueError("cell volume must be positive")
-    weights = vals * cell_volume
-    try:
-        return PoleSet(weights, centers, params)
-    except ValueError as exc:
-        raise UnsupportedConfigurationError(
-            f"Riemann pole set is empty or invalid: {exc}"
-        ) from exc

@@ -223,8 +223,8 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
         lo, hi = data[bmask].min(), data[bmask].max()
         worst_mp = max(
             worst_mp,
-            float(np.max(sol.values) - hi),
-            float(lo - np.min(sol.values)),
+            float(np.max(sol) - hi),
+            float(lo - np.min(sol)),
         )
     rep.add("discrete_maximum_principle", worst_mp, 1e-9)
 

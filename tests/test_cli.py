@@ -202,6 +202,13 @@ def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     main_exits_2_with_one_error_line(capsys, command, path, tmp_path)
 
 
+def test_compare_at_p_two_names_the_harness_contract(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    write_json(path, dict(COMPARE_CFG, params={"p": 2.0, "n": 2}))
+    line = main_exits_2_with_one_error_line(capsys, "compare", path, tmp_path)
+    assert line == "error: the comparison harness requires p > 2"
+
+
 SIGN_MAP_CFG = {"schema_version": 1, "p_min": 0.5, "p_max": 3.0, "p_step": 0.5, "n_min": 1, "n_max": 3}
 SWEEP_CFG = {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2}, "t": 1.0,
              "radii": {"min": 0.1, "max": 2.0, "count": 5}}

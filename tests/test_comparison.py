@@ -11,7 +11,6 @@ from scipy.linalg import solveh_banded
 
 from plap import (
     GridDomain,
-    GridFunction,
     Params,
     PoleSet,
     QuadraticTerm,
@@ -47,12 +46,15 @@ def test_domain_validation():
         GridDomain(bounds=[(-1, 1)], shape=(33,))
 
 
-def test_grid_function_rejects_nonfinite():
-    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(9, 9))
-    values = np.zeros(dom.shape)
-    values[4, 4] = np.inf
-    with pytest.raises(ValueError):
-        GridFunction(domain=dom, values=values)
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_overflowing_boundary_data_raise_solver_failure(p):
+    """Boundary data so large that the energy overflows: the solver raises
+    instead of returning non-finite node values."""
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
+    nodes = dom.nodes()
+    data = 1e200 * (np.sin(2 * nodes[..., 0]) + 0.5 * np.cos(3 * nodes[..., 1]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverFailureError):
+        solve_p_harmonic(dom, data, p)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -60,7 +62,7 @@ def test_affine_data_reproduced(square_65, p):
     nodes = square_65.nodes()
     affine = 0.4 * nodes[..., 0] - 1.2 * nodes[..., 1] + 0.3
     sol = solve_p_harmonic(square_65, affine, p)
-    assert np.abs(sol.values - affine).max() <= 1e-8
+    assert np.abs(sol - affine).max() <= 1e-8
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -69,14 +71,14 @@ def test_one_dimensional_face_data(square_65, p):
     nodes = square_65.nodes()
     data = 2.0 * nodes[..., 0] - 0.5
     sol = solve_p_harmonic(square_65, data, p)
-    assert np.abs(sol.values - data).max() <= 1e-8
+    assert np.abs(sol - data).max() <= 1e-8
 
 
 def test_p2_harmonic_polynomial(square_65):
     nodes = square_65.nodes()
     harmonic = nodes[..., 0] ** 2 - nodes[..., 1] ** 2
     sol = solve_p_harmonic(square_65, harmonic, 2.0)
-    assert np.abs(sol.values - harmonic).max() <= 5e-3
+    assert np.abs(sol - harmonic).max() <= 5e-3
 
 
 def test_p3_radial_profile_oracle(square_65):
@@ -85,7 +87,7 @@ def test_p3_radial_profile_oracle(square_65):
     r = np.linalg.norm(nodes - np.array([2.5, 0.4]), axis=-1)
     profile = -2.0 * np.sqrt(r)  # -c (p-1)/(p-n) r^{(p-n)/(p-1)}, p=3, n=2
     sol = solve_p_harmonic(square_65, profile, 3.0)
-    assert np.abs(sol.values - profile).max() <= 1e-2
+    assert np.abs(sol - profile).max() <= 1e-2
 
 
 def test_solver_rejects_p_below_two(square_65):
@@ -100,8 +102,8 @@ def test_discrete_maximum_principle(p):
     data = np.sin(3 * nodes[..., 0]) * np.cos(2 * nodes[..., 1])
     sol = solve_p_harmonic(dom, data, p)
     bmask = dom.boundary_mask()
-    assert sol.values.max() <= data[bmask].max() + 1e-9
-    assert sol.values.min() >= data[bmask].min() - 1e-9
+    assert sol.max() <= data[bmask].max() + 1e-9
+    assert sol.min() >= data[bmask].min() - 1e-9
 
 
 def test_3d_affine(square_65):
@@ -109,7 +111,7 @@ def test_3d_affine(square_65):
     nodes = dom.nodes()
     affine = nodes[..., 0] - 0.5 * nodes[..., 1] + 2 * nodes[..., 2]
     sol = solve_p_harmonic(dom, affine, 3.0)
-    assert np.abs(sol.values - affine).max() <= 1e-8
+    assert np.abs(sol - affine).max() <= 1e-8
 
 
 def sparse_gradient(dom, boundary):
@@ -286,7 +288,7 @@ def test_fixed_problems_match_the_sparse_reference_solver(monkeypatch, shape, p)
     data = smooth_data(dom)
     steps = []
     monkeypatch.setattr(comparison, "_hessian", lambda *args: steps.append(1) or _hessian(*args))
-    sol = solve_p_harmonic(dom, data, p).values
+    sol = solve_p_harmonic(dom, data, p)
     reference, ref_steps = sparse_reference_solve(dom, data, p)
     assert np.abs(sol - reference).max() <= 1e-12 * np.abs(reference).max()
     assert len(steps) == ref_steps
@@ -314,8 +316,8 @@ def test_solution_follows_a_transposed_grid(shape, axes):
     dom = GridDomain(bounds=bounds, shape=shape)
     moved = GridDomain(bounds=[bounds[a] for a in axes], shape=[shape[a] for a in axes])
     data = smooth_data(dom) + 0.3 * dom.nodes()[..., -1]
-    sol = solve_p_harmonic(dom, data, 3.0).values
-    sol_moved = solve_p_harmonic(moved, data.transpose(axes), 3.0).values
+    sol = solve_p_harmonic(dom, data, 3.0)
+    sol_moved = solve_p_harmonic(moved, data.transpose(axes), 3.0)
     assert np.abs(sol_moved - sol.transpose(axes)).max() <= 1e-12 * np.abs(sol).max()
 
 
@@ -385,6 +387,14 @@ def test_pole_on_boundary_rejected():
     ps = PoleSet([1.0], [[1.0, 0.0]], pa)
     dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
     with pytest.raises(UnsupportedConfigurationError):
+        comparison_check(ps, None, dom)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_comparison_check_refuses_p_up_to_two(p):
+    ps = PoleSet([1.0], [[0.1, 0.2]], Params(p, 2, 1.0))
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(9, 9))
+    with pytest.raises(UnsupportedConfigurationError, match="harness requires p > 2"):
         comparison_check(ps, None, dom)
 
 

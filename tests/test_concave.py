@@ -333,8 +333,7 @@ def test_symmetry_nsd_and_criterion_decisions_on_verify_draws_match_allclose_and
     monkeypatch.setattr(superpose, "delta_p_direct", lambda ps, k, x: np.zeros(len(x)))
     monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(
         params=params, locations=y))
-    monkeypatch.setattr(comparison, "solve_p_harmonic",
-                        lambda dom, data, p: comparison.GridFunction(dom, data))
+    monkeypatch.setattr(comparison, "solve_p_harmonic", lambda dom, data, p: data)
     monkeypatch.setattr(comparison, "comparison_check",
                         lambda *args, **kwargs: SimpleNamespace(min_gap=0.0))
     for seed in range(200):

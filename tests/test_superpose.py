@@ -18,7 +18,6 @@ from plap import (
     delta_p_direct,
     delta_p_fd,
     evaluate,
-    riemann_pole_set,
     sign_region,
 )
 from plap.core import fd_spacing
@@ -310,23 +309,6 @@ def test_sign_region(p, n, expected):
     assert sign_region(p, n) is expected
 
 
-def test_riemann_single_cell():
-    ps = riemann_pole_set([[0.5, 0.5]], [1.0], 0.125, Params(3, 2))
-    assert len(ps) == 1
-    assert ps.weights[0] == pytest.approx(0.125)
-    np.testing.assert_allclose(ps.locations[0], [0.5, 0.5])
-
-
-def test_riemann_zero_density_rejected():
-    with pytest.raises(UnsupportedConfigurationError):
-        riemann_pole_set([[0.0, 0.0]], [0.0], 1.0, Params(3, 2))
-
-
-def test_riemann_negative_density_rejected():
-    with pytest.raises(ValueError):
-        riemann_pole_set([[0.0, 0.0]], [-1.0], 1.0, Params(3, 2))
-
-
 def test_riemann_far_field_matches_centroid_pole():
     # 2x2x2 cube of cells with uniform density, evaluated far away
     pa = Params(2.5, 3, 1.0)
@@ -334,7 +316,7 @@ def test_riemann_far_field_matches_centroid_pole():
         [[i, j, k] for i in (-0.25, 0.25) for j in (-0.25, 0.25) for k in (-0.25, 0.25)]
     )
     vol = 0.5**3
-    ps = riemann_pole_set(centers, np.ones(8), vol, pa)
+    ps = PoleSet(np.full(8, vol), centers, pa)
     lump = PoleSet([8 * vol], [[0.0, 0.0, 0.0]], pa)
     x = np.array([20.0, 1.0, -3.0])
     a = evaluate(ps, None, x).value
