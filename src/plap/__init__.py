@@ -7,7 +7,6 @@ from .concave import (
     ConcaveTerm,
     MollifiedTerm,
     QuadraticTerm,
-    ZeroTerm,
     criterion_sum,
     eigenvalue_criterion,
     operator_term,
@@ -52,7 +51,6 @@ __all__ = [
     "Params",
     "fundamental_profile",
     "ConcaveTerm",
-    "ZeroTerm",
     "QuadraticTerm",
     "AffineMinTerm",
     "MollifiedTerm",

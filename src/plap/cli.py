@@ -33,6 +33,14 @@ EVAL_BLOCK = 1 << 17    # FD stencil offsets per block of eval rows: (block, 2n,
 MAX_ROWS = 10**6        # of a sign-map, compare or evolution-sweep table
 
 
+def _open_output(path, **kwargs):
+    """``path`` opened for writing; exit 2 with one line if it cannot be."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        _usage_error(f"error: cannot write {path}: {exc.strerror}")
+
+
 def _write_csv(path, header, columns):
     """A CSV table from equal-length columns (arrays or sequences): floats
     with 17 significant digits, anything else (integers, flags) as str.
@@ -41,7 +49,7 @@ def _write_csv(path, header, columns):
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0]) if columns else 0
     row_format = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, rows, CSV_CHUNK_ROWS):
             chunk = [c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns]
@@ -52,6 +60,14 @@ def _write_csv(path, header, columns):
 def _usage_error(message):
     print(message, file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+def _require(cfg, keys, what):
+    """Exit 2 unless the config object ``cfg`` has every one of ``keys``,
+    which ``what`` needs."""
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        _usage_error(f"error: {what} needs {' and '.join(missing)}")
 
 
 def _check_rows(count, table):
@@ -107,22 +123,28 @@ def _build(cfg):
         if any(len(x) != params.n for x in cfg.get("points", ())):
             raise ValueError(f"query points must have dimension {params.n}")
         dom = comparison.GridDomain(grid["bounds"], grid["shape"]) if grid else None
-        if grid and dom.dim != params.n:
-            raise ValueError(f"the grid must have dimension {params.n}")
         return params, ps, _concave_from(cfg.get("concave"), params.n), dom
     except ValueError as exc:
         _usage_error(f"error: {exc}")
 
 
+# the keys each kind of concave term needs, which the schema cannot say
+CONCAVE_KEYS = {"zero": (), "quadratic": ("a_matrix",), "affine_min": ("slopes", "offsets"),
+                "mollified": ("base", "delta")}
+
+
 def _concave_from(term_cfg, n):
-    """The concave term of a config, checked to act on points of dimension n."""
+    """The concave term of a config, checked to act on points of dimension n;
+    None for K = 0, which a mollified zero is too."""
     if term_cfg is None:
         return None
     kind = term_cfg["kind"]
+    _require(term_cfg, CONCAVE_KEYS[kind], f"a {kind} concave term")
     if kind == "zero":
-        return concave.ZeroTerm()
+        return None
     if kind == "mollified":
-        return concave.MollifiedTerm(_concave_from(term_cfg["base"], n), float(term_cfg["delta"]))
+        base = _concave_from(term_cfg["base"], n)
+        return None if base is None else concave.MollifiedTerm(base, float(term_cfg["delta"]))
     if kind == "quadratic":
         k = concave.QuadraticTerm(
             np.asarray(term_cfg["a_matrix"], dtype=float),
@@ -145,7 +167,6 @@ def cmd_eval(args):
     loaded = time.perf_counter()
     params, ps, k, _ = _build(cfg)
     step = float(cfg.get("fd_step", superpose.DEFAULT_FD_STEP))
-    pure = k is None or isinstance(k, concave.ZeroTerm)
     n = params.n
     built = time.perf_counter()
 
@@ -162,7 +183,7 @@ def cmd_eval(args):
         value[i] = res.value
         grad_norm[i] = row_norm(res.gradient)
         direct[i] = superpose.delta_p_direct(ps, k, x[i])
-        if pure:
+        if k is None:
             closed[i] = superpose.delta_p_closed_form(ps, k, x[i])
         fd[i] = superpose.delta_p_fd(ps, k, x[i], step=step)
     computed = time.perf_counter()
@@ -216,7 +237,7 @@ def cmd_verify(args):
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -232,21 +253,13 @@ def cmd_compare(args):
     cfg = _load_config(args.config, "compare")
     _, ps, k, dom = _build(cfg)
     _check_rows(math.prod(map(float, dom.shape)), "comparison grid")
-    try:
-        report = comparison.comparison_check(
-            ps,
-            k,
-            dom,
-            shift=float(cfg.get("shift", 0.0)),
-            tol=float(cfg.get("tol", comparison.COMPARISON_TOL)),
-        )
-    except SolverFailureError as exc:
-        print(f"solver failure: {exc} (residual {exc.residual})", file=sys.stderr)
-        return EXIT_FAILURE
-    except UnsupportedConfigurationError as exc:
-        # p <= 2, a grid whose band does not fit, or a pole on a node or the boundary
-        _usage_error(f"error: {exc}")
-
+    report = comparison.comparison_check(
+        ps,
+        k,
+        dom,
+        shift=float(cfg.get("shift", 0.0)),
+        tol=float(cfg["tol"]) if "tol" in cfg else None,
+    )
     w = report.w_values.ravel()
     h = report.h_values.ravel()
     header = [f"x{i}" for i in range(dom.dim)] + ["w", "h", "gap", "excised"]
@@ -259,7 +272,7 @@ def cmd_compare(args):
         "tolerance": report.tol,
         "excised_nodes": report.excised,
     }
-    with open(args.summary, "w") as fh:
+    with _open_output(args.summary) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
@@ -276,9 +289,7 @@ def cmd_evolution_sweep(args):
         small_c=float(kcfg.get("small_c", 1.0)),
     )
     needs = ("t", "radii") if kernel.kind == evolution.BARENBLATT else ("y", "times")
-    missing = [key for key in needs if key not in cfg]
-    if missing:
-        _usage_error(f"error: a {kernel.kind} sweep needs {' and '.join(missing)}")
+    _require(cfg, needs, f"a {kernel.kind} sweep")
     sweep = cfg[needs[1]]
     _check_rows(float(sweep["count"]), "sweep")
     if kernel.kind == evolution.BARENBLATT:
@@ -300,8 +311,6 @@ def cmd_evolution_sweep(args):
         y = np.asarray(cfg["y"], dtype=float)
         if y.shape != (params.n,):
             _usage_error(f"error: the bump offset y has {y.size} coordinates, but n = {params.n}")
-        if not np.any(y):
-            _usage_error("error: the bump offset y must be nonzero")
         header, column = "t", np.geomspace(sweep["min"], sweep["max"], int(sweep["count"]))
         derivative = evolution.kernel_time_derivative(kernel, y, column)
         defect = evolution.two_bump_defect(kernel, y, column)
@@ -366,6 +375,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SolverFailureError as exc:
+        print(f"solver failure: {exc} (residual {exc.residual})", file=sys.stderr)
+        return EXIT_FAILURE
+    except UnsupportedConfigurationError as exc:
+        # p <= 2 in compare, a grid of the wrong dimension or whose band does
+        # not fit, a pole on a node or the boundary, a zero bump offset
+        _usage_error(f"error: {exc}")
     except PlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

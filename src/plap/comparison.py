@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .concave import ConcaveTerm
 from .errors import SolverFailureError, UnsupportedConfigurationError
-from .superpose import PoleSet, superposition_value
+from .superpose import PoleSet, pole_distance, superposition_value
 
 REG_EPS = 1e-8              # the energy density is (|grad u|^2 + REG_EPS^2)^{p/2}
 NEWTON_TOL = 1e-9           # sup-norm of the energy gradient over the unknowns
@@ -77,15 +77,14 @@ class GridDomain:
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(grids, axis=-1)
 
+    @property
+    def interior(self):
+        """Index of the interior nodes."""
+        return (slice(1, -1),) * self.dim
+
     def boundary_mask(self):
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            idx_lo = [slice(None)] * self.dim
-            idx_lo[axis] = 0
-            idx_hi = [slice(None)] * self.dim
-            idx_hi[axis] = -1
-            mask[tuple(idx_lo)] = True
-            mask[tuple(idx_hi)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.interior] = False
         return mask
 
 
@@ -134,7 +133,7 @@ class _Stencil:
             for c in self.corners
         ])
         self.cell_shape = tuple(m - 1 for m in dom.shape)
-        self.inner = (slice(1, -1),) * dim
+        self.inner = dom.interior
         self.order = _unknown_axes(dom.shape)
         self.numbered = tuple(dom.shape[axis] - 2 for axis in self.order)
         self.count = math.prod(self.numbered)
@@ -305,7 +304,9 @@ def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarr
     (1 < p <= n) the grid is rejected.
     """
     if dom.dim != ps.params.n:
-        raise ValueError("grid dimension does not match the pole-set dimension")
+        raise UnsupportedConfigurationError(
+            f"the grid has dimension {dom.dim}, but the poles have dimension {ps.params.n}"
+        )
     values = superposition_value(ps, k, dom.nodes())
     if not np.all(np.isfinite(values)):
         raise UnsupportedConfigurationError(
@@ -337,10 +338,12 @@ def comparison_check(
     k: ConcaveTerm,
     dom: GridDomain,
     shift: float = 0.0,
-    tol: float = COMPARISON_TOL,
+    tol: float = None,
 ) -> ComparisonReport:
     """Solve for the p-harmonic h with h = W + shift on the box boundary
-    and report min(W - h) over the interior.
+    and report min(W - h) over the interior.  A gap below -tol is a
+    violation; tol defaults to COMPARISON_TOL scaled by (h / (1/32))^2,
+    h the largest grid spacing.
 
     Nodes within EXCISION_SPACINGS spacings of a pole are excised from the
     report (the epsilon-ball construction: there the supersolution side is
@@ -351,16 +354,12 @@ def comparison_check(
     if not p > 2:
         raise UnsupportedConfigurationError("the comparison harness requires p > 2")
     _check_band(dom.shape)
+    if tol is None:
+        tol = COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
 
     w_grid = superposition_grid(ps, k, dom)
     bmask = dom.boundary_mask()
-    nodes = dom.nodes().reshape(-1, dom.dim)
-    eps_ball = EXCISION_SPACINGS * max(dom.spacing)
-    near_pole = np.zeros(nodes.shape[0], dtype=bool)
-    for y in ps.locations:
-        d = np.linalg.norm(nodes - y[None, :], axis=1)
-        near_pole |= d <= eps_ball
-    near_pole = near_pole.reshape(dom.shape)
+    near_pole = pole_distance(ps, dom.nodes()) <= EXCISION_SPACINGS * max(dom.spacing)
     if np.any(near_pole & bmask):
         raise UnsupportedConfigurationError(
             "a pole lies on (or within the excision radius of) the boundary"

@@ -19,7 +19,8 @@ NSD_TOL = 1e-12             # scale-aware negative-semidefiniteness threshold
 
 
 class ConcaveTerm:
-    """Base class for the additive term K.
+    """Base class for the additive term K.  K = 0 is not a term: every
+    consumer of K takes None for it.
 
     Subclasses implement ``value(x)`` and ``eval(x) -> (value, grad, hess)``;
     ``eval`` raises KinkError where derivatives are undefined, while
@@ -41,20 +42,6 @@ class ConcaveTerm:
 
     def eval_lenient(self, x):
         return self.eval(x)
-
-
-@dataclass(frozen=True)
-class ZeroTerm(ConcaveTerm):
-    """K identically zero."""
-
-    concave: bool = field(default=True, init=False)
-
-    def value(self, x):
-        return _scalar(np.zeros(np.shape(x)[:-1]))
-
-    def eval(self, x):
-        shape = np.shape(x)
-        return self.value(x), np.zeros(shape), np.zeros(shape + shape[-1:])
 
 
 def _is_negative_semidefinite(a: np.ndarray) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, _scalar, fd_divergence, row_norm
-from .errors import UndefinedOperatorError
+from .errors import UndefinedOperatorError, UnsupportedConfigurationError
 
 BARENBLATT = "barenblatt"
 HOMOGENEOUS = "homogeneous"
@@ -233,7 +233,7 @@ def two_bump_defect(k: EvolutionKernel, y, t):
         raise ValueError("the two-bump defect uses the homogeneous kernel")
     r, w, _, wt = _profile(k, y, t)
     if not r.all():
-        raise ValueError("the bump offset y must be nonzero")
+        raise UnsupportedConfigurationError("the bump offset y must be nonzero")
     p = k.params.p
     # np.power, since numpy's scalar ** rounds differently from its array **
     return _scalar(2 * (p - 1) * np.power(2 * w, p - 2) * wt)

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .concave import ConcaveTerm, ZeroTerm
+from .concave import ConcaveTerm
 from .core import (
     Params,
     _profile_slope,
@@ -158,11 +158,6 @@ class EvalResult:
         return self.gradient is not None
 
 
-def _masked(values, mask, fill):
-    """``values`` with ``fill`` where ``mask`` holds; a float for one point."""
-    return _scalar(np.where(mask, fill, values))
-
-
 def _pole_terms(ps: PoleSet, x):
     """Offsets x - y_i, radii r_i and the profile v, v', v'' for points
     x of shape (..., n) against every pole; pole axis second to last."""
@@ -171,13 +166,18 @@ def _pole_terms(ps: PoleSet, x):
     return (d, r) + fundamental_profile(ps.params, r)
 
 
+def pole_distance(ps: PoleSet, x):
+    """Distance of points x (..., n) to their nearest pole, shape (...)."""
+    x = np.asarray(x, dtype=float)
+    return np.linalg.norm(x[..., None, :] - ps.locations, axis=-1).min(axis=-1)
+
+
 def near_pole(ps: PoleSet, x, step: float):
     """Whether points x (..., n) are within 10 stencil spacings
     h = step (1 + |x|) of a pole: there ``delta_p_fd`` refuses and
     ``plap eval`` gives the value only.  A bool for one point."""
     x = np.asarray(x, dtype=float)
-    dists = np.linalg.norm(x[..., None, :] - ps.locations, axis=-1)
-    near = dists.min(axis=-1) <= 10 * fd_spacing(x, step)
+    near = pole_distance(ps, x) <= 10 * fd_spacing(x, step)
     return bool(near) if near.ndim == 0 else near
 
 
@@ -265,16 +265,15 @@ def delta_p_direct(ps: PoleSet, k: ConcaveTerm, x):
     rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.maximum(
         gn, ps.gradient_epsilon
     ) ** 2
-    return _masked(gn ** (p - 2) * ((p - 2) * rayleigh + trace), vanishing, 0.0)
+    return _scalar(np.where(vanishing, 0.0, gn ** (p - 2) * ((p - 2) * rayleigh + trace)))
 
 
 def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x):
     """p-Laplacian of the pure superposition via the sign identity.
 
-    Only valid for K = 0 (None or ZeroTerm); a nonzero concave term has no
-    closed form here.
+    Only valid for K = 0 (None); a concave term has no closed form here.
     """
-    if k is not None and not isinstance(k, ZeroTerm):
+    if k is not None:
         raise UnsupportedConfigurationError(
             "the closed form covers pure superpositions only (K = 0)"
         )
@@ -289,7 +288,7 @@ def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x):
     gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian", single)
     expo = (p + n - 2) / (p - 1)
     s = np.sum(ps.weights * np.sin(res.angles) ** 2 / res.distances**expo, axis=-1)
-    return _masked(-ps.params.big_c * gn ** (p - 2) * s, vanishing | single, 0.0)
+    return _scalar(np.where(vanishing | single, 0.0, -ps.params.big_c * gn ** (p - 2) * s))
 
 
 def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
@@ -339,7 +338,7 @@ def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x):
         return _scalar(total)
     # the maximum only keeps the masked rows finite
     power = np.maximum(gn, ps.gradient_epsilon) ** (p - 2)
-    return _masked(power * total, gn < ps.gradient_epsilon, 1e-300)
+    return _scalar(np.where(gn < ps.gradient_epsilon, 1e-300, power * total))
 
 
 # indexed by sign_classes' code: 0 and 1 the sign of the factor, then the zero lines, then p = 1

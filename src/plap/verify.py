@@ -70,7 +70,7 @@ def _random_point_away(rng, ps):
     n = ps.params.n
     while True:
         x = rng.uniform(-2.0, 2.0, n)
-        if np.min(np.linalg.norm(x[None, :] - ps.locations, axis=1)) >= MIN_POLE_DISTANCE:
+        if superpose.pole_distance(ps, x) >= MIN_POLE_DISTANCE:
             return x
 
 
@@ -211,8 +211,6 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("comparison")
     dom = comparison.GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33))
-    spacing = max(dom.spacing)
-    tol = comparison.COMPARISON_TOL * (spacing / (1 / 32)) ** 2
 
     worst_mp = 0.0
     nodes_xy = dom.nodes()
@@ -238,14 +236,15 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
             rng.uniform(0.3, 1.5, count), rng.uniform(-0.5, 0.5, (count, 2)), params
         )
         k = concave.QuadraticTerm(_random_nsd(rng, 2), b=rng.uniform(-0.5, 0.5, 2))
-        report = comparison.comparison_check(ps, k, dom, tol=tol)
+        report = comparison.comparison_check(ps, k, dom)
         worst = max(worst, -report.min_gap)
         if i == 0:
             coarse = comparison.GridDomain(
                 bounds=dom.bounds, shape=tuple((m - 1) // 2 + 1 for m in dom.shape)
             )
-            rep_coarse = comparison.comparison_check(ps, k, coarse, tol=4 * tol)
+            rep_coarse = comparison.comparison_check(ps, k, coarse)
             refine_pair = (max(0.0, -rep_coarse.min_gap), max(0.0, -report.min_gap))
+    tol = report.tol
     rep.add("comparison_principle", worst, tol)
     # violations must not grow under refinement
     rep.add(

@@ -1,6 +1,7 @@
 """End-to-end command-line tests via the console entry point."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from plap import cli, comparison
+from plap.errors import SolverFailureError
 from plap.schemas import SCHEMAS
 
 CLI = [sys.executable, "-m", "plap.cli"]
@@ -175,6 +177,11 @@ def main_exits_2_with_one_error_line(capsys, command, path, out_dir):
     return err[0]
 
 
+# the schema accepts each; the kind's own keys are missing
+CONCAVE_WITHOUT_KEYS = [{"kind": "quadratic"}, {"kind": "affine_min", "slopes": [[1, 0]]},
+                        {"kind": "mollified", "delta": 0.2}]
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("eval", with_changes(concave=QUADRATIC_3D)),
     ("eval", with_changes(concave=AFFINE_3D)),
@@ -182,6 +189,9 @@ def main_exits_2_with_one_error_line(capsys, command, path, out_dir):
     ("compare", dict(COMPARE_CFG, concave=QUADRATIC_3D)),
     ("compare", dict(COMPARE_CFG, concave={"kind": "mollified", "delta": 0.1, "base": QUADRATIC_3D})),
     ("compare", dict(COMPARE_CFG, params={"p": 2.0, "n": 2})),
+    ("compare", dict(COMPARE_CFG, grid={"bounds": [[-1, 1]] * 3, "shape": [9, 9, 9]})),
+    *[(command, dict(cfg, concave=term)) for command, cfg in (("eval", EVAL_CFG), ("compare", COMPARE_CFG))
+      for term in CONCAVE_WITHOUT_KEYS],
     ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2},
                          "radii": {"min": 0.1, "max": 2.0, "count": 5}}),
     ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2},
@@ -194,12 +204,30 @@ def main_exits_2_with_one_error_line(capsys, command, path, out_dir):
                          "y": [0.0, 0.0], "times": {"min": 0.5, "max": 2.0, "count": 5}}),
 ], ids=["eval_quadratic_dimension", "eval_affine_dimension", "eval_mollified_base_dimension",
         "compare_quadratic_dimension", "compare_mollified_base_dimension", "compare_p_two",
+        "compare_grid_dimension", "eval_quadratic_without_a_matrix", "eval_affine_without_offsets",
+        "eval_mollified_without_base", "compare_quadratic_without_a_matrix",
+        "compare_affine_without_offsets", "compare_mollified_without_base",
         "barenblatt_without_t", "barenblatt_without_radii", "homogeneous_without_y",
         "homogeneous_without_times", "homogeneous_zero_y"])
 def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)
     main_exits_2_with_one_error_line(capsys, command, path, tmp_path)
+
+
+@pytest.mark.parametrize("command,cfg,line", [
+    *[("eval", with_changes(concave=term), line) for term, line in zip(CONCAVE_WITHOUT_KEYS, [
+        "error: a quadratic concave term needs a_matrix",
+        "error: a affine_min concave term needs offsets",
+        "error: a mollified concave term needs base",
+    ])],
+    ("compare", dict(COMPARE_CFG, grid={"bounds": [[-1, 1]] * 3, "shape": [9, 9, 9]}),
+     "error: the grid has dimension 3, but the poles have dimension 2"),
+], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension"])
+def test_config_error_line_names_the_defect(tmp_path, capsys, command, cfg, line):
+    path = tmp_path / "cfg.json"
+    write_json(path, cfg)
+    assert main_exits_2_with_one_error_line(capsys, command, path, tmp_path) == line
 
 
 def test_compare_at_p_two_names_the_harness_contract(tmp_path, capsys):
@@ -282,6 +310,49 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, defec
     assert str(path) in line
 
 
+@pytest.mark.parametrize("defect", ["missing_directory", "directory"])
+@pytest.mark.parametrize("command,flag", [
+    ("eval", "--out"), ("sign-map", "--out"), ("verify", "--out"), ("compare", "--out"),
+    ("compare", "--summary"), ("evolution-sweep", "--out"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, flag, defect):
+    if command == "verify":
+        args = ["verify", "--suite", "evolution"]
+    else:
+        path = tmp_path / "cfg.json"
+        write_json(path, LOADERS[command])
+        args = [command, "--config", str(path)]
+    outputs = {"--out": tmp_path / "o.csv"}
+    if command == "compare":
+        outputs["--summary"] = tmp_path / "s.json"
+    outputs[flag] = tmp_path / "missing" / "o" if defect == "missing_directory" else tmp_path
+    for name, target in outputs.items():
+        args += [name, str(target)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == cli.EXIT_USAGE
+    strerror = os.strerror(errno.ENOENT if defect == "missing_directory" else errno.EISDIR)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {outputs[flag]}: {strerror}"]
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_solver_failure_exits_1_with_its_residual(tmp_path, capsys, monkeypatch, command):
+    def fail(*args):
+        raise SolverFailureError("no convergence", residual=0.5)
+
+    monkeypatch.setattr(comparison, "solve_p_harmonic", fail)
+    if command == "verify":
+        args = ["verify", "--suite", "comparison"]
+    else:
+        path = tmp_path / "cfg.json"
+        write_json(path, COMPARE_CFG)
+        args = ["compare", "--config", str(path), "--out", str(tmp_path / "o.csv"),
+                "--summary", str(tmp_path / "s.json")]
+    assert cli.main(args) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.splitlines() == ["solver failure: no convergence (residual 0.5)"]
+
+
 @pytest.mark.parametrize("cfg,token", [
     (with_changes(poles=[{"weight": math.nan, "location": [0.5, 0.0]}]), "NaN"),
     (with_changes(params={"p": math.nan, "n": 2}), "NaN"),
@@ -318,6 +389,22 @@ def test_eval_near_pole_row_on_a_kink(tmp_path):
     header, row = read_csv(out)
     assert row[header.index("flag")] == "near-pole"
     assert float(row[header.index("value")]) == pytest.approx(-2.0 * 5e-4**0.5, rel=1e-12)
+
+
+def test_eval_with_a_zero_concave_term_is_eval_without_one(tmp_path):
+    """Kind zero and a mollified zero are K = None: the same bytes, with
+    the closed form filled in on every regular row."""
+    outs = []
+    for cfg in (EVAL_CFG, with_changes(concave={"kind": "zero"}),
+                with_changes(concave={"kind": "mollified", "delta": 0.2, "base": {"kind": "zero"}})):
+        path, out = tmp_path / "eval.json", tmp_path / f"o{len(outs)}.csv"
+        write_json(path, cfg)
+        assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    header, *rows = read_csv(tmp_path / "o0.csv")
+    closed, flag = header.index("delta_p_closed_form"), header.index("flag")
+    assert all(math.isfinite(float(row[closed])) for row in rows if not row[flag])
 
 
 def test_missing_subcommand_usage():

@@ -398,6 +398,19 @@ def test_comparison_check_refuses_p_up_to_two(p):
         comparison_check(ps, None, dom)
 
 
+@pytest.mark.parametrize("bounds,shape,factor", [
+    ([(-1, 1), (-1, 1)], (17, 17), 16.0),
+    ([(-1, 1), (-1, 1)], (33, 33), 4.0),
+    ([(-1, 1), (-1, 1)], (65, 65), 1.0),
+    ([(-1, 1), (-1, 2)], (33, 25), 16.0),  # spacings 1/16 and 1/8: the larger one counts
+], ids=["17", "33", "65", "non_square"])
+def test_default_tolerance_scales_as_the_square_of_the_spacing(bounds, shape, factor):
+    dom = GridDomain(bounds=bounds, shape=shape)
+    report = comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
+    assert report.tol == comparison.COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
+    assert report.tol == comparison.COMPARISON_TOL * factor
+
+
 def test_refinement_shrinks_violations():
     pa = Params(3, 2, 1.0)
     ps = PoleSet([1.0, 0.5], [[0.2, 0.0], [-0.25, 0.15]], pa)

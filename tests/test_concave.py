@@ -15,7 +15,6 @@ from plap import (
     Params,
     PoleSet,
     QuadraticTerm,
-    ZeroTerm,
     eigenvalue_criterion,
     operator_term,
     superposition_grid,
@@ -28,12 +27,6 @@ from plap.errors import KinkError
 def random_nsd(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * -rng.uniform(0, 3, n)) @ q.T
-
-
-def test_zero_term():
-    v, g, h = ZeroTerm().eval(np.array([1.0, 2.0]))
-    assert v == 0.0
-    assert np.all(g == 0) and np.all(h == 0)
 
 
 def test_quadratic_eval():
@@ -92,7 +85,7 @@ def test_mollified_preserves_affine():
 
 def test_mollified_requires_positive_delta():
     with pytest.raises(ValueError):
-        MollifiedTerm(ZeroTerm(), 0.0)
+        MollifiedTerm(QuadraticTerm(-np.eye(2)), 0.0)
 
 
 def test_mollified_locally_uniform_convergence():
@@ -190,8 +183,6 @@ batch_settings = settings(max_examples=10, deadline=None, derandomize=True, data
 
 
 def random_term(rng, kind, d):
-    if kind == "zero":
-        return ZeroTerm()
     if kind == "quadratic":
         a = rng.standard_normal((d, d))
         return QuadraticTerm(a + a.T, b=rng.uniform(-1, 1, d), c0=float(rng.uniform(-1, 1)))
@@ -215,7 +206,7 @@ def pointwise(fn, x):
 
 
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["point", "rows", "grid"])
-@pytest.mark.parametrize("kind", ["zero", "quadratic", "affine_min", "mollified", "nested"])
+@pytest.mark.parametrize("kind", ["quadratic", "affine_min", "mollified", "nested"])
 @batch_settings
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
 def test_batched_equals_pointwise(kind, lead, seed, d):
@@ -334,8 +325,8 @@ def test_symmetry_nsd_and_criterion_decisions_on_verify_draws_match_allclose_and
     monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(
         params=params, locations=y))
     monkeypatch.setattr(comparison, "solve_p_harmonic", lambda dom, data, p: data)
-    monkeypatch.setattr(comparison, "comparison_check",
-                        lambda *args, **kwargs: SimpleNamespace(min_gap=0.0))
+    monkeypatch.setattr(comparison, "comparison_check", lambda *args, **kwargs: SimpleNamespace(
+        min_gap=0.0, tol=comparison.COMPARISON_TOL))
     for seed in range(200):
         verify.verify_concave(seed)
         verify.verify_comparison(seed)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from plap import (
     AffineMinTerm,
+    GridDomain,
     Params,
     PoleSet,
     QuadraticTerm,
     SignClass,
-    ZeroTerm,
     delta_p_closed_form,
     delta_p_direct,
     delta_p_fd,
@@ -26,7 +26,7 @@ from plap.errors import (
     PoleSingularityError,
     UnsupportedConfigurationError,
 )
-from plap.superpose import DEFAULT_FD_STEP
+from plap.superpose import DEFAULT_FD_STEP, pole_distance
 
 
 def rel(a, b, scale=0.0):
@@ -228,7 +228,7 @@ def test_closed_form_rejects_concave_term():
     ps = PoleSet([1.0], [[0, 0]], Params(3, 2))
     with pytest.raises(UnsupportedConfigurationError):
         delta_p_closed_form(ps, QuadraticTerm(-np.eye(2)), [1.0, 1.0])
-    assert delta_p_closed_form(ps, ZeroTerm(), [1.0, 1.0]) == 0.0
+    assert delta_p_closed_form(ps, None, [1.0, 1.0]) == 0.0
 
 
 def test_two_pole_closed_vs_direct_and_sign():
@@ -261,6 +261,27 @@ def test_fd_rejects_points_near_poles():
     ps = PoleSet([1.0], [[0, 0]], Params(3, 2))
     with pytest.raises(PoleSingularityError):
         delta_p_fd(ps, None, [5e-4, 0.0], step=1e-4)
+
+
+def per_pole_minimum(locations, x):
+    """The nearest-pole distance as a loop over poles, one norm per pole."""
+    best = np.full(np.shape(x)[:-1], np.inf)
+    for y in locations:
+        best = np.minimum(best, np.linalg.norm(x - y, axis=-1))
+    return best
+
+
+def test_pole_distance_is_the_per_pole_minimum_on_a_padded_stack_and_on_grid_nodes():
+    rng = np.random.default_rng(41)
+    sets = [PoleSet(rng.uniform(0.2, 2.0, m), rng.uniform(-1, 1, (m, 3)), Params(3, 3))
+            for m in (1, 5, 2, 8)]
+    stack = PoleSet.stack(sets)
+    x = rng.uniform(-2, 2, (len(sets), 3))
+    want = [per_pole_minimum(ps.locations, x[i]) for i, ps in enumerate(sets)]
+    np.testing.assert_array_equal(pole_distance(stack, x), want)
+    ps = PoleSet([1.0, 0.5, 2.0], [[0.2, 0.1], [-0.4, 0.3], [0.0, -0.7]], Params(3, 2))
+    nodes = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33)).nodes()
+    np.testing.assert_array_equal(pole_distance(ps, nodes), per_pole_minimum(ps.locations, nodes))
 
 
 def test_fd_guard_uses_the_stencil_spacing():
