@@ -213,7 +213,10 @@ def cmd_sign_map(args):
     # p_min + i p_step rounded to decimals lands exactly on the zero lines;
     # np.arange's step, (p_min + p_step) - p_min, carries the rounding of
     # p_min and drifts its rows off them once |p_min| reaches about 10
-    p_values = np.round(p_min + p_step * np.arange(int(p_count)), 12)
+    p_values = p_min + p_step * np.arange(int(p_count))
+    with np.errstate(over="ignore"):  # from |p| ~ 1.8e296, too big for rounding to change p
+        rounded = np.round(p_values, 12)
+    p_values = np.where(np.isfinite(rounded), rounded, p_values)
     if np.any(np.diff(p_values) <= 0.0):
         _usage_error(
             f"error: p_step {cfg['p_step']!r} is below the 12-decimal rounding of p, "

@@ -88,36 +88,10 @@ class GridDomain:
         return mask
 
 
-def _unknown_axes(shape):
-    """Grid axes from the most nodes to the fewest (ties in axis order): the
-    unknowns are numbered with the first of them varying slowest."""
-    return sorted(range(len(shape)), key=lambda axis: -shape[axis])
-
-
-def _half_band(shape):
-    """Lower half-bandwidth of the Newton systems: a node is coupled to the
-    3^dim nodes of the cells around it, the farthest of them one stride
-    along every axis away in the unknowns' numbering."""
-    interior = [shape[axis] - 2 for axis in _unknown_axes(shape)]
-    return sum(math.prod(interior[axis + 1:]) for axis in range(len(shape)))
-
-
-def _check_band(shape):
-    """Raise before anything is allocated if the band of a grid's Newton
-    systems would exceed MAX_BAND_BYTES."""
-    unknowns = math.prod(m - 2 for m in shape)
-    size = 8 * (_half_band(shape) + 1) * unknowns
-    if size > MAX_BAND_BYTES:
-        raise UnsupportedConfigurationError(
-            f"the Newton systems of a {'x'.join(map(str, shape))} grid have a band of "
-            f"{size / 2**30:.3g} GiB, above the limit of {MAX_BAND_BYTES / 2**30:.3g} GiB"
-        )
-
-
 class _Stencil:
     """The cell gradient of a grid as a stencil over the 2^dim corners of
     each cell, and the layout of the interior unknowns and of the lower
-    band of their Newton systems.
+    band of their Newton systems, refused above MAX_BAND_BYTES.
 
     Corner k of a cell lies ``corners[k]`` (0 or 1 per axis) above the
     cell's lowest node; ``weights[k, j]`` is its weight in the gradient
@@ -127,6 +101,20 @@ class _Stencil:
 
     def __init__(self, dom: GridDomain):
         dim = dom.dim
+        # the interior axis of most nodes varies slowest (ties in axis order)
+        self.order = sorted(range(dim), key=lambda axis: -dom.shape[axis])
+        self.numbered = tuple(dom.shape[axis] - 2 for axis in self.order)
+        self.count = math.prod(self.numbered)
+        stride = {axis: math.prod(self.numbered[pos + 1:]) for pos, axis in enumerate(self.order)}
+        # a node is coupled to the 3^dim nodes of the cells around it, the
+        # farthest of them one stride along every axis away
+        self.half_band = sum(stride.values())
+        size = 8 * (self.half_band + 1) * self.count
+        if size > MAX_BAND_BYTES:
+            raise UnsupportedConfigurationError(
+                f"the Newton systems of a {'x'.join(map(str, dom.shape))} grid have a band of "
+                f"{size / 2**30:.3g} GiB, above the limit of {MAX_BAND_BYTES / 2**30:.3g} GiB"
+            )
         self.corners = list(itertools.product((0, 1), repeat=dim))
         self.weights = np.array([
             [(1 if c[j] else -1) / h * 0.5 ** (dim - 1) for j, h in enumerate(dom.spacing)]
@@ -134,17 +122,12 @@ class _Stencil:
         ])
         self.cell_shape = tuple(m - 1 for m in dom.shape)
         self.inner = dom.interior
-        self.order = _unknown_axes(dom.shape)
-        self.numbered = tuple(dom.shape[axis] - 2 for axis in self.order)
-        self.count = math.prod(self.numbered)
-        self.half_band = _half_band(dom.shape)
         # node values at corner k of every cell, and the cells that have
         # an interior node at corner k, in interior-node order
         self.node_slices = [tuple(slice(1, None) if ci else slice(None, -1) for ci in c)
                             for c in self.corners]
         self.cell_slices = [tuple(slice(None, -1) if ci else slice(1, None) for ci in c)
                             for c in self.corners]
-        stride = {axis: math.prod(self.numbered[pos + 1:]) for pos, axis in enumerate(self.order)}
         # corners k and l of a cell couple unknowns ``offset`` apart in the
         # numbering; each pair with offset >= 0 fills one slice of diagonal
         # ``offset`` of the lower band, over the cells whose corners k and l
@@ -250,7 +233,7 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndar
     """
     if not p >= 2:
         raise ValueError("the solver covers p >= 2 only")
-    _check_band(dom.shape)
+    st = _Stencil(dom)
     boundary = np.asarray(boundary, dtype=float)
     if boundary.shape != dom.shape:
         raise ValueError("boundary array does not match the grid shape")
@@ -259,7 +242,6 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndar
         raise ValueError("boundary values must be finite")
 
     cell_vol = float(np.prod(dom.spacing))
-    st = _Stencil(dom)
     u = boundary.copy()
 
     # initial guess: the unweighted (p = 2) discrete-harmonic extension,
@@ -288,9 +270,7 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndar
         residual = float(np.abs(grad_e).max())
     if residual > NEWTON_TOL:
         raise SolverFailureError(
-            f"no convergence within {MAX_NEWTON_ITER} iterations "
-            f"(residual {residual:.3e})",
-            residual=residual,
+            f"no convergence within {MAX_NEWTON_ITER} iterations", residual=residual
         )
     st.scatter(u, x)
     return u
@@ -353,7 +333,7 @@ def comparison_check(
     p = ps.params.p
     if not p > 2:
         raise UnsupportedConfigurationError("the comparison harness requires p > 2")
-    _check_band(dom.shape)
+    _Stencil(dom)  # refuses an oversized band before the W grid is built
     if tol is None:
         tol = COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
 

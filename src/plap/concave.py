@@ -3,7 +3,7 @@ their mollifications, plus the eigenvalue sufficient condition for the
 sign of the operator term (p-2) xi^T H xi / |xi|^2 + tr H."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +15,6 @@ TIE_EPSILON = 1e-9          # relative tie detection for min-of-affine pieces
 CRITERION_SLACK = 1e-12     # absorbs eigensolver noise at the equality boundary
 MOLLIFIER_NODES = 16        # Gauss-Legendre nodes per axis of the mollifier quadrature
 MOLLIFIER_BLOCK = 1 << 16   # shifted nodes per base call: (block, Q, d) stays about 1 MB
-NSD_TOL = 1e-12             # scale-aware negative-semidefiniteness threshold
 
 
 class ConcaveTerm:
@@ -32,8 +31,6 @@ class ConcaveTerm:
     (d,) gives a float value.
     """
 
-    concave: bool = True
-
     def value(self, x):
         raise NotImplementedError
 
@@ -44,25 +41,17 @@ class ConcaveTerm:
         return self.eval(x)
 
 
-def _is_negative_semidefinite(a: np.ndarray) -> bool:
-    lam = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.abs(lam).max()))  # the 2-norm of the symmetric a
-    return bool(lam[-1] <= NSD_TOL * scale)
-
-
 @dataclass(frozen=True)
 class QuadraticTerm(ConcaveTerm):
     """K(x) = x^T A x / 2 + b.x + c0.
 
     Non-concave A is allowed (needed for the eigenvalue-criterion
-    counterexamples); ``concave`` records whether A is negative
-    semidefinite.
+    counterexamples).
     """
 
     a_matrix: np.ndarray
     b: np.ndarray = None
     c0: float = 0.0
-    concave: bool = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
@@ -76,7 +65,6 @@ class QuadraticTerm(ConcaveTerm):
             raise ValueError("b has the wrong dimension")
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "concave", _is_negative_semidefinite(a))
 
     # stacked matmuls and vecdot round every point of a batch exactly as a
     # single point's 0.5 x @ A @ x + b @ x and A @ x + b
@@ -98,7 +86,6 @@ class AffineMinTerm(ConcaveTerm):
 
     slopes: np.ndarray
     offsets: np.ndarray
-    concave: bool = field(default=True, init=False)
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.slopes, dtype=float))
@@ -177,12 +164,10 @@ class MollifiedTerm(ConcaveTerm):
 
     base: ConcaveTerm
     delta: float
-    concave: bool = field(init=False)
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("smoothing radius delta must be positive")
-        object.__setattr__(self, "concave", self.base.concave)
 
     def _blocks(self, x):
         """Shape of the points x (..., d), the quadrature weights, and per

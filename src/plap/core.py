@@ -8,7 +8,7 @@ A radial function f(x) = v(|x - y|) has
 
 and the fundamental solution has v'(r) = -c * r^((1-n)/(p-1)), which makes
 (p-1) v'' + (n-1) v'/r vanish identically.  Also the central-difference
-divergence stencil shared by the finite-difference oracles.
+p-Laplacian shared by the finite-difference oracles.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleSingularityError
+from .errors import PoleSingularityError, UndefinedOperatorError
 
 
 @dataclass(frozen=True)
@@ -126,3 +126,21 @@ def fd_divergence(flux, x, step: float):
         f[..., n:, :], axis1=-2, axis2=-1
     )
     return _scalar(np.sum(diag / (2 * h), axis=-1))
+
+
+def fd_p_laplacian(gradient, x, step: float, p: float, eps):
+    """``fd_divergence`` of the flux |g|^{p-2} g, where ``gradient`` gives
+    g on the stencil points.  A gradient of norm below ``eps``, which
+    broadcasts against the leading shape of x, carries zero flux for p >= 2
+    and is an error for p < 2."""
+    eps = np.asarray(eps)[..., None, None]
+
+    def flux(z):
+        g = gradient(z)
+        gn = np.linalg.norm(g, axis=-1, keepdims=True)
+        vanishing = gn < eps
+        if p < 2 and vanishing.any():
+            raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
+        return np.where(vanishing, 0.0, gn ** (p - 2) * g)
+
+    return fd_divergence(flux, x, step)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, _scalar, fd_divergence, row_norm
+from .core import Params, _scalar, fd_p_laplacian, row_norm
 from .errors import UndefinedOperatorError, UnsupportedConfigurationError
 
 BARENBLATT = "barenblatt"
@@ -169,14 +169,20 @@ def barenblatt_defect(k: EvolutionKernel, a: float, x, t):
         raise ValueError("scale factor a must be positive")
     if a == 1.0:
         return 0.0 * kernel_value(k, x, t)  # zeros of the batch's shape
+    try:
+        factor = a ** (k.params.p - 1) - a
+    except OverflowError:
+        raise UnsupportedConfigurationError(
+            f"a^(p-1) overflows a double for a = {a!r} and p = {k.params.p!r}"
+        ) from None
     # + 0.0 turns the -0.0 of a zero B_t times a < 1 into 0.0
-    return (a ** (k.params.p - 1) - a) * kernel_time_derivative(k, x, t) + 0.0
+    return factor * kernel_time_derivative(k, x, t) + 0.0
 
 
-def _flux(g, p):
-    """The flux |g|^{p-2} g of gradients g of shape (..., n).  With p > 2 a
-    vanishing gradient carries zero flux."""
-    return np.linalg.norm(g, axis=-1, keepdims=True) ** (p - 2) * g
+def _time_difference(f, t):
+    """Central difference of f at times t, relative step TIME_FD_REL_STEP."""
+    dt = TIME_FD_REL_STEP * t
+    return (f(t + dt) - f(t - dt)) / (2 * dt)
 
 
 def barenblatt_defect_fd(k: EvolutionKernel, a: float, x, t):
@@ -186,12 +192,10 @@ def barenblatt_defect_fd(k: EvolutionKernel, a: float, x, t):
     if k.kind != BARENBLATT:
         raise ValueError("defect identity applies to the Barenblatt kernel")
     stencil_t = np.expand_dims(t, -1)  # against the (..., 2n) stencil points
-    lap = fd_divergence(
-        lambda z: _flux(a * kernel_spatial_gradient(k, z, stencil_t), k.params.p), x, SPACE_FD_STEP
+    lap = fd_p_laplacian(
+        lambda z: a * kernel_spatial_gradient(k, z, stencil_t), x, SPACE_FD_STEP, k.params.p, 0.0
     )
-    dt = TIME_FD_REL_STEP * t
-    bt = (a * kernel_value(k, x, t + dt) - a * kernel_value(k, x, t - dt)) / (2 * dt)
-    return lap - bt
+    return lap - _time_difference(lambda s: a * kernel_value(k, x, s), t)
 
 
 def sign_change_radius(k: EvolutionKernel, t):
@@ -250,17 +254,12 @@ def two_bump_defect_fd(k: EvolutionKernel, y, t):
     x = np.zeros_like(y)
     x[..., 0] = TWO_BUMP_OFFSET
 
-    dt = TIME_FD_REL_STEP * t
-
-    def signed_power(v):
+    def signed_power(s):  # |V|^{p-2} V at times s
+        v = two_bump_value(k, y, x, s)
         return np.power(np.abs(v), p - 2) * v
 
-    term_t = (
-        signed_power(two_bump_value(k, y, x, t + dt))
-        - signed_power(two_bump_value(k, y, x, t - dt))
-    ) / (2 * dt)
     stencil_y, stencil_t = y[..., None, :], np.expand_dims(t, -1)
-    lap = fd_divergence(
-        lambda z: _flux(two_bump_gradient(k, stencil_y, z, stencil_t), p), x, TWO_BUMP_SPACE_STEP
+    lap = fd_p_laplacian(
+        lambda z: two_bump_gradient(k, stencil_y, z, stencil_t), x, TWO_BUMP_SPACE_STEP, p, 0.0
     )
-    return term_t - lap
+    return _time_difference(signed_power, t) - lap

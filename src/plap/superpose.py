@@ -24,7 +24,7 @@ from .core import (
     Params,
     _profile_slope,
     _scalar,
-    fd_divergence,
+    fd_p_laplacian,
     fd_spacing,
     fundamental_profile,
     row_norm,
@@ -283,7 +283,7 @@ def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x):
     # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
     single = ps.counts == 1
-    if p == 2 or np.all(single):
+    if p == 2:
         return _scalar(np.zeros(np.shape(res.value)))
     gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian", single)
     expo = (p + n - 2) / (p - 1)
@@ -297,28 +297,21 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
     if not step > 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
-    p = ps.params.p
     if np.any(near_pole(ps, x, step)):
         raise PoleSingularityError("query point too close to a pole for the FD stencil")
 
     # a stack's arrays gain the stencil axis of z (..., 2n, n)
     y, a = ps.locations[..., None, :, :], ps.weights[..., None, :]
-    eps = np.asarray(ps.gradient_epsilon)[..., None, None]
 
-    def flux(z):
+    def gradient(z):
         d = z[..., None, :] - y
         r = np.linalg.norm(d, axis=-1)
         g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r) / r, d)
         if k is not None:
             g += k.eval(z)[1]
-        gn = np.linalg.norm(g, axis=-1, keepdims=True)
-        vanishing = gn < eps
-        if p < 2 and vanishing.any():
-            raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
-        # p >= 2: a vanishing gradient carries zero flux
-        return np.where(vanishing, 0.0, gn ** (p - 2) * g)
+        return g
 
-    return fd_divergence(flux, x, step)
+    return fd_p_laplacian(gradient, x, step, ps.params.p, ps.gradient_epsilon)
 
 
 def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x):
@@ -355,7 +348,7 @@ def sign_classes(p, n):
     """
     # float(n) is how Python adds an int n to a float p, for any size of n
     p, n = np.asarray(p, dtype=float), np.asarray(n, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         negative = -(p - 2) * (p + n - 2) / (p - 1) < 0
     zero = (p == 2) | (n == 1) | (p + n == 2)
     return _SIGN_NAMES[np.where(p == 1, 3, np.where(zero, 2, negative.astype(int)))]

@@ -294,7 +294,7 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
         def bt_fd(r):
             x = np.zeros(n)
             x[0] = r
-            dt = 1e-6 * t
+            dt = evolution.TIME_FD_REL_STEP * t
             later, earlier = evolution.kernel_value(kb, x, [t + dt, t - dt])
             return (later - earlier) / (2 * dt)
 

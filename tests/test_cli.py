@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -177,6 +178,11 @@ def main_exits_2_with_one_error_line(capsys, command, path, out_dir):
     return err[0]
 
 
+SIGN_MAP_CFG = {"schema_version": 1, "p_min": 0.5, "p_max": 3.0, "p_step": 0.5, "n_min": 1, "n_max": 3}
+SWEEP_CFG = {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2}, "t": 1.0,
+             "radii": {"min": 0.1, "max": 2.0, "count": 5}}
+
+
 # the schema accepts each; the kind's own keys are missing
 CONCAVE_WITHOUT_KEYS = [{"kind": "quadratic"}, {"kind": "affine_min", "slopes": [[1, 0]]},
                         {"kind": "mollified", "delta": 0.2}]
@@ -223,7 +229,12 @@ def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     ])],
     ("compare", dict(COMPARE_CFG, grid={"bounds": [[-1, 1]] * 3, "shape": [9, 9, 9]}),
      "error: the grid has dimension 3, but the poles have dimension 2"),
-], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension"])
+    ("evolution-sweep", dict(SWEEP_CFG, kernel={"kind": "barenblatt", "p": 1025.0, "n": 2}),
+     "error: a^(p-1) overflows a double for a = 2.0 and p = 1025.0"),
+    ("evolution-sweep", dict(SWEEP_CFG, kernel={"kind": "barenblatt", "p": 40.0, "n": 2}, a=1e10),
+     "error: a^(p-1) overflows a double for a = 10000000000.0 and p = 40.0"),
+], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension",
+        "barenblatt_default_a_overflows", "barenblatt_large_a_overflows"])
 def test_config_error_line_names_the_defect(tmp_path, capsys, command, cfg, line):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)
@@ -237,9 +248,6 @@ def test_compare_at_p_two_names_the_harness_contract(tmp_path, capsys):
     assert line == "error: the comparison harness requires p > 2"
 
 
-SIGN_MAP_CFG = {"schema_version": 1, "p_min": 0.5, "p_max": 3.0, "p_step": 0.5, "n_min": 1, "n_max": 3}
-SWEEP_CFG = {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2}, "t": 1.0,
-             "radii": {"min": 0.1, "max": 2.0, "count": 5}}
 LOADERS = {"eval": EVAL_CFG, "sign-map": SIGN_MAP_CFG, "compare": COMPARE_CFG,
            "evolution-sweep": SWEEP_CFG}
 
@@ -297,6 +305,17 @@ def test_sign_map_step_below_the_rounding_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("p,sign_class", [(1e297, "NonPositive"), (-1e297, "NonNegative")])
+def test_sign_map_keeps_a_p_too_large_to_round(tmp_path, p, sign_class):
+    # p rounded to 12 decimals overflows to inf from |p| of about 1.8e296
+    path = tmp_path / "map.json"
+    write_json(path, dict(SIGN_MAP_CFG, p_min=p, p_max=p, p_step=1.0, n_min=2, n_max=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sign-map", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    assert read_csv(tmp_path / "o.csv")[1:] == [[repr(p), "2", sign_class]]
+
+
 @pytest.mark.parametrize("defect", ["truncated", "missing", "directory"])
 @pytest.mark.parametrize("command", sorted(LOADERS))
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, defect):
@@ -351,6 +370,18 @@ def test_solver_failure_exits_1_with_its_residual(tmp_path, capsys, monkeypatch,
                 "--summary", str(tmp_path / "s.json")]
     assert cli.main(args) == cli.EXIT_FAILURE
     assert capsys.readouterr().err.splitlines() == ["solver failure: no convergence (residual 0.5)"]
+
+
+def test_a_real_non_convergence_prints_its_residual_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(comparison, "MAX_NEWTON_ITER", 0)
+    path = tmp_path / "cfg.json"
+    write_json(path, COMPARE_CFG)
+    args = ["compare", "--config", str(path), "--out", str(tmp_path / "o.csv"),
+            "--summary", str(tmp_path / "s.json")]
+    assert cli.main(args) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].count("(residual ") == 1, err
+    assert err[0].startswith("solver failure: no convergence within 0 iterations (residual ")
 
 
 @pytest.mark.parametrize("cfg,token", [

@@ -22,11 +22,8 @@ from plap import comparison
 from plap.comparison import (
     _Stencil,
     _band_solve,
-    _check_band,
     _energy_state,
-    _half_band,
     _hessian,
-    _unknown_axes,
 )
 from plap.errors import SolverFailureError, UnsupportedConfigurationError
 from plap.verify import verify_comparison
@@ -130,7 +127,7 @@ def sparse_gradient(dom, boundary):
     g = sp.vstack(blocks, format="csc")
     bmask = dom.boundary_mask().ravel()
     offset = g @ np.where(bmask, boundary.ravel(), 0.0)
-    nodes = np.arange(bmask.size).reshape(dom.shape).transpose(_unknown_axes(dom.shape)).ravel()
+    nodes = np.arange(bmask.size).reshape(dom.shape).transpose(_Stencil(dom).order).ravel()
     unknowns = nodes[~bmask[nodes]]
     return g[:, unknowns], offset.reshape(dom.dim, -1), unknowns
 
@@ -191,7 +188,7 @@ def test_band_matches_the_sparse_reference(shape, p):
     x = rng.standard_normal(g_i.shape[1])
     st, energy, grad_e, band = stencil_state(dom, boundary, x, p)
     ref_energy, ref_grad, ref_state = sparse_energy_state(g_i, offset, x, p, cell_vol)
-    half_band = _half_band(shape)
+    half_band = st.half_band
     assert band.shape == (half_band + 1, g_i.shape[1]) and band.flags.f_contiguous
     ref_band = lower_band(sparse_hessian(g_i, ref_state, p, cell_vol), half_band)
     assert np.abs(band - ref_band).max() <= 1e-15 * np.abs(ref_band).max()
@@ -261,7 +258,7 @@ def sparse_reference_solve(dom, boundary, p):
     operators; returns the node values and the number of Newton steps."""
     cell_vol = float(np.prod(dom.spacing))
     g_i, offset, unknowns = sparse_gradient(dom, boundary)
-    half_band = _half_band(dom.shape)
+    half_band = _Stencil(dom).half_band
     rhs = -(g_i.T @ offset.ravel())
     x = solveh_banded(lower_band(g_i.T @ g_i, half_band), rhs, lower=True)
     energy, grad_e, state = sparse_energy_state(g_i, offset, x, p, cell_vol)
@@ -303,8 +300,8 @@ def test_half_band_is_the_assembled_band_with_the_longest_axis_outermost(shape, 
     dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
     g_i, _, _ = sparse_gradient(dom, np.zeros(shape))
     a = (g_i.T @ g_i).tocoo()
-    assert _half_band(shape) == (a.row - a.col).max() == half_band
     st = _Stencil(dom)
+    assert st.half_band == (a.row - a.col).max() == half_band
     assert np.any(st.band(np.ones(st.cell_shape))[-1] != 0.0)
 
 
@@ -330,11 +327,11 @@ def test_indefinite_newton_system_raises_solver_failure(monkeypatch):
 
 
 def test_band_above_the_limit_is_rejected_before_solving(monkeypatch):
-    _check_band((33, 33, 33))  # 0.24 GB
+    _Stencil(GridDomain(bounds=[(-1, 1)] * 3, shape=(33, 33, 33)))  # 0.24 GB
     with pytest.raises(UnsupportedConfigurationError, match="4.98 GiB"):
-        _check_band((60, 60, 60))
+        _Stencil(GridDomain(bounds=[(-1, 1)] * 3, shape=(60, 60, 60)))
     dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
-    monkeypatch.setattr(comparison, "MAX_BAND_BYTES", 8 * (_half_band(dom.shape) + 1) * 15**2 - 1)
+    monkeypatch.setattr(comparison, "MAX_BAND_BYTES", 8 * (_Stencil(dom).half_band + 1) * 15**2 - 1)
     monkeypatch.setattr(comparison, "superposition_grid", None)  # nothing is evaluated
     with pytest.raises(UnsupportedConfigurationError, match="17x17 grid"):
         comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)

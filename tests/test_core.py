@@ -15,8 +15,10 @@ from plap import (
     evaluate,
     fundamental_profile,
 )
-from plap.core import fd_divergence
-from plap.errors import PoleSingularityError
+from plap import evolution, superpose
+from plap.concave import QuadraticTerm
+from plap.core import _profile_slope, fd_divergence, fd_p_laplacian
+from plap.errors import PoleSingularityError, UndefinedOperatorError
 
 
 def fd_derivative(f, r, h=1e-5):
@@ -236,6 +238,151 @@ def test_fd_divergence_one_batched_call():
     div = fd_divergence(flux, x, 1e-3)
     assert calls == [(6, 3)]
     assert div == pytest.approx(np.trace(a) + 2 * x[0], rel=1e-9)
+
+
+# the gradient z - z_0 + TINY e_0, z_0 the first stencil point x + h e_0 of
+# each row, has norm TINY there, below EPS, and at least h > EPS at the
+# other stencil points
+TINY, EPS = 1e-4, 5e-4
+
+
+def tiny_at_the_first_stencil_point(z):
+    g = z - z[..., :1, :]
+    g[..., 0] += TINY
+    return g
+
+
+def flux_reference(p, zeroed):
+    """|g|^{p-2} g of ``tiny_at_the_first_stencil_point``, zero at the first
+    stencil point of the rows in ``zeroed``."""
+    def flux(z):
+        g = tiny_at_the_first_stencil_point(z)
+        f = np.linalg.norm(g, axis=-1, keepdims=True) ** (p - 2) * g
+        f[zeroed, 0] = 0.0
+        return f
+    return flux
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5])
+def test_fd_p_laplacian_gives_a_gradient_below_eps_zero_flux_row_by_row(p):
+    x = np.array([[0.3, -0.2], [1.1, 0.4], [-0.5, 0.9]])
+    step = 1e-3
+    below = fd_p_laplacian(tiny_at_the_first_stencil_point, x, step, p, EPS)
+    above = fd_p_laplacian(tiny_at_the_first_stencil_point, x, step, p, 0.0)
+    assert np.array_equal(below, fd_divergence(flux_reference(p, [0, 1, 2]), x, step))
+    assert np.array_equal(above, fd_divergence(flux_reference(p, []), x, step))
+    assert np.all(below != above)
+    stacked = fd_p_laplacian(tiny_at_the_first_stencil_point, x, step, p, [EPS, 0.0, EPS])
+    assert np.array_equal(stacked, [below[0], above[1], below[2]])
+    assert np.array_equal(stacked, fd_divergence(flux_reference(p, [0, 2]), x, step))
+
+
+def test_fd_p_laplacian_refuses_a_gradient_below_eps_for_p_below_2():
+    x = np.array([[0.3, -0.2], [1.1, 0.4]])
+    with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
+        fd_p_laplacian(tiny_at_the_first_stencil_point, x, 1e-3, 1.5, EPS)
+    # one row below its eps is enough; the others are above theirs
+    with pytest.raises(UndefinedOperatorError):
+        fd_p_laplacian(tiny_at_the_first_stencil_point, x, 1e-3, 1.5, [0.0, EPS])
+    got = fd_p_laplacian(tiny_at_the_first_stencil_point, x, 1e-3, 1.5, 0.0)
+    assert np.array_equal(got, fd_divergence(flux_reference(1.5, []), x, 1e-3))
+
+
+# the flux closures of the finite-difference oracles before
+# ``fd_p_laplacian`` owned the flux, kept as the bit-for-bit reference
+def reference_delta_p_fd(ps, k, x, step=superpose.DEFAULT_FD_STEP):
+    p = ps.params.p
+    y, a = ps.locations[..., None, :, :], ps.weights[..., None, :]
+    eps = np.asarray(ps.gradient_epsilon)[..., None, None]
+
+    def flux(z):
+        d = z[..., None, :] - y
+        r = np.linalg.norm(d, axis=-1)
+        g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r) / r, d)
+        if k is not None:
+            g += k.eval(z)[1]
+        gn = np.linalg.norm(g, axis=-1, keepdims=True)
+        vanishing = gn < eps
+        if p < 2 and vanishing.any():
+            raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
+        return np.where(vanishing, 0.0, gn ** (p - 2) * g)
+
+    return fd_divergence(flux, np.asarray(x, dtype=float), step)
+
+
+def reference_flux(g, p):
+    return np.linalg.norm(g, axis=-1, keepdims=True) ** (p - 2) * g
+
+
+def reference_barenblatt_defect_fd(k, a, x, t):
+    stencil_t = np.expand_dims(t, -1)
+    gradient, value = evolution.kernel_spatial_gradient, evolution.kernel_value
+    lap = fd_divergence(
+        lambda z: reference_flux(a * gradient(k, z, stencil_t), k.params.p), x, evolution.SPACE_FD_STEP
+    )
+    dt = evolution.TIME_FD_REL_STEP * t
+    bt = (a * value(k, x, t + dt) - a * value(k, x, t - dt)) / (2 * dt)
+    return lap - bt
+
+
+def reference_two_bump_defect_fd(k, y, t):
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    p = k.params.p
+    x = np.zeros_like(y)
+    x[..., 0] = evolution.TWO_BUMP_OFFSET
+    dt = evolution.TIME_FD_REL_STEP * t
+
+    def signed_power(v):
+        return np.power(np.abs(v), p - 2) * v
+
+    term_t = (
+        signed_power(evolution.two_bump_value(k, y, x, t + dt))
+        - signed_power(evolution.two_bump_value(k, y, x, t - dt))
+    ) / (2 * dt)
+    stencil_y, stencil_t = y[..., None, :], np.expand_dims(t, -1)
+    lap = fd_divergence(
+        lambda z: reference_flux(evolution.two_bump_gradient(k, stencil_y, z, stencil_t), p),
+        x, evolution.TWO_BUMP_SPACE_STEP,
+    )
+    return term_t - lap
+
+
+def same_bits(got, want):
+    """Same type (a float for one point), shape and bytes."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 4.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_delta_p_fd_is_the_reference_flux_closure_bit_for_bit(p, n):
+    rng = np.random.default_rng(int(10 * p) + n)
+    sets = [PoleSet(rng.uniform(0.1, 2, m), rng.uniform(-1, 1, (m, n)), Params(p, n))
+            for m in (1, 3, 5, 8)]
+    x = rng.uniform(1.5, 2.5, (4, n)) * rng.choice([-1.0, 1.0], (4, n))
+    stack = PoleSet.stack(sets)
+    k = QuadraticTerm(-np.eye(n), b=rng.uniform(-1, 1, n))
+    assert same_bits(superpose.delta_p_fd(stack, None, x), reference_delta_p_fd(stack, None, x))
+    for ps in sets:
+        for args in ((ps, None, x[0]), (ps, k, x, 1e-3)):
+            assert same_bits(superpose.delta_p_fd(*args), reference_delta_p_fd(*args))
+
+
+@pytest.mark.parametrize("p,n", [(2.5, 2), (3.0, 2), (4.0, 3)])
+def test_evolution_fd_defects_are_the_reference_flux_closures_bit_for_bit(p, n):
+    rng = np.random.default_rng(int(10 * p) + n)
+    kb = evolution.EvolutionKernel(evolution.BARENBLATT, Params(p, n), big_c=1.5)
+    t = 0.7
+    x = rng.standard_normal((6, n))
+    x *= (rng.uniform(0.05, 0.9, 6) * evolution.support_radius(kb, t)
+          / np.linalg.norm(x, axis=1))[:, None]
+    for args in ((kb, a, points, t) for a in (0.5, 2.0) for points in (x, x[0])):
+        got = evolution.barenblatt_defect_fd(*args)
+        assert same_bits(got, reference_barenblatt_defect_fd(*args))
+    kw = evolution.EvolutionKernel(evolution.HOMOGENEOUS, Params(p, n))
+    y, times = rng.uniform(-1, 1, (5, n)), rng.uniform(0.2, 3.0, 5)
+    for args in ((kw, y, times), (kw, y[0], 1.3)):
+        assert same_bits(evolution.two_bump_defect_fd(*args), reference_two_bump_defect_fd(*args))
 
 
 def test_rayleigh_radial_direction():

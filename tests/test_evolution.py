@@ -24,6 +24,7 @@ from plap.evolution import (
 
 
 from plap import Params
+from plap.errors import UnsupportedConfigurationError
 
 
 def kb(p=3.0, n=2, big_c=1.0):
@@ -130,6 +131,12 @@ def test_defect_identity_trivia():
     a = 2.0
     bt = kernel_time_derivative(k, x, 1.0)
     assert barenblatt_defect(k, a, x, 1.0) == pytest.approx((a ** 2 - a) * bt, rel=1e-14)
+
+
+@pytest.mark.parametrize("a,p", [(2.0, 1025.0), (1e10, 40.0)])
+def test_a_scale_factor_whose_power_overflows_is_unsupported(a, p):
+    with pytest.raises(UnsupportedConfigurationError, match="overflows a double"):
+        barenblatt_defect(kb(p=p), a, np.array([0.1, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("p,n", [(3.0, 2), (4.0, 3)])
