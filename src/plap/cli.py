@@ -8,6 +8,7 @@ name (DEBUG, INFO, WARNING, ERROR, CRITICAL) for diagnostics on stderr.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -214,9 +215,11 @@ def cmd_sign_map(args):
     # np.arange's step, (p_min + p_step) - p_min, carries the rounding of
     # p_min and drifts its rows off them once |p_min| reaches about 10
     p_values = p_min + p_step * np.arange(int(p_count))
-    with np.errstate(over="ignore"):  # from |p| ~ 1.8e296, too big for rounding to change p
-        rounded = np.round(p_values, 12)
-    p_values = np.where(np.isfinite(rounded), rounded, p_values)
+    # rounding multiplies by 1e12: from |p| 1e12 = 2^53 on, where p has no
+    # decimals left to round, the product is whole and dividing it back can
+    # move p by an ulp
+    rounds = np.abs(p_values) < 2.0**53 / 1e12
+    p_values[rounds] = np.round(p_values[rounds], 12)
     if np.any(np.diff(p_values) <= 0.0):
         _usage_error(
             f"error: p_step {cfg['p_step']!r} is below the 12-decimal rounding of p, "
@@ -329,7 +332,9 @@ def nonnegative_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once per process, as ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="plap",
         description="Verification experiments for p-Laplacian superpositions",

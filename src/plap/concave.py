@@ -202,33 +202,44 @@ class MollifiedTerm(ConcaveTerm):
         return _scalar(val.reshape(lead)), grad.reshape(shape), hess.reshape(lead + (d, d))
 
 
-def eigenvalue_criterion(hess, p: float) -> bool:
+def eigenvalue_criterion(hess, p):
     """Sufficient condition for the operator term to be non-positive:
     lambda_1 + ... + lambda_{n-1} + (p-1) lambda_n <= 0 (sorted ascending).
 
-    Strictly weaker than concavity for p > 2.
+    Strictly weaker than concavity for p > 2.  Takes a stack of matrices
+    (..., n, n) and p broadcasting against (...); one matrix gives a bool.
+    Every matrix of a stack must be symmetric.
     """
-    if not p > 2:
+    if not (np.asarray(p) > 2).all():
         raise ValueError("the criterion applies for p > 2 only")
     h = np.asarray(hess, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError("H must be square")
-    if not np.abs(h - h.T).max() <= 1e-10 * max(1.0, np.abs(h).max()):
+    asymmetry = np.abs(h - h.mT).max(axis=(-2, -1))
+    if not (asymmetry <= 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))).all():
         raise ValueError("H must be symmetric")
     return criterion_sum(h, p) <= CRITERION_SLACK
 
 
-def criterion_sum(hess, p: float) -> float:
-    """The value lambda_1 + ... + lambda_{n-1} + (p-1) lambda_n itself."""
+def criterion_sum(hess, p):
+    """The value lambda_1 + ... + lambda_{n-1} + (p-1) lambda_n itself, of
+    each matrix of a stack (..., n, n); a float for one matrix."""
     lam = np.linalg.eigvalsh(np.asarray(hess, dtype=float))
-    return float(lam[:-1].sum() + (p - 1) * lam[-1])
+    return _scalar(lam[..., :-1].sum(axis=-1) + (np.asarray(p) - 1) * lam[..., -1])
 
 
-def operator_term(k: ConcaveTerm, p: float, xi, x) -> float:
-    """(p-2) xi^T (Hess K) xi / |xi|^2 + tr Hess K at x."""
+def operator_term(k: ConcaveTerm, p, xi, x):
+    """(p-2) xi^T (Hess K) xi / |xi|^2 + tr Hess K at x.
+
+    Directions xi (..., n) broadcast against the points x (..., n), and p
+    against their leading shape; one direction at one point gives a float.
+    """
     xi = np.asarray(xi, dtype=float)
-    nrm2 = float(xi @ xi)
-    if nrm2 == 0.0:
+    # a row vector per direction, so each product rounds as for one direction
+    row = xi[..., None, :]
+    nrm2 = (row @ xi[..., None])[..., 0, 0]
+    if (nrm2 == 0.0).any():
         raise DegenerateDirectionError("direction xi must be nonzero")
     _, _, h = k.eval(x)
-    return (p - 2) * float(xi @ h @ xi) / nrm2 + float(np.trace(h))
+    quad = (row @ h @ xi[..., None])[..., 0, 0]
+    return _scalar((np.asarray(p) - 2) * quad / nrm2 + np.trace(h, axis1=-2, axis2=-1))

@@ -116,15 +116,29 @@ class PoleSet:
             raise ValueError("only unstacked pole sets with the same params stack")
         counts = np.array([s.counts for s in sets])
         real = np.arange(counts.max()) < counts[:, None]
-        first = np.cumsum(counts) - counts
+        weights = np.zeros(real.shape)
+        weights[real] = np.concatenate([s.weights for s in sets])
+        locations = np.zeros(real.shape + (params.n,))
+        locations[real] = np.concatenate([s.locations for s in sets])
+        return cls._from_rows(weights, locations, counts, params)
+
+    @classmethod
+    def _from_rows(cls, weights, locations, counts, params):
+        """The stack whose row b holds the first ``counts[b]`` poles of
+        ``weights`` (B, m) and ``locations`` (B, m, n), padded as ``stack``
+        pads; the rows are taken as merged sets, so nothing is merged."""
+        real = np.arange(weights.shape[1]) < counts[:, None]
         out = cls.__new__(cls)
-        out.weights = np.zeros(real.shape)
-        out.weights[real] = np.concatenate([s.weights for s in sets])
-        pick = np.where(real, first[:, None] + np.arange(real.shape[1]), first[:, None])
-        out.locations = np.concatenate([s.locations for s in sets])[pick]
+        out.weights = np.where(real, weights, 0.0)
+        out.locations = np.where(real[..., None], locations, locations[:, :1])
         out.params = params
         out.counts = counts
-        out.gradient_epsilon = np.array([s.gradient_epsilon for s in sets])
+        # summed over each unpadded row, as __init__ sums an unstacked set
+        total = np.empty(len(counts))
+        for count in np.unique(counts):
+            rows = counts == count
+            total[rows] = out.weights[rows, :count].sum(axis=1)
+        out.gradient_epsilon = 1e-12 * np.maximum(1.0, total)
         for a in (out.weights, out.locations, out.counts, out.gradient_epsilon):
             a.flags.writeable = False
         return out

@@ -78,9 +78,24 @@ def _rel(a, b, scale):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), scale)
 
 
+def _derived_stacks(base, q, shift, s):
+    """The stacked pole sets ``base`` moved by the rotations q (B, n, n) and
+    shifts (B, n), with their weights scaled by s (B,), and reduced to their
+    first pole, each built from ``base``'s arrays as ``PoleSet`` would build
+    them from one set's."""
+    build = superpose.PoleSet._from_rows
+    moved = base.locations @ q.mT + shift[:, None, :]
+    return (
+        build(base.weights, moved, base.counts, base.params),
+        build(s[:, None] * base.weights, base.locations, base.counts, base.params),
+        build(base.weights[:, :1], base.locations[:, :1], np.ones_like(base.counts), base.params),
+    )
+
+
 def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     """200 draws, each of p, n, a pole set, a point, a rotation, a shift and
-    a weight factor s; the routes then run once per (p, n) class on the
+    a weight factor s.  The draw loop makes only the draws and the point's
+    rejection test; the routes then run once per (p, n) class on the
     stacked sets of its draws."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("superpose")
@@ -90,25 +105,21 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
         n = int(rng.choice([2, 3, 5]))
         ps = _random_pole_set(rng, p, n)
         x = _random_point_away(rng, ps)
-        # isometry: random rotation + translation applied to poles and x
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # isometry: the rotation from the QR of g, then a translation
+        g = rng.standard_normal((n, n))
         shift = rng.uniform(-1, 1, n)
         s = float(rng.uniform(0.5, 3.0))
-        draws = classes.setdefault((p, n), [])
-        draws.append((
-            ps, x,
-            superpose.PoleSet(ps.weights, ps.locations @ q.T + shift, ps.params),
-            q @ x + shift,
-            superpose.PoleSet(s * ps.weights, ps.locations, ps.params),
-            s ** (p - 1),
-            superpose.PoleSet(ps.weights[:1], ps.locations[:1], ps.params),
-        ))
+        # a Python float power, which rounds unlike an array's
+        classes.setdefault((p, n), []).append((ps, x, g, shift, s, s ** (p - 1)))
 
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
     for (p, n), draws in classes.items():
-        base, x, moved, x_moved, scaled, factor, single = zip(*draws)
-        base, moved, scaled, single = map(superpose.PoleSet.stack, (base, moved, scaled, single))
-        x, x_moved, factor = np.array(x), np.array(x_moved), np.array(factor)
+        sets, x, g, shift, s, factor = zip(*draws)
+        base = superpose.PoleSet.stack(sets)
+        x, shift, factor = np.array(x), np.array(shift), np.array(factor)
+        q = np.linalg.qr(np.array(g))[0]
+        moved, scaled, single = _derived_stacks(base, q, shift, np.array(s))
+        x_moved = (q @ x[..., None])[..., 0] + shift
         d = superpose.delta_p_direct(base, None, x)
         c = superpose.delta_p_closed_form(base, None, x)
         f = superpose.delta_p_fd(base, None, x)
@@ -143,48 +154,79 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     return rep
 
 
+def _nsd_draw(rng, n):
+    """The draws of one n x n negative semidefinite matrix: a Gaussian
+    matrix for its eigenvectors and its eigenvalues."""
+    return rng.standard_normal((n, n)), -rng.uniform(0.0, 3.0, n)
+
+
+def _nsd(g, lam):
+    """Q diag(lam) Q^T with Q from the QR of g, for stacks g (..., n, n)
+    and lam (..., n)."""
+    q = np.linalg.qr(g)[0]
+    return (q * lam[..., None, :]) @ q.mT
+
+
 def _random_nsd(rng, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = -rng.uniform(0.0, 3.0, n)
-    return (q * lam) @ q.T
+    return _nsd(*_nsd_draw(rng, n))
+
+
+def _by_size(draws):
+    """The draws (tuples whose first field has length n) grouped by n, in
+    order of first appearance: per n, the draws' indices and a stacked array
+    of each field."""
+    groups = {}
+    for i, draw in enumerate(draws):
+        groups.setdefault(len(draw[0]), []).append(i)
+    return [(rows, *map(np.array, zip(*(draws[i] for i in rows)))) for rows in groups.values()]
 
 
 def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
+    """Each check's draw loop makes only the draws and the decisions later
+    draws depend on; its matrices are then built and checked per size n."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("concave")
 
-    worst = 0.0
+    draws = []
     for _ in range(TRIALS):
         n = int(rng.integers(2, 6))
         p = float(rng.uniform(2.01, 8.0))
-        h = _random_nsd(rng, n)
-        if not concave.eigenvalue_criterion(h, p):
-            worst = max(worst, concave.criterion_sum(h, p))
+        draws.append(_nsd_draw(rng, n) + (p,))
+    worst = 0.0
+    for _, g, lam, p in _by_size(draws):
+        h = _nsd(g, lam)
+        failed = ~concave.eigenvalue_criterion(h, p)
+        worst = max(worst, float(np.max(concave.criterion_sum(h, p), where=failed, initial=0.0)))
     rep.add("concavity_implies_criterion", worst, 1e-12)
 
-    worst = 0.0
+    accepted = []
     for _ in range(TRIALS):
         n = int(rng.integers(2, 6))
         p = float(rng.uniform(2.01, 6.0))
         h = (lambda a: 0.5 * (a + a.T))(rng.standard_normal((n, n)))
-        if not concave.eigenvalue_criterion(h, p):
-            continue
-        term = concave.QuadraticTerm(h)
-        for _ in range(10):
-            xi = rng.standard_normal(n)
-            worst = max(worst, concave.operator_term(term, p, xi, np.zeros(n)))
+        # only a matrix that meets the criterion draws its 10 directions
+        if concave.eigenvalue_criterion(h, p):
+            accepted.append((h, p, rng.standard_normal((10, n))))
+    worst = 0.0
+    for h, p, xi in accepted:
+        terms = concave.operator_term(concave.QuadraticTerm(h), p, xi, np.zeros(len(h)))
+        worst = max(worst, float(terms.max()))
     rep.add("criterion_implies_sign", worst, 1e-12)
 
-    worst = -np.inf  # the largest value of Δ_p(V + K) itself, so its margin shows
+    draws, trials = [], []
     for _ in range(TRIALS):
         p = float(rng.choice([2.5, 3.0, 4.0]))
         n = int(rng.choice([2, 3]))
         ps = _random_pole_set(rng, p, n, max_poles=5)
-        k = concave.QuadraticTerm(
-            _random_nsd(rng, n), b=rng.uniform(-1, 1, n), c0=float(rng.uniform(-1, 1))
-        )
-        x = np.array([_random_point_away(rng, ps) for _ in range(5)])
-        worst = max(worst, float(superpose.delta_p_direct(ps, k, x).max()))
+        draws.append(_nsd_draw(rng, n))
+        b, c0 = rng.uniform(-1, 1, n), float(rng.uniform(-1, 1))
+        trials.append((ps, b, c0, np.array([_random_point_away(rng, ps) for _ in range(5)])))
+    worst = -np.inf  # the largest value of Δ_p(V + K) itself, so its margin shows
+    for rows, g, lam in _by_size(draws):
+        for i, h in zip(rows, _nsd(g, lam)):
+            ps, b, c0, x = trials[i]
+            k = concave.QuadraticTerm(h, b=b, c0=c0)
+            worst = max(worst, float(superpose.delta_p_direct(ps, k, x).max()))
     rep.add("concave_superposition_sign", worst, 1e-10)
 
     base = concave.AffineMinTerm(

@@ -316,6 +316,56 @@ def test_sign_map_keeps_a_p_too_large_to_round(tmp_path, p, sign_class):
     assert read_csv(tmp_path / "o.csv")[1:] == [[repr(p), "2", sign_class]]
 
 
+def test_sign_map_writes_a_p_without_decimals_as_it_is(tmp_path):
+    # rounding to 12 decimals multiplies by 1e12; divided back, 1.006e15
+    # came out as 1005999999999999.9, and 8 more of these 101 rows moved
+    path = tmp_path / "map.json"
+    write_json(path, dict(SIGN_MAP_CFG, p_min=1e15, p_max=1.1e15, p_step=1e12, n_min=2, n_max=2))
+    assert cli.main(["sign-map", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    p = [row[0] for row in read_csv(tmp_path / "o.csv")[1:]]
+    assert p == ["%.17g" % (1e15 + i * 1e12) for i in range(101)]
+    assert p[6] == "1006000000000000"
+
+
+def test_main_reuses_one_parser_with_the_outputs_of_fresh_parsers(tmp_path, capsys, monkeypatch):
+    """In-process calls of several subcommands, one refused for its
+    arguments (exit 2), print, write and return what the same calls give
+    when each builds its own parser."""
+    write_json(tmp_path / "eval.json", EVAL_CFG)
+    write_json(tmp_path / "map.json", SIGN_MAP_CFG)
+
+    def calls(out):
+        out.mkdir()
+        return [
+            ["eval", "--config", str(tmp_path / "eval.json"), "--out", str(out / "eval.csv")],
+            ["verify", "--suite", "bogus"],
+            ["sign-map", "--config", str(tmp_path / "map.json"), "--out", str(out / "map.csv")],
+            ["verify", "--suite", "evolution", "--seed", "3"],
+            ["eval", "--config", str(tmp_path / "eval.json")],
+        ]
+
+    def run_in_process(out):
+        seen = []
+        for argv in calls(out):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return seen, files
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = run_in_process(tmp_path / "shared")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = run_in_process(tmp_path / "fresh")
+    assert shared == fresh
+    assert [code for code, _, _ in shared[0]] == [0, 2, 0, 0, 2]
+    assert "invalid choice: 'bogus'" in shared[0][1][2]
+    assert sorted(shared[1]) == ["eval.csv", "map.csv"]
+
+
 @pytest.mark.parametrize("defect", ["truncated", "missing", "directory"])
 @pytest.mark.parametrize("command", sorted(LOADERS))
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, defect):

@@ -157,6 +157,45 @@ def test_operator_term_concave_nonpositive():
         assert operator_term(k, 3.5, xi, np.zeros(3)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_stacked_criterion_and_operator_terms_equal_per_matrix_calls(n):
+    rng = np.random.default_rng(27 + n)
+    a = rng.standard_normal((8, n, n))
+    # half negative semidefinite, half indefinite, so both decisions occur
+    h = np.concatenate([-(a[:4] @ a[:4].mT), 0.5 * (a[4:] + a[4:].mT)])
+    p = rng.uniform(2.01, 8.0, 8)
+    sums, decisions = criterion_sum(h, p), eigenvalue_criterion(h, p)
+    assert sums.shape == decisions.shape == (8,) and decisions.any() and not decisions.all()
+    assert sums.tolist() == [criterion_sum(m, q) for m, q in zip(h, p)]
+    assert decisions.tolist() == [eigenvalue_criterion(m, q) for m, q in zip(h, p)]
+    assert criterion_sum(h, 3.0).tolist() == [criterion_sum(m, 3.0) for m in h]
+    assert criterion_sum(h.reshape(2, 4, n, n), p.reshape(2, 4)).ravel().tolist() == sums.tolist()
+
+    k = QuadraticTerm(h[0])
+    xi = rng.standard_normal((10, n))
+    terms = operator_term(k, p[0], xi, np.zeros(n))
+    assert terms.shape == (10,)
+    assert terms.tolist() == [operator_term(k, p[0], v, np.zeros(n)) for v in xi]
+    # directions against points, with p per row; the mollifier's 16^n nodes
+    # keep a Hessian that varies with x to small n
+    x = rng.uniform(-1, 1, (10, n))
+    if n <= 3:
+        k = MollifiedTerm(AffineMinTerm(rng.standard_normal((3, n)), rng.standard_normal(3)), 0.3)
+    else:
+        k = QuadraticTerm(h[1], b=rng.standard_normal(n))
+    terms = operator_term(k, np.full(10, p[1]), xi, x)
+    assert terms.tolist() == [operator_term(k, p[1], v, y) for v, y in zip(xi, x)]
+
+
+def test_a_stack_with_one_asymmetric_matrix_is_refused():
+    h = np.stack([-np.eye(3)] * 4)
+    h[2, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalue_criterion(h, 3.0)
+    with pytest.raises(ValueError, match="p > 2"):
+        eigenvalue_criterion(-np.stack([np.eye(3)] * 2), [3.0, 2.0])
+
+
 def test_operator_term_zero_matrix():
     k = QuadraticTerm(np.zeros((2, 2)))
     assert operator_term(k, 3.0, [1.0, 0.0], [0.0, 0.0]) == 0.0
@@ -295,9 +334,10 @@ def test_superposition_grid_calls_the_mollified_base_per_block():
 def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(monkeypatch):
     """Every matrix the concave and comparison suites hand to QuadraticTerm
     or eigenvalue_criterion over seeds 0-199 is decided as np.allclose at
-    rtol 0 (symmetry) and the eigenvalue sum (the criterion) decide it.
-    Work that draws no random numbers (Delta_p, operator terms, pole sets,
-    grid solves) is stubbed, so the draws are verify's own."""
+    rtol 0 (symmetry) and the eigenvalue sum (the criterion) decide it.  A
+    stacked criterion call is recorded matrix by matrix.  Work that draws
+    no random numbers (Delta_p, operator terms, pole sets, grid solves) is
+    stubbed, so the draws are verify's own."""
     quadratic, criterion = [], []
     post_init, decide = concave.QuadraticTerm.__post_init__, concave.eigenvalue_criterion
 
@@ -307,12 +347,16 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
         quadratic.append((a,))
 
     def record_criterion(h, p):
-        criterion.append((np.asarray(h, dtype=float), p, decide(h, p)))
-        return criterion[-1][2]
+        decision = decide(h, p)
+        h = np.asarray(h, dtype=float)
+        lead = h.shape[:-2]
+        criterion.extend(zip(h.reshape((-1,) + h.shape[-2:]), np.broadcast_to(p, lead).ravel(),
+                             np.broadcast_to(decision, lead).ravel()))
+        return decision
 
     monkeypatch.setattr(concave.QuadraticTerm, "__post_init__", record_quadratic)
     monkeypatch.setattr(concave, "eigenvalue_criterion", record_criterion)
-    monkeypatch.setattr(concave, "operator_term", lambda *args: 0.0)
+    monkeypatch.setattr(concave, "operator_term", lambda k, p, xi, x: np.zeros(len(xi)))
     monkeypatch.setattr(superpose, "delta_p_direct", lambda ps, k, x: np.zeros(len(x)))
     monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(
         params=params, locations=y))

@@ -1,0 +1,225 @@
+"""The draw loops of ``plap verify`` against the per-draw loops they replaced.
+
+``verify_superpose`` and ``verify_concave`` make only their draws (and the
+decisions later draws depend on) in a loop, and batch the rest after it.
+The per-draw loops below are the reference: every report and the
+generator's final state must be the same, bit for bit."""
+
+import numpy as np
+import pytest
+
+from plap import concave, superpose, verify
+from plap.core import Params
+from plap.verify import (
+    DEFAULT_SEED,
+    TRIALS,
+    SuiteReport,
+    _derived_stacks,
+    _random_point_away,
+    _random_pole_set,
+    _rel,
+)
+
+SEEDS = list(range(50)) + [DEFAULT_SEED]  # 0-49 include 7
+
+
+def reference_superpose_draws(rng):
+    """The per-draw loop of ``verify_superpose``: every draw builds its
+    moved, scaled and single-pole sets at once.  Draws grouped by (p, n)."""
+    classes = {}
+    for _ in range(200):
+        p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
+        n = int(rng.choice([2, 3, 5]))
+        ps = _random_pole_set(rng, p, n)
+        x = _random_point_away(rng, ps)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        shift = rng.uniform(-1, 1, n)
+        s = float(rng.uniform(0.5, 3.0))
+        classes.setdefault((p, n), []).append(dict(
+            base=ps, x=x, q=q, shift=shift, s=s,
+            moved=superpose.PoleSet(ps.weights, ps.locations @ q.T + shift, ps.params),
+            x_moved=q @ x + shift,
+            scaled=superpose.PoleSet(s * ps.weights, ps.locations, ps.params),
+            factor=s ** (p - 1),
+            single=superpose.PoleSet(ps.weights[:1], ps.locations[:1], ps.params),
+        ))
+    return classes
+
+
+def reference_superpose(rng):
+    rep = SuiteReport("superpose")
+    dc, fd, sign, iso, scal, null = ([] for _ in range(6))
+    for (p, n), draws in reference_superpose_draws(rng).items():
+        base, moved, scaled, single = (
+            superpose.PoleSet.stack([d[key] for d in draws])
+            for key in ("base", "moved", "scaled", "single")
+        )
+        x, x_moved, factor = (np.array([d[key] for d in draws]) for key in ("x", "x_moved", "factor"))
+        d = superpose.delta_p_direct(base, None, x)
+        c = superpose.delta_p_closed_form(base, None, x)
+        f = superpose.delta_p_fd(base, None, x)
+        scale = superpose.delta_p_scale(base, None, x)
+        dc.append(_rel(d, c, scale))
+        fd.append(_rel(f, c, scale))
+        region = superpose.sign_region(p, n)
+        if region is superpose.SignClass.NON_POSITIVE:
+            sign.append(c / np.maximum(scale, 1e-300))
+        elif region is superpose.SignClass.NON_NEGATIVE:
+            sign.append(-c / np.maximum(scale, 1e-300))
+        else:
+            sign.append(np.abs(c) / np.maximum(scale, 1e-300))
+        iso.append(_rel(superpose.delta_p_closed_form(moved, None, x_moved), c, scale))
+        c_s = superpose.delta_p_closed_form(scaled, None, x)
+        scal.append(_rel(c_s, factor * c, factor * scale))
+        null.append(np.abs(superpose.delta_p_closed_form(single, None, x)))
+
+    def worst(parts):
+        return float(np.concatenate([[0.0], *parts]).max())
+
+    rep.add("three_way_direct_vs_closed", worst(dc), 1e-10)
+    rep.add("three_way_fd_vs_closed", worst(fd), 1e-4)
+    rep.add("sign_soundness", worst(sign), 1e-12)
+    rep.add("isometry_equivariance", worst(iso), 1e-12)
+    rep.add("weight_scaling", worst(scal), 1e-11)
+    rep.add("single_pole_nullity", worst(null), 0.0)
+    return rep
+
+
+def reference_nsd(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = -rng.uniform(0.0, 3.0, n)
+    return (q * lam) @ q.T
+
+
+def reference_concave(rng):
+    """The per-draw loops of ``verify_concave``: one matrix, one criterion
+    and one operator term at a time."""
+    rep = SuiteReport("concave")
+    worst = 0.0
+    for _ in range(TRIALS):
+        n = int(rng.integers(2, 6))
+        p = float(rng.uniform(2.01, 8.0))
+        h = reference_nsd(rng, n)
+        if not concave.eigenvalue_criterion(h, p):
+            worst = max(worst, concave.criterion_sum(h, p))
+    rep.add("concavity_implies_criterion", worst, 1e-12)
+
+    worst = 0.0
+    for _ in range(TRIALS):
+        n = int(rng.integers(2, 6))
+        p = float(rng.uniform(2.01, 6.0))
+        h = (lambda a: 0.5 * (a + a.T))(rng.standard_normal((n, n)))
+        if not concave.eigenvalue_criterion(h, p):
+            continue
+        term = concave.QuadraticTerm(h)
+        for _ in range(10):
+            xi = rng.standard_normal(n)
+            worst = max(worst, concave.operator_term(term, p, xi, np.zeros(n)))
+    rep.add("criterion_implies_sign", worst, 1e-12)
+
+    worst = -np.inf
+    for _ in range(TRIALS):
+        p = float(rng.choice([2.5, 3.0, 4.0]))
+        n = int(rng.choice([2, 3]))
+        ps = _random_pole_set(rng, p, n, max_poles=5)
+        k = concave.QuadraticTerm(
+            reference_nsd(rng, n), b=rng.uniform(-1, 1, n), c0=float(rng.uniform(-1, 1))
+        )
+        x = np.array([_random_point_away(rng, ps) for _ in range(5)])
+        worst = max(worst, float(superpose.delta_p_direct(ps, k, x).max()))
+    rep.add("concave_superposition_sign", worst, 1e-10)
+
+    base = concave.AffineMinTerm([[1.0, 0.5], [-0.7, 0.2], [0.1, -1.0]], [0.0, 0.3, -0.2])
+    box = np.stack(np.meshgrid(*[np.linspace(-1, 1, 7)] * 2, indexing="ij"), axis=-1)
+    box = box.reshape(-1, 2)
+    sups = []
+    for delta in (0.4, 0.2, 0.1):
+        mol = concave.MollifiedTerm(base, delta)
+        sups.append(float(np.abs(mol.value(box) - base.value(box)).max()))
+    rep.add("mollification_sup_shrinks", max(sups[i + 1] / sups[i] for i in range(2)), 0.99)
+
+    mol = concave.MollifiedTerm(concave.QuadraticTerm(reference_nsd(rng, 2)), 0.2)
+    _, _, h = mol.eval(box[::5])
+    rep.add("mollified_hessian_nsd", max(0.0, float(np.linalg.eigvalsh(h)[:, -1].max())), 1e-10)
+    return rep
+
+
+@pytest.mark.parametrize("suite, reference", [
+    (verify.verify_superpose, reference_superpose),
+    (verify.verify_concave, reference_concave),
+], ids=["superpose", "concave"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_draw_loop_gives_the_per_draw_report_and_generator_state(
+        monkeypatch, suite, reference, seed):
+    expected_rng = np.random.default_rng(seed)
+    expected = reference(expected_rng).to_dict()
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+    got = suite(seed).to_dict()
+    monkeypatch.undo()
+    assert got == expected
+    assert len(made) == 1
+    assert made[0].bit_generator.state == expected_rng.bit_generator.state
+
+
+FIELDS = ("weights", "locations", "counts", "gradient_epsilon")
+
+
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
+def test_derived_stacks_equal_the_stacks_of_per_draw_sets(seed):
+    """Field by field, exactly, but for the moved location of a one-pole
+    row: the per-draw product (1, n) @ (n, n) rounds otherwise than the
+    same row inside a stacked product, by a few ulps.  No check reads it:
+    the closed form of a one-pole row is exactly 0."""
+    one_pole_rows = 0
+    for draws in reference_superpose_draws(np.random.default_rng(seed)).values():
+        base = superpose.PoleSet.stack([d["base"] for d in draws])
+        q, shift, s = (np.array([d[key] for d in draws]) for key in ("q", "shift", "s"))
+        for key, got in zip(("moved", "scaled", "single"), _derived_stacks(base, q, shift, s)):
+            want = superpose.PoleSet.stack([d[key] for d in draws])
+            assert got.params == want.params
+            for name in FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and not a.flags.writeable, (key, name)
+                if key == "moved" and name == "locations":
+                    one = want.counts == 1
+                    one_pole_rows += one.sum()
+                    np.testing.assert_allclose(a[one], b[one], rtol=4e-16, atol=4e-16)
+                    a, b = a[~one], b[~one]
+                assert np.array_equal(a, b), (key, name)
+    assert one_pole_rows > 0
+
+
+def test_a_stack_holds_each_set_as_the_set_holds_itself():
+    """Rows of 1 to 130 poles: the sum behind ``gradient_epsilon`` runs over
+    each unpadded row, as for one set, also past 8 poles, where numpy's
+    pairwise summation would add a padded row's zeros in another order."""
+    rng = np.random.default_rng(5)
+    params = Params(3.0, 2, 1.0)
+    sets = [superpose.PoleSet(rng.uniform(0.1, 2.0, m), rng.uniform(-1, 1, (m, 2)), params)
+            for m in (3, 1, 9, 130, 8, 3)]
+    stack = superpose.PoleSet.stack(sets)
+    assert stack.counts.tolist() == [3, 1, 9, 130, 8, 3]
+    for row, ps in enumerate(sets):
+        m = ps.counts
+        assert stack.gradient_epsilon[row] == ps.gradient_epsilon
+        assert np.array_equal(stack.weights[row, :m], ps.weights)
+        assert np.array_equal(stack.locations[row, :m], ps.locations)
+        assert not stack.weights[row, m:].any()
+        assert (stack.locations[row, m:] == ps.locations[0]).all()
+
+
+def test_verify_superpose_builds_one_pole_set_per_draw(monkeypatch):
+    calls = []
+    init = superpose.PoleSet.__init__
+
+    def counting(self, *args):
+        calls.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(superpose.PoleSet, "__init__", counting)
+    reference_superpose_draws(np.random.default_rng(DEFAULT_SEED))
+    assert len(calls) == 800
+    calls.clear()
+    verify.verify_superpose(DEFAULT_SEED)
+    assert len(calls) <= 200
