@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import comparison, concave, evolution, schemas, superpose, verify
-from .core import Params, row_norm
+from .core import Params
 from .errors import PlapError, SolverFailureError, UnsupportedConfigurationError
 
 log = logging.getLogger("plap")
@@ -181,11 +181,10 @@ def cmd_eval(args):
     for first in range(0, len(far), block_rows):
         i = far[first : first + block_rows]
         res = superpose.evaluate(ps, k, x[i])
-        value[i] = res.value
-        grad_norm[i] = row_norm(res.gradient)
-        direct[i] = superpose.delta_p_direct(ps, k, x[i])
+        value[i], grad_norm[i] = res.value, res.grad_norm
+        direct[i] = superpose.delta_p_direct(res)
         if k is None:
-            closed[i] = superpose.delta_p_closed_form(ps, k, x[i])
+            closed[i] = superpose.delta_p_closed_form(res)
         fd[i] = superpose.delta_p_fd(ps, k, x[i], step=step)
     computed = time.perf_counter()
 

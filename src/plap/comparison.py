@@ -23,7 +23,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .concave import ConcaveTerm
 from .errors import SolverFailureError, UnsupportedConfigurationError
@@ -211,8 +210,10 @@ def _band_solve(ab, rhs, residual):
     """Solve a x = rhs for a symmetric positive definite a given by its
     lower band ab by a Cholesky factorisation.  A leading minor that is
     not positive raises SolverFailureError carrying ``residual``."""
+    from scipy.linalg import solveh_banded
+
     try:
-        return scipy.linalg.solveh_banded(
+        return solveh_banded(
             ab, rhs, overwrite_ab=True, lower=True, check_finite=False
         )
     except np.linalg.LinAlgError as exc:

@@ -1,5 +1,5 @@
 """Weighted superpositions V = sum_i a_i w(x - y_i) (+ concave term) and
-their p-Laplacian through three independent routes:
+their p-Laplacian through three routes:
 
   * delta_p_direct      -- the divergence identity
                            |g|^{p-2} ((p-2) g^T H g / |g|^2 + tr H),
@@ -7,7 +7,9 @@ their p-Laplacian through three independent routes:
                            -C |g|^{p-2} sum_i a_i sin^2(theta_i) / r_i^{(p+n-2)/(p-1)},
   * delta_p_fd          -- central finite differences of the analytic flux.
 
-Each takes points (..., n).  A stacked ``PoleSet`` (``PoleSet.stack``)
+The first two read one ``evaluate`` result; the FD oracle builds its own
+gradient from (ps, k, x), so it stays independent of that evaluation.
+Points have shape (..., n).  A stacked ``PoleSet`` (``PoleSet.stack``)
 holds B sets at once, and its batch axis broadcasts against the points'
 leading shape, so points (B, n) give every set's result at its own point.
 
@@ -149,7 +151,9 @@ class PoleSet:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Assembled value/gradient/Hessian plus per-pole geometry.
+    """Assembled value/gradient/Hessian plus per-pole geometry, and what
+    the analytic routes read: |gradient|, the pole set and K, the per-pole
+    v'(r_i) and v''(r_i) and the Hessian of K (None for K = None).
 
     angles[..., i] is the angle in [0, pi] between x - y_i and the total
     gradient (0 by convention when the gradient vanishes).  At a pole the
@@ -157,8 +161,8 @@ class EvalResult:
     1 < p <= n, else the finite value with that pole contributing 0).
 
     For points (..., n) every field keeps the leading shape; a single
-    point (n,) has a float value.  The derivative fields are None when any
-    point is on a pole.
+    point (n,) has a float value.  The derivative fields (every field but
+    value, distances, poles and k) are None when any point is on a pole.
     """
 
     value: float
@@ -166,6 +170,12 @@ class EvalResult:
     hessian: np.ndarray
     angles: np.ndarray
     distances: np.ndarray
+    grad_norm: np.ndarray
+    poles: PoleSet
+    k: ConcaveTerm
+    dv: np.ndarray
+    ddv: np.ndarray
+    k_hessian: np.ndarray
 
     @property
     def derivatives_available(self) -> bool:
@@ -204,19 +214,18 @@ def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
     return np.vecdot(v, ps.weights) + (0.0 if k is None else k.value(x))
 
 
-def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
-    """``evaluate`` plus |gradient|, the per-pole terms (d, r, v, v', v'')
-    and the Hessian of K it used.  |gradient| and the Hessian of K are None
-    when any point is on a pole, and the Hessian of K also for K = None."""
+def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
+    """Value, gradient, Hessian, angles and distances of V + K at points x
+    of shape (..., n), with what the analytic routes read."""
     x = np.asarray(x, dtype=float)
     n = ps.params.n
     if x.shape[-1:] != (n,):
         raise ValueError(f"query points have shape {x.shape}, expected (..., {n})")
-    terms = d, r, v, dv, ddv = _pole_terms(ps, x)
+    d, r, v, dv, ddv = _pole_terms(ps, x)
     if not r.all():
         # on a pole: the value the pole rule gives, no derivatives
         value = _scalar(superposition_value(ps, k, x))
-        return EvalResult(value, None, None, None, r), None, terms, None
+        return EvalResult(value, None, None, None, r, None, ps, k, None, None, None)
     a = ps.weights
     u = d / r[..., None]
     t = a * dv / r
@@ -237,13 +246,7 @@ def _evaluate(ps: PoleSet, k: ConcaveTerm, x):
     proj = (d @ u_g[..., None])[..., 0]
     rej = d - proj[..., None] * u_g[..., None, :]
     angles = np.where(big[..., None], np.arctan2(np.linalg.norm(rej, axis=-1), proj), 0.0)
-    return EvalResult(_scalar(value), grad, hess, angles, r), gn, terms, kh
-
-
-def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
-    """Value, gradient, Hessian, angles and distances of V + K at points x
-    of shape (..., n)."""
-    return _evaluate(ps, k, x)[0]
+    return EvalResult(_scalar(value), grad, hess, angles, r, gn, ps, k, dv, ddv, kh)
 
 
 def _finite_derivatives(res: EvalResult):
@@ -252,54 +255,52 @@ def _finite_derivatives(res: EvalResult):
     return res.gradient, res.hessian
 
 
-def _vanishing_gradient(ps: PoleSet, grad, what, exempt=False):
-    """|grad| and where it vanishes outside ``exempt``; for p < 2 a
-    vanishing gradient anywhere else is an error."""
-    gn = row_norm(grad)
-    vanishing = (gn < ps.gradient_epsilon) & np.logical_not(exempt)
+def _vanishing_gradient(res: EvalResult, exempt=False):
+    """Where |gradient| vanishes outside ``exempt``; for p < 2 a vanishing
+    gradient anywhere else is an error."""
+    ps = res.poles
+    vanishing = (res.grad_norm < ps.gradient_epsilon) & np.logical_not(exempt)
     if ps.params.p < 2 and vanishing.any():
-        raise UndefinedOperatorError(f"{what} undefined at vanishing gradient for p < 2")
-    return gn, vanishing
+        raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
+    return vanishing
 
 
-def delta_p_direct(ps: PoleSet, k: ConcaveTerm, x):
+def delta_p_direct(res: EvalResult):
     """p-Laplacian via the divergence identity on the assembled data.
 
     A vanishing gradient returns the continuous extension 0 for p > 2 and
     is an error for p < 2; p = 2 is the plain Laplacian (trace of the
     Hessian) everywhere.
     """
-    grad, hess = _finite_derivatives(evaluate(ps, k, x))
-    p = ps.params.p
+    grad, hess = _finite_derivatives(res)
+    p, gn, eps = res.poles.params.p, res.grad_norm, res.poles.gradient_epsilon
     trace = np.trace(hess, axis1=-2, axis2=-1)
     if p == 2:
         return _scalar(trace)
-    gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian")
+    vanishing = _vanishing_gradient(res)
     # the maximum only keeps the masked rows finite
-    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.maximum(
-        gn, ps.gradient_epsilon
-    ) ** 2
+    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.maximum(gn, eps) ** 2
     return _scalar(np.where(vanishing, 0.0, gn ** (p - 2) * ((p - 2) * rayleigh + trace)))
 
 
-def delta_p_closed_form(ps: PoleSet, k: ConcaveTerm, x):
+def delta_p_closed_form(res: EvalResult):
     """p-Laplacian of the pure superposition via the sign identity.
 
     Only valid for K = 0 (None); a concave term has no closed form here.
     """
-    if k is not None:
+    if res.k is not None:
         raise UnsupportedConfigurationError(
             "the closed form covers pure superpositions only (K = 0)"
         )
-    res = evaluate(ps, None, x)
-    grad, _ = _finite_derivatives(res)
+    _finite_derivatives(res)
+    ps, gn = res.poles, res.grad_norm
     p, n = ps.params.p, ps.params.n
     # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
     single = ps.counts == 1
     if p == 2:
         return _scalar(np.zeros(np.shape(res.value)))
-    gn, vanishing = _vanishing_gradient(ps, grad, "p-Laplacian", single)
+    vanishing = _vanishing_gradient(res, single)
     expo = (p + n - 2) / (p - 1)
     s = np.sum(ps.weights * np.sin(res.angles) ** 2 / res.distances**expo, axis=-1)
     return _scalar(np.where(vanishing | single, 0.0, -ps.params.big_c * gn ** (p - 2) * s))
@@ -328,18 +329,18 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
     return fd_p_laplacian(gradient, x, step, ps.params.p, ps.gradient_epsilon)
 
 
-def delta_p_scale(ps: PoleSet, k: ConcaveTerm, x):
+def delta_p_scale(res: EvalResult):
     """Magnitude yardstick for relative comparisons between the Delta_p
     routes: the sum of absolute values of the per-term ingredients of the
     divergence identity.  Where the routes cancel to (near) zero, residuals
     are meaningful only relative to this scale."""
-    p, n = ps.params.p, ps.params.n
-    res, gn, (_, r, _, dv, ddv), kh = _evaluate(ps, k, x)
     _finite_derivatives(res)
-    mag = np.abs(ddv) + np.abs(dv) / r
+    ps, gn = res.poles, res.grad_norm
+    p, n = ps.params.p, ps.params.n
+    mag = np.abs(res.ddv) + np.abs(res.dv) / res.distances
     total = np.vecdot((n - 1 + 1) * mag + abs(p - 2) * mag, ps.weights)
-    if kh is not None:
-        total = total + (1 + abs(p - 2)) * np.abs(kh).sum(axis=(-2, -1))
+    if res.k_hessian is not None:
+        total = total + (1 + abs(p - 2)) * np.abs(res.k_hessian).sum(axis=(-2, -1))
     total = np.maximum(total, 1e-300)
     if p == 2:
         return _scalar(total)

@@ -101,8 +101,8 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     rep = SuiteReport("superpose")
     classes = {}
     for _ in range(200):
-        p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
-        n = int(rng.choice([2, 3, 5]))
+        p = (2.0, 2.5, 3.0, 4.0)[rng.integers(4)]
+        n = (2, 3, 5)[rng.integers(3)]
         ps = _random_pole_set(rng, p, n)
         x = _random_point_away(rng, ps)
         # isometry: the rotation from the QR of g, then a translation
@@ -120,26 +120,23 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
         q = np.linalg.qr(np.array(g))[0]
         moved, scaled, single = _derived_stacks(base, q, shift, np.array(s))
         x_moved = (q @ x[..., None])[..., 0] + shift
-        d = superpose.delta_p_direct(base, None, x)
-        c = superpose.delta_p_closed_form(base, None, x)
-        f = superpose.delta_p_fd(base, None, x)
-        scale = superpose.delta_p_scale(base, None, x)
-        dc.append(_rel(d, c, scale))
-        fd.append(_rel(f, c, scale))
+        res = superpose.evaluate(base, None, x)
+        c = superpose.delta_p_closed_form(res)
+        scale = superpose.delta_p_scale(res)
+        dc.append(_rel(superpose.delta_p_direct(res), c, scale))
+        fd.append(_rel(superpose.delta_p_fd(base, None, x), c, scale))
+        # the part of the closed form on the wrong side of its sign class
+        wrong = {superpose.SignClass.NON_POSITIVE: c, superpose.SignClass.NON_NEGATIVE: -c}
+        sign.append(wrong.get(superpose.sign_region(p, n), np.abs(c)) / np.maximum(scale, 1e-300))
 
-        region = superpose.sign_region(p, n)
-        if region is superpose.SignClass.NON_POSITIVE:
-            sign.append(c / np.maximum(scale, 1e-300))
-        elif region is superpose.SignClass.NON_NEGATIVE:
-            sign.append(-c / np.maximum(scale, 1e-300))
-        else:
-            sign.append(np.abs(c) / np.maximum(scale, 1e-300))
-
-        iso.append(_rel(superpose.delta_p_closed_form(moved, None, x_moved), c, scale))
+        c_moved, c_scaled, c_single = (
+            superpose.delta_p_closed_form(superpose.evaluate(ps, None, z))
+            for ps, z in ((moved, x_moved), (scaled, x), (single, x))
+        )
+        iso.append(_rel(c_moved, c, scale))
         # weight scaling: a -> s a multiplies the closed form by s^(p-1)
-        c_s = superpose.delta_p_closed_form(scaled, None, x)
-        scal.append(_rel(c_s, factor * c, factor * scale))
-        null.append(np.abs(superpose.delta_p_closed_form(single, None, x)))
+        scal.append(_rel(c_scaled, factor * c, factor * scale))
+        null.append(np.abs(c_single))
 
     def worst(parts):
         # a NaN residual is a failure, not a draw to skip
@@ -165,10 +162,6 @@ def _nsd(g, lam):
     and lam (..., n)."""
     q = np.linalg.qr(g)[0]
     return (q * lam[..., None, :]) @ q.mT
-
-
-def _random_nsd(rng, n):
-    return _nsd(*_nsd_draw(rng, n))
 
 
 def _by_size(draws):
@@ -215,8 +208,8 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
 
     draws, trials = [], []
     for _ in range(TRIALS):
-        p = float(rng.choice([2.5, 3.0, 4.0]))
-        n = int(rng.choice([2, 3]))
+        p = (2.5, 3.0, 4.0)[rng.integers(3)]
+        n = (2, 3)[rng.integers(2)]
         ps = _random_pole_set(rng, p, n, max_poles=5)
         draws.append(_nsd_draw(rng, n))
         b, c0 = rng.uniform(-1, 1, n), float(rng.uniform(-1, 1))
@@ -226,7 +219,7 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
         for i, h in zip(rows, _nsd(g, lam)):
             ps, b, c0, x = trials[i]
             k = concave.QuadraticTerm(h, b=b, c0=c0)
-            worst = max(worst, float(superpose.delta_p_direct(ps, k, x).max()))
+            worst = max(worst, float(superpose.delta_p_direct(superpose.evaluate(ps, k, x)).max()))
     rep.add("concave_superposition_sign", worst, 1e-10)
 
     base = concave.AffineMinTerm(
@@ -242,7 +235,7 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
     worst = max(sups[i + 1] / sups[i] for i in range(len(sups) - 1))
     rep.add("mollification_sup_shrinks", worst, 0.99)
 
-    mol = concave.MollifiedTerm(concave.QuadraticTerm(_random_nsd(rng, 2)), 0.2)
+    mol = concave.MollifiedTerm(concave.QuadraticTerm(_nsd(*_nsd_draw(rng, 2))), 0.2)
     _, _, h = mol.eval(box[::5])
     worst = max(0.0, float(np.linalg.eigvalsh(h)[:, -1].max()))
     rep.add("mollified_hessian_nsd", worst, 1e-10)
@@ -271,13 +264,13 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
     worst = 0.0
     refine_pair = None
     for i in range(5):
-        p = float(rng.choice([2.5, 3.0, 4.0]))
+        p = (2.5, 3.0, 4.0)[rng.integers(3)]
         params = Params(p, 2, 1.0)
         count = int(rng.integers(1, 4))
         ps = superpose.PoleSet(
             rng.uniform(0.3, 1.5, count), rng.uniform(-0.5, 0.5, (count, 2)), params
         )
-        k = concave.QuadraticTerm(_random_nsd(rng, 2), b=rng.uniform(-0.5, 0.5, 2))
+        k = concave.QuadraticTerm(_nsd(*_nsd_draw(rng, 2)), b=rng.uniform(-0.5, 0.5, 2))
         report = comparison.comparison_check(ps, k, dom)
         worst = max(worst, -report.min_gap)
         if i == 0:

@@ -1,8 +1,9 @@
 """The (..., n) batch contract of the Delta_p routes and of ``plap eval``.
 
-``evaluate``, the three routes, ``delta_p_scale`` and ``near_pole`` take
-points of shape (..., n) and keep the leading shape; a single point (n,)
-gives floats.  A batch raises if any of its points would raise on its own.
+``evaluate``, ``delta_p_fd`` and ``near_pole`` take points of shape
+(..., n) and keep the leading shape, and so do the analytic routes and
+``delta_p_scale`` on an ``evaluate`` result; a single point (n,) gives
+floats.  A batch raises if any of its points would raise on its own.
 """
 
 import csv
@@ -33,10 +34,10 @@ batch_settings = settings(max_examples=25, deadline=None, derandomize=True, data
 
 LEADS = [(), (5,), (2, 3)]
 ROUTES = {
-    "direct": delta_p_direct,
-    "closed": delta_p_closed_form,
+    "direct": lambda ps, k, x: delta_p_direct(evaluate(ps, k, x)),
+    "closed": lambda ps, k, x: delta_p_closed_form(evaluate(ps, k, x)),
     "fd": delta_p_fd,
-    "scale": delta_p_scale,
+    "scale": lambda ps, k, x: delta_p_scale(evaluate(ps, k, x)),
 }
 
 
@@ -123,7 +124,7 @@ def test_batched_routes_equal_pointwise(kind, lead, seed, n, p):
             continue
         assert np.shape(got) == lead, name
         for i, w in zip(idx, want):
-            scale = delta_p_scale(ps, k, x[i])
+            scale = delta_p_scale(evaluate(ps, k, x[i]))
             assert abs(np.asarray(got)[i] - w) <= 1e-13 * scale, (name, i)
         if lead == ():
             assert type(got) is float, name
@@ -163,7 +164,7 @@ def test_single_pole_closed_form_is_exactly_zero_in_every_row(seed, n, p):
     rng = np.random.default_rng(seed)
     ps = random_poles(rng, p, n, count=1)
     x = far_points(rng, ps, (4, 3))
-    got = delta_p_closed_form(ps, None, x)
+    got = delta_p_closed_form(evaluate(ps, None, x))
     assert got.shape == (4, 3)
     assert np.all(got == 0.0)
 
@@ -332,13 +333,13 @@ def test_eval_csv_matches_a_row_by_row_reference(tmp_path, with_k):
         res = evaluate(ps, k, x)
         assert float(cell["value"]) == pytest.approx(res.value, rel=1e-14)
         assert float(cell["grad_norm"]) == pytest.approx(np.linalg.norm(res.gradient), rel=1e-14)
-        scale = delta_p_scale(ps, k, x)
-        want = {"delta_p_direct": delta_p_direct(ps, k, x),
+        scale = delta_p_scale(res)
+        want = {"delta_p_direct": delta_p_direct(res),
                 "delta_p_fd": delta_p_fd(ps, k, x)}
         if with_k:
             assert cell["delta_p_closed_form"] == "nan"
         else:
-            want["delta_p_closed_form"] = delta_p_closed_form(ps, k, x)
+            want["delta_p_closed_form"] = delta_p_closed_form(res)
         for name, w in want.items():
             assert abs(float(cell[name]) - w) <= 1e-13 * scale, name
     assert near_rows == 5
@@ -366,6 +367,43 @@ def test_eval_calls_the_kernel_once_per_route_and_block(tmp_path, monkeypatch):
     assert cli.main(args) == cli.EXIT_OK
     blocks = math.ceil(far / rows)
     assert blocks == 3
-    assert 0 < calls["profile"] <= 4 * blocks + 1
+    # one evaluation per block, and one value-only pass over the near rows
+    assert calls["profile"] == blocks + 1
     # the FD stencil evaluates v' once per block
     assert calls["slope"] == blocks
+
+
+@pytest.mark.parametrize("with_k", [False, True], ids=["pure", "quadratic"])
+def test_eval_evaluates_each_block_once(tmp_path, monkeypatch, with_k):
+    n, poles = 2, 64
+    rows = rows_per_block(n, poles)
+    cfg = eval_config(np.random.default_rng(18), n, poles, 2 * rows + 3, with_k)
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(cfg))
+    blocks, evaluate_ = [], superpose.evaluate
+
+    def counting(ps, k, x):
+        blocks.append(len(x))
+        return evaluate_(ps, k, x)
+
+    monkeypatch.setattr(superpose, "evaluate", counting)
+    args = ["eval", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+    assert cli.main(args) == cli.EXIT_OK
+    assert blocks == [rows, rows, 3]
+
+
+@pytest.mark.parametrize("kind", [None, "quadratic", "affine_min"])
+def test_the_fd_oracle_never_evaluates(monkeypatch, kind):
+    """The oracle builds its own gradient, so it cannot share a fault of
+    the evaluation it checks."""
+    rng = np.random.default_rng(29)
+    ps = random_poles(rng, 3.0, 3)
+    k = random_term(rng, kind, 3)
+    x = far_points(rng, ps, (4,))
+    want = delta_p_fd(ps, k, x)
+
+    def refuse(*args):
+        raise AssertionError("delta_p_fd called evaluate")
+
+    monkeypatch.setattr(superpose, "evaluate", refuse)
+    np.testing.assert_array_equal(delta_p_fd(ps, k, x), want)

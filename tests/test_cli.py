@@ -607,6 +607,30 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     assert res.returncode == 0, res.stderr
 
 
+def test_the_cli_and_its_commands_that_solve_nothing_load_no_scipy(tmp_path):
+    """scipy loads at the first banded solve, not with ``plap.cli``; eval,
+    sign-map and evolution-sweep, run in one process, never load it."""
+    runs = []
+    for name, cfg in (("eval", EVAL_CFG), ("sign-map", SIGN_MAP_CFG),
+                      ("evolution-sweep", SWEEP_CFG)):
+        write_json(tmp_path / f"{name}.json", cfg)
+        runs.append([name, "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / f"{name}.csv")])
+    code = (
+        "import json, sys\n"
+        "import plap.cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy(), scipy()\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert plap.cli.main(args) == plap.cli.EXIT_OK, args\n"
+        "    assert not scipy(), (args[0], scipy())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_log_env_smoke(tmp_path):
     cfg = tmp_path / "eval.json"
     write_json(cfg, EVAL_CFG)

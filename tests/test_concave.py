@@ -357,7 +357,8 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
     monkeypatch.setattr(concave.QuadraticTerm, "__post_init__", record_quadratic)
     monkeypatch.setattr(concave, "eigenvalue_criterion", record_criterion)
     monkeypatch.setattr(concave, "operator_term", lambda k, p, xi, x: np.zeros(len(xi)))
-    monkeypatch.setattr(superpose, "delta_p_direct", lambda ps, k, x: np.zeros(len(x)))
+    monkeypatch.setattr(superpose, "evaluate", lambda ps, k, x: x)
+    monkeypatch.setattr(superpose, "delta_p_direct", lambda res: np.zeros(len(res)))
     monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(
         params=params, locations=y))
     monkeypatch.setattr(comparison, "solve_p_harmonic", lambda dom, data, p: data)

@@ -160,7 +160,7 @@ def test_gradient_at_pole_is_error():
     pa, y = Params(2, 3), [1.0, 0.0, 0.0]
     assert not one_pole(pa, y, y).derivatives_available
     with pytest.raises(PoleSingularityError):
-        delta_p_direct(PoleSet([1.0], [y], pa), None, y)
+        delta_p_direct(evaluate(PoleSet([1.0], [y], pa), None, y))
 
 
 def test_hessian_trace_identity():

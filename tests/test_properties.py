@@ -129,7 +129,7 @@ def test_pole_rule_agrees_at_every_call_site(tmp_path, p, n):
 def test_single_pole_closed_form_exactly_zero(seed, p, n):
     ps, x, _ = random_config(seed, p, n)
     single = PoleSet(ps.weights[:1], ps.locations[:1], ps.params)
-    assert delta_p_closed_form(single, None, x) == 0.0
+    assert delta_p_closed_form(evaluate(single, None, x)) == 0.0
 
 
 @property_settings
@@ -139,9 +139,9 @@ def test_closed_form_isometry_equivariant(seed, p, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     shift = rng.uniform(-1, 1, n)
     moved = PoleSet(ps.weights, ps.locations @ q.T + shift, ps.params)
-    c = delta_p_closed_form(ps, None, x)
-    c_moved = delta_p_closed_form(moved, None, q @ x + shift)
-    assert rel(c_moved, c, delta_p_scale(ps, None, x)) <= 1e-12
+    c = delta_p_closed_form(evaluate(ps, None, x))
+    c_moved = delta_p_closed_form(evaluate(moved, None, q @ x + shift))
+    assert rel(c_moved, c, delta_p_scale(evaluate(ps, None, x))) <= 1e-12
 
 
 @property_settings
@@ -149,19 +149,19 @@ def test_closed_form_isometry_equivariant(seed, p, n):
 def test_closed_form_weight_scaling(seed, p, n, s):
     ps, x, _ = random_config(seed, p, n)
     scaled = PoleSet(s * ps.weights, ps.locations, ps.params)
-    c = delta_p_closed_form(ps, None, x)
-    c_scaled = delta_p_closed_form(scaled, None, x)
+    c = delta_p_closed_form(evaluate(ps, None, x))
+    c_scaled = delta_p_closed_form(evaluate(scaled, None, x))
     factor = s ** (p - 1)
-    assert rel(c_scaled, factor * c, factor * delta_p_scale(ps, None, x)) <= 1e-11
+    assert rel(c_scaled, factor * c, factor * delta_p_scale(evaluate(ps, None, x))) <= 1e-11
 
 
 @property_settings
 @given(seed=seeds, p=st.floats(2.0, 5.0), n=dims)
 def test_batched_fd_agrees_with_closed_form(seed, p, n):
     ps, x, _ = random_config(seed, p, n)
-    c = delta_p_closed_form(ps, None, x)
+    c = delta_p_closed_form(evaluate(ps, None, x))
     f = delta_p_fd(ps, None, x)
-    assert rel(f, c, delta_p_scale(ps, None, x)) <= 1e-4
+    assert rel(f, c, delta_p_scale(evaluate(ps, None, x))) <= 1e-4
 
 
 # ---------------------------------------------------------- stacked sets
@@ -178,13 +178,19 @@ def test_stacked_routes_equal_the_per_set_routes(seed, p, n, count):
     x = np.array([_random_point_away(rng, ps) for ps in sets])
     stack = PoleSet.stack(sets)
     assert stack.weights.shape == stack.locations.shape[:2] == (count, max(stack.counts))
-    for route in (delta_p_direct, delta_p_closed_form, delta_p_fd, delta_p_scale):
-        got = route(stack, None, x)
+    routes = {
+        "direct": lambda ps, x: delta_p_direct(evaluate(ps, None, x)),
+        "closed": lambda ps, x: delta_p_closed_form(evaluate(ps, None, x)),
+        "fd": lambda ps, x: delta_p_fd(ps, None, x),
+        "scale": lambda ps, x: delta_p_scale(evaluate(ps, None, x)),
+    }
+    for name, route in routes.items():
+        got = route(stack, x)
         assert got.shape == (count,)
         for i, ps in enumerate(sets):
-            want = route(ps, None, x[i])
-            assert abs(got[i] - want) <= 1e-13 * delta_p_scale(ps, None, x[i]), route.__name__
-    closed = delta_p_closed_form(stack, None, x)
+            want = route(ps, x[i])
+            assert abs(got[i] - want) <= 1e-13 * routes["scale"](ps, x[i]), name
+    closed = delta_p_closed_form(evaluate(stack, None, x))
     assert np.all(closed[stack.counts == 1] == 0.0)
     # every other row moved to within 0-20 stencil spacings of one of its poles
     for i in range(0, count, 2):

@@ -186,7 +186,7 @@ def test_eval_at_pole_finite_for_large_p():
     assert not res.derivatives_available and res.hessian is None
     assert evaluate(PoleSet([1.0], [[0, 0]], pa), None, [0.0, 0.0]).value == 0.0
     with pytest.raises(PoleSingularityError):
-        delta_p_direct(ps, k, [0.0, 0.0])
+        delta_p_direct(evaluate(ps, k, [0.0, 0.0]))
 
 
 def test_angles_in_range():
@@ -204,38 +204,38 @@ def test_single_pole_p_harmonic_direct():
     for p, n in [(2.5, 3), (3.0, 2), (4.0, 5), (3.0, 3)]:
         ps = PoleSet([1.3], [np.zeros(n)], Params(p, n, 1.0))
         x = np.full(n, 0.8)
-        assert abs(delta_p_direct(ps, None, x)) <= 1e-10
+        assert abs(delta_p_direct(evaluate(ps, None, x))) <= 1e-10
 
 
 def test_p2_direct_is_trace():
     ps = PoleSet([1.0, 2.0], [[1, 0], [0, 1]], Params(2, 2, 1.0))
     x = np.array([0.3, -0.4])
     res = evaluate(ps, None, x)
-    assert delta_p_direct(ps, None, x) == pytest.approx(np.trace(res.hessian))
+    assert delta_p_direct(evaluate(ps, None, x)) == pytest.approx(np.trace(res.hessian))
 
 
 def test_closed_form_single_pole_exact_zero():
     ps = PoleSet([2.0], [[0.5, 0.5]], Params(3.5, 2, 1.0))
-    assert delta_p_closed_form(ps, None, [1.7, -0.3]) == 0.0
+    assert delta_p_closed_form(evaluate(ps, None, [1.7, -0.3])) == 0.0
 
 
 def test_closed_form_p2_exact_zero():
     ps = PoleSet([1.0, 1.0], [[1, 0], [-1, 0]], Params(2, 2, 1.0))
-    assert delta_p_closed_form(ps, None, [0.3, 0.8]) == 0.0
+    assert delta_p_closed_form(evaluate(ps, None, [0.3, 0.8])) == 0.0
 
 
 def test_closed_form_rejects_concave_term():
     ps = PoleSet([1.0], [[0, 0]], Params(3, 2))
     with pytest.raises(UnsupportedConfigurationError):
-        delta_p_closed_form(ps, QuadraticTerm(-np.eye(2)), [1.0, 1.0])
-    assert delta_p_closed_form(ps, None, [1.0, 1.0]) == 0.0
+        delta_p_closed_form(evaluate(ps, QuadraticTerm(-np.eye(2)), [1.0, 1.0]))
+    assert delta_p_closed_form(evaluate(ps, None, [1.0, 1.0])) == 0.0
 
 
 def test_two_pole_closed_vs_direct_and_sign():
     ps = PoleSet([1.0, 1.0], [[1, 0], [-1, 0]], Params(3, 2, 1.0))
     x = np.array([0.0, 1.0])
-    c = delta_p_closed_form(ps, None, x)
-    d = delta_p_direct(ps, None, x)
+    c = delta_p_closed_form(evaluate(ps, None, x))
+    d = delta_p_direct(evaluate(ps, None, x))
     assert rel(c, d) <= 1e-10
     assert c <= 0
 
@@ -252,7 +252,7 @@ def test_fd_quadratic_only_against_direct():
     ps = PoleSet([1e-9], [[50.0, 50.0]], pa)
     k = QuadraticTerm(np.array([[-2.0, 0.3], [0.3, -1.0]]), b=[0.4, -0.1])
     x = np.array([0.2, -0.7])
-    d = delta_p_direct(ps, k, x)
+    d = delta_p_direct(evaluate(ps, k, x))
     f = delta_p_fd(ps, k, x)
     assert rel(f, d) <= 1e-6
 
@@ -298,7 +298,7 @@ def test_fd_kink_at_one_stencil_point_raises():
     k = AffineMinTerm([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
     x = np.array([0.0, 1.0])
     x[0] = fd_spacing(x, DEFAULT_FD_STEP)
-    assert np.isfinite(delta_p_direct(ps, k, x))
+    assert np.isfinite(delta_p_direct(evaluate(ps, k, x)))
     with pytest.raises(KinkError):
         delta_p_fd(ps, k, x)
 
@@ -307,10 +307,10 @@ def test_weight_scaling_power_law():
     rng = np.random.default_rng(14)
     ps = PoleSet(rng.uniform(0.5, 1, 4), rng.uniform(-1, 1, (4, 2)), Params(3, 2))
     x = np.array([1.6, 1.4])
-    base = delta_p_closed_form(ps, None, x)
+    base = delta_p_closed_form(evaluate(ps, None, x))
     for s in [0.5, 2.0, 7.5]:
         scaled = PoleSet(s * ps.weights, ps.locations, ps.params)
-        assert rel(delta_p_closed_form(scaled, None, x), s ** (3 - 1) * base) <= 1e-11
+        assert rel(delta_p_closed_form(evaluate(scaled, None, x)), s ** (3 - 1) * base) <= 1e-11
 
 
 @pytest.mark.parametrize(

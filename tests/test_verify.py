@@ -5,6 +5,8 @@ decisions later draws depend on) in a loop, and batch the rest after it.
 The per-draw loops below are the reference: every report and the
 generator's final state must be the same, bit for bit."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,11 @@ def reference_superpose(rng):
             for key in ("base", "moved", "scaled", "single")
         )
         x, x_moved, factor = (np.array([d[key] for d in draws]) for key in ("x", "x_moved", "factor"))
-        d = superpose.delta_p_direct(base, None, x)
-        c = superpose.delta_p_closed_form(base, None, x)
+        res = superpose.evaluate(base, None, x)
+        d = superpose.delta_p_direct(res)
+        c = superpose.delta_p_closed_form(res)
         f = superpose.delta_p_fd(base, None, x)
-        scale = superpose.delta_p_scale(base, None, x)
+        scale = superpose.delta_p_scale(res)
         dc.append(_rel(d, c, scale))
         fd.append(_rel(f, c, scale))
         region = superpose.sign_region(p, n)
@@ -68,10 +71,11 @@ def reference_superpose(rng):
             sign.append(-c / np.maximum(scale, 1e-300))
         else:
             sign.append(np.abs(c) / np.maximum(scale, 1e-300))
-        iso.append(_rel(superpose.delta_p_closed_form(moved, None, x_moved), c, scale))
-        c_s = superpose.delta_p_closed_form(scaled, None, x)
+        c_moved = superpose.delta_p_closed_form(superpose.evaluate(moved, None, x_moved))
+        iso.append(_rel(c_moved, c, scale))
+        c_s = superpose.delta_p_closed_form(superpose.evaluate(scaled, None, x))
         scal.append(_rel(c_s, factor * c, factor * scale))
-        null.append(np.abs(superpose.delta_p_closed_form(single, None, x)))
+        null.append(np.abs(superpose.delta_p_closed_form(superpose.evaluate(single, None, x))))
 
     def worst(parts):
         return float(np.concatenate([[0.0], *parts]).max())
@@ -126,7 +130,7 @@ def reference_concave(rng):
             reference_nsd(rng, n), b=rng.uniform(-1, 1, n), c0=float(rng.uniform(-1, 1))
         )
         x = np.array([_random_point_away(rng, ps) for _ in range(5)])
-        worst = max(worst, float(superpose.delta_p_direct(ps, k, x).max()))
+        worst = max(worst, float(superpose.delta_p_direct(superpose.evaluate(ps, k, x)).max()))
     rep.add("concave_superposition_sign", worst, 1e-10)
 
     base = concave.AffineMinTerm([[1.0, 0.5], [-0.7, 0.2], [0.1, -1.0]], [0.0, 0.3, -0.2])
@@ -223,3 +227,18 @@ def test_verify_superpose_builds_one_pole_set_per_draw(monkeypatch):
     calls.clear()
     verify.verify_superpose(DEFAULT_SEED)
     assert len(calls) <= 200
+
+
+def test_verify_superpose_evaluates_each_class_four_times(monkeypatch):
+    """Once for the base stack, whose evaluation feeds the direct route,
+    the closed form and the scale, and once each for the moved, scaled and
+    single-pole stacks; the FD oracle evaluates nothing."""
+    calls, evaluate = Counter(), superpose.evaluate
+
+    def counting(ps, k, x):
+        calls[ps.params.p, ps.params.n] += 1
+        return evaluate(ps, k, x)
+
+    monkeypatch.setattr(superpose, "evaluate", counting)
+    verify.verify_superpose(DEFAULT_SEED)
+    assert len(calls) == 12 and set(calls.values()) == {4}
