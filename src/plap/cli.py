@@ -8,6 +8,7 @@ name (DEBUG, INFO, WARNING, ERROR, CRITICAL) for diagnostics on stderr.
 """
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -32,6 +33,22 @@ EXIT_USAGE = 2
 CSV_CHUNK_ROWS = 1024  # rows formatted at a time, so no whole table of cells is held in memory
 EVAL_BLOCK = 1 << 17    # FD stencil offsets per block of eval rows: (block, 2n, poles, n) stays about 1 MB
 MAX_ROWS = 10**6        # of a sign-map, compare or evolution-sweep table
+
+
+def _check_output(path):
+    """Exit 2 with the line ``_open_output`` would give if ``path`` cannot be
+    written: it is a directory, or its directory is missing or read-only.
+    Runs before any work and creates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    _usage_error(f"error: cannot write {path}: {os.strerror(code)}")
 
 
 def _open_output(path, **kwargs):
@@ -380,6 +397,10 @@ def main(argv=None):
         return EXIT_USAGE
     logging.basicConfig(stream=sys.stderr, level=level)
     args = build_parser().parse_args(argv)
+    # every output is checked before the work that fills it
+    for path in (args.out, getattr(args, "summary", None)):
+        if path is not None:
+            _check_output(path)
     try:
         return args.func(args)
     except SolverFailureError as exc:

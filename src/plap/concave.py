@@ -14,7 +14,7 @@ from .errors import DegenerateDirectionError, KinkError
 TIE_EPSILON = 1e-9          # relative tie detection for min-of-affine pieces
 CRITERION_SLACK = 1e-12     # absorbs eigensolver noise at the equality boundary
 MOLLIFIER_NODES = 16        # Gauss-Legendre nodes per axis of the mollifier quadrature
-MOLLIFIER_BLOCK = 1 << 16   # shifted nodes per base call: (block, Q, d) stays about 1 MB
+MOLLIFIER_BLOCK = 1 << 14   # shifted nodes per base call: one (rows, Q) array per axis, 128 kB each
 
 
 class ConcaveTerm:
@@ -171,22 +171,36 @@ class MollifiedTerm(ConcaveTerm):
 
     def _blocks(self, x):
         """Shape of the points x (..., d), the quadrature weights, and per
-        block of points its slice of x and its shifted nodes (block, Q, d)."""
+        block of points its slice of x and its shifted nodes (rows, Q, d).
+        The nodes are built coordinate-major, one contiguous (rows, Q)
+        array per axis, and handed on as a view, so each axis of a block
+        is read at unit stride; every node is x - delta * z, whatever the
+        block size."""
         x = np.asarray(x, dtype=float)
         pts, wts = _mollifier_grid(x.shape[-1])
         flat = x.reshape(-1, x.shape[-1])
         rows = max(1, MOLLIFIER_BLOCK // len(wts))
-        blocks = (
-            (slice(s, s + rows), flat[s : s + rows, None, :] - self.delta * pts)
-            for s in range(0, len(flat), rows)
-        )
-        return x.shape, wts, blocks
+        shifts = self.delta * pts
 
+        def blocks():
+            for s in range(0, len(flat), rows):
+                part = flat[s : s + rows]
+                zt = np.empty((flat.shape[1], len(part), len(wts)))
+                # axis by axis: one broadcast subtraction over the whole
+                # (d, rows, Q) block measured slower
+                for j in range(flat.shape[1]):
+                    np.subtract(part[:, j, None], shifts[:, j], out=zt[j])
+                yield slice(s, s + rows), np.moveaxis(zt, 0, -1)
+
+        return x.shape, wts, blocks()
+
+    # vecdot sums each point's Q terms alone, so a value does not depend
+    # on the block size or on which points share a batch
     def value(self, x):
         shape, wts, blocks = self._blocks(x)
         val = np.empty(math.prod(shape[:-1]))
         for rows, z in blocks:
-            val[rows] = self.base.value(z) @ wts
+            val[rows] = np.vecdot(self.base.value(z), wts)
         return _scalar(val.reshape(shape[:-1]))
 
     def eval(self, x):
@@ -195,7 +209,7 @@ class MollifiedTerm(ConcaveTerm):
         val, grad, hess = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
         for rows, z in blocks:
             v, g, h = self.base.eval_lenient(z)
-            val[rows] = v @ wts
+            val[rows] = np.vecdot(v, wts)
             grad[rows] = np.einsum("q,bqi->bi", wts, g)
             hess[rows] = np.einsum("q,bqij->bij", wts, h)
         lead = shape[:-1]

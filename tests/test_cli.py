@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from plap import cli, comparison
+from plap import cli, comparison, verify
 from plap.errors import SolverFailureError
 from plap.schemas import SCHEMAS
 
@@ -403,6 +403,33 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, flag, defect):
     strerror = os.strerror(errno.ENOENT if defect == "missing_directory" else errno.EISDIR)
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot write {outputs[flag]}: {strerror}"]
+
+
+@pytest.mark.parametrize("command,flag", [("verify", "--out"), ("compare", "--out"),
+                                          ("compare", "--summary")])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, flag):
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **kw: ran.append("suite"))
+    monkeypatch.setattr(comparison, "comparison_check", lambda *a, **kw: ran.append("solver"))
+    if command == "verify":
+        args = ["verify", "--suite", "all"]
+    else:
+        write_json(tmp_path / "cfg.json", COMPARE_CFG)
+        args = ["compare", "--config", str(tmp_path / "cfg.json")]
+    outputs = {"--out": tmp_path / "o.csv"}
+    if command == "compare":
+        outputs["--summary"] = tmp_path / "s.json"
+    outputs[flag] = tmp_path / "missing" / "o"
+    for name, target in outputs.items():
+        args += [name, str(target)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {outputs[flag]}: {os.strerror(errno.ENOENT)}"]
+    assert ran == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == (
+        [] if command == "verify" else ["cfg.json"])
 
 
 @pytest.mark.parametrize("command", ["compare", "verify"])

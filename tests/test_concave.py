@@ -261,8 +261,9 @@ def test_batched_equals_pointwise(kind, lead, seed, d):
             got, want = (got,), (want,)
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
-            if kind == "affine_min":
-                # one code path, in one order, for a point and a batch
+            if kind == "affine_min" or (name == "value" and kind in ("mollified", "nested")):
+                # one code path, in one order, for a point and a batch; a
+                # mollified value sums each point's quadrature terms alone
                 np.testing.assert_array_equal(g, w)
             else:
                 np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-14)
@@ -307,28 +308,48 @@ def test_batched_affine_min_kink_iff_some_point_ties(seed, ties):
         np.testing.assert_array_equal(k.eval(x)[1], k.eval_lenient(x)[1])
 
 
-class CountingTerm(ConcaveTerm):
-    """Passes every call on to ``base`` and counts ``value`` calls."""
+class RecordingTerm(ConcaveTerm):
+    """Passes every call on to ``base`` and keeps a copy of the points of
+    each ``value`` call."""
 
     def __init__(self, base):
         self.base = base
-        self.value_calls = 0
+        self.calls = []
 
     def value(self, x):
-        self.value_calls += 1
+        self.calls.append(np.array(x))
         return self.base.value(x)
 
     def eval(self, x):
         return self.base.eval(x)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_mollified_blocks_shift_every_node_as_one_array_would(d, monkeypatch):
+    rng = np.random.default_rng(32)
+    affine = AffineMinTerm(rng.uniform(-1, 1, (3, d)), rng.uniform(-0.3, 0.3, 3))
+    base = RecordingTerm(affine)
+    mol = MollifiedTerm(base, 0.15)
+    pts, wts = _mollifier_grid(d)
+    x = rng.uniform(-1, 1, (2 * MOLLIFIER_BLOCK // len(wts) + 5, d))
+    got = mol.value(x)
+    assert len(base.calls) > 2
+    assert all(math.prod(z.shape[:-1]) <= MOLLIFIER_BLOCK for z in base.calls)
+    np.testing.assert_array_equal(np.concatenate(base.calls), x[:, None, :] - mol.delta * pts)
+    # the value the quadrature gives does not depend on the block size
+    for block in (1 << 10, 1 << 14, 1 << 16):
+        monkeypatch.setattr(concave, "MOLLIFIER_BLOCK", block)
+        assert mol.value(x).tobytes() == got.tobytes()
+    assert MollifiedTerm(affine, mol.delta).eval(x)[0].tobytes() == got.tobytes()
+
+
 def test_superposition_grid_calls_the_mollified_base_per_block():
-    base = CountingTerm(AffineMinTerm([[1.0, 0.5], [-0.7, 0.2]], [0.0, 0.3]))
+    base = RecordingTerm(AffineMinTerm([[1.0, 0.5], [-0.7, 0.2]], [0.0, 0.3]))
     dom = GridDomain([(-1, 1), (-1, 1)], (65, 65))
     ps = PoleSet([1.0], [[0.1, 0.2]], Params(3.0, 2))
     superposition_grid(ps, MollifiedTerm(base, 0.2), dom)
     nodes, q = 65 * 65, len(_mollifier_grid(2)[1])
-    assert base.value_calls <= math.ceil(nodes * q / MOLLIFIER_BLOCK)
+    assert len(base.calls) <= math.ceil(nodes * q / MOLLIFIER_BLOCK)
 
 
 def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(monkeypatch):
