@@ -80,14 +80,6 @@ def _usage_error(message):
     raise SystemExit(EXIT_USAGE)
 
 
-def _require(cfg, keys, what):
-    """Exit 2 unless the config object ``cfg`` has every one of ``keys``,
-    which ``what`` needs."""
-    missing = [key for key in keys if key not in cfg]
-    if missing:
-        _usage_error(f"error: {what} needs {' and '.join(missing)}")
-
-
 def _check_rows(count, table):
     """Exit 2 unless a table of ``count`` rows (a float: it may be inf)
     stays within MAX_ROWS; called before anything of that size exists."""
@@ -146,9 +138,30 @@ def _build(cfg):
         _usage_error(f"error: {exc}")
 
 
-# the keys each kind of concave term needs, which the schema cannot say
-CONCAVE_KEYS = {"zero": (), "quadratic": ("a_matrix",), "affine_min": ("slopes", "offsets"),
-                "mollified": ("base", "delta")}
+# per kind of concave term and of evolution sweep, which the schema cannot
+# say: the keys it needs, then the other keys it takes (a sweep's kernel
+# keys prefixed "kernel."); a key that only other kinds take is refused
+KIND_KEYS = {
+    "zero": ((), ()),
+    "quadratic": (("a_matrix",), ("b", "c0")),
+    "affine_min": (("slopes", "offsets"), ()),
+    "mollified": (("base", "delta"), ()),
+    "barenblatt": (("t", "radii"), ("a", "kernel.big_c")),
+    "homogeneous": (("y", "times"), ("kernel.small_c",)),
+}
+_KIND_ONLY = {key for needs, takes in KIND_KEYS.values() for key in needs + takes}
+
+
+def _check_kind(keys, kind, what):
+    """Exit 2 unless the keys of a config object of ``kind`` hold every key
+    that kind needs and none that only other kinds take."""
+    needs, takes = KIND_KEYS[kind]
+    missing = [key for key in needs if key not in keys]
+    if missing:
+        _usage_error(f"error: {what} needs {' and '.join(missing)}")
+    foreign = [key for key in keys if key in _KIND_ONLY and key not in needs + takes]
+    if foreign:
+        _usage_error(f"error: {what} does not take {', '.join(foreign)}")
 
 
 def _concave_from(term_cfg, n):
@@ -157,7 +170,7 @@ def _concave_from(term_cfg, n):
     if term_cfg is None:
         return None
     kind = term_cfg["kind"]
-    _require(term_cfg, CONCAVE_KEYS[kind], f"a {kind} concave term")
+    _check_kind(term_cfg, kind, f"a {kind} concave term")
     if kind == "zero":
         return None
     if kind == "mollified":
@@ -310,9 +323,8 @@ def cmd_evolution_sweep(args):
         big_c=float(kcfg.get("big_c", 1.0)),
         small_c=float(kcfg.get("small_c", 1.0)),
     )
-    needs = ("t", "radii") if kernel.kind == evolution.BARENBLATT else ("y", "times")
-    _require(cfg, needs, f"a {kernel.kind} sweep")
-    sweep = cfg[needs[1]]
+    _check_kind([*cfg, *(f"kernel.{key}" for key in kcfg)], kernel.kind, f"a {kernel.kind} sweep")
+    sweep = cfg["radii"] if kernel.kind == evolution.BARENBLATT else cfg["times"]
     _check_rows(float(sweep["count"]), "sweep")
     if kernel.kind == evolution.BARENBLATT:
         t = float(cfg["t"])

@@ -19,6 +19,8 @@ DEFAULT_SEED = 20160118
 SUITE_NAMES = ("superpose", "concave", "comparison", "evolution")
 TRIALS = 100                # per check of the concave suite
 MIN_POLE_DISTANCE = 0.05    # of a query point from every pole
+BRACKET_RADII = 33          # per call of the function whose sign change is bracketed
+BRACKET_XTOL = 2e-12        # the bracket's final width, brentq's default xtol
 
 
 @dataclass
@@ -290,9 +292,22 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
     return rep
 
 
-def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
-    from scipy.optimize import brentq
+def _bracket_sign_change(f, lo, hi):
+    """[lo, hi] narrowed to a sign change of f, a function vectorized over
+    radii, until it is no wider than BRACKET_XTOL or holds no float inside.
+    Each call of f takes BRACKET_RADII radii spread over the bracket, ends
+    included; the first neighbours that differ in sign are the next bracket."""
+    while hi - lo > BRACKET_XTOL and np.nextafter(lo, hi) < hi:
+        r = np.linspace(lo, hi, BRACKET_RADII)
+        s = np.sign(f(r))
+        change = np.flatnonzero(s[:-1] != s[1:])
+        if not change.size:
+            raise ValueError(f"f does not change sign on [{lo!r}, {hi!r}]")
+        lo, hi = r[change[0]], r[change[0] + 1]
+    return lo, hi
 
+
+def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
     rng = np.random.default_rng(seed)
     rep = SuiteReport("evolution")
 
@@ -326,15 +341,12 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
             rhs = evolution.barenblatt_defect(kb, a, points, t)
             worst_defect = max(worst_defect, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
 
-        def bt_fd(r):
-            x = np.zeros(n)
-            x[0] = r
-            dt = evolution.TIME_FD_REL_STEP * t
-            later, earlier = evolution.kernel_value(kb, x, [t + dt, t - dt])
-            return (later - earlier) / (2 * dt)
+        def bt_fd(r):  # the FD B_t at radii r on the first axis
+            x = np.multiply.outer(r, np.eye(n)[0])
+            return evolution._time_difference(lambda s: evolution.kernel_value(kb, x, s), t)
 
-        bracketed = brentq(bt_fd, 0.05 * support, 0.99 * support)
-        worst_radius = max(worst_radius, abs(bracketed - radius) / radius)
+        lo, hi = _bracket_sign_change(bt_fd, 0.05 * support, 0.99 * support)
+        worst_radius = max(worst_radius, abs(0.5 * (lo + hi) - radius) / radius)
     rep.add("barenblatt_defect_identity", worst_defect, 1e-3)
     rep.add("sign_change_radius_bracketing", worst_radius, 0.01)
 

@@ -186,6 +186,12 @@ SWEEP_CFG = {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n"
 # the schema accepts each; the kind's own keys are missing
 CONCAVE_WITHOUT_KEYS = [{"kind": "quadratic"}, {"kind": "affine_min", "slopes": [[1, 0]]},
                         {"kind": "mollified", "delta": 0.2}]
+# the schema accepts each too; it carries keys that only another kind takes
+QUADRATIC_WITH_OTHER_KEYS = {"kind": "quadratic", "a_matrix": [[-1.0, 0.0], [0.0, -1.0]],
+                             "delta": 0.2, "slopes": [[1.0, 0.0]]}
+HOMOGENEOUS_WITH_OTHER_KEYS = {"schema_version": 1, "a": 2.0, "t": 1.0,
+                               "kernel": {"kind": "homogeneous", "p": 3.0, "n": 2, "big_c": 2.0},
+                               "y": [1.0, 0.0], "times": {"min": 0.5, "max": 2.0, "count": 5}}
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -208,13 +214,21 @@ CONCAVE_WITHOUT_KEYS = [{"kind": "quadratic"}, {"kind": "affine_min", "slopes": 
                          "y": [1.0, 0.0]}),
     ("evolution-sweep", {"schema_version": 1, "kernel": {"kind": "homogeneous", "p": 3.0, "n": 2},
                          "y": [0.0, 0.0], "times": {"min": 0.5, "max": 2.0, "count": 5}}),
+    ("eval", with_changes(concave=QUADRATIC_WITH_OTHER_KEYS)),
+    ("compare", dict(COMPARE_CFG, concave={"kind": "mollified", "delta": 0.1,
+                                           "base": QUADRATIC_WITH_OTHER_KEYS})),
+    ("eval", with_changes(concave={"kind": "zero", "offsets": [0.0]})),
+    ("evolution-sweep", HOMOGENEOUS_WITH_OTHER_KEYS),
+    ("evolution-sweep", dict(SWEEP_CFG, kernel=dict(SWEEP_CFG["kernel"], small_c=2.0))),
 ], ids=["eval_quadratic_dimension", "eval_affine_dimension", "eval_mollified_base_dimension",
         "compare_quadratic_dimension", "compare_mollified_base_dimension", "compare_p_two",
         "compare_grid_dimension", "eval_quadratic_without_a_matrix", "eval_affine_without_offsets",
         "eval_mollified_without_base", "compare_quadratic_without_a_matrix",
         "compare_affine_without_offsets", "compare_mollified_without_base",
         "barenblatt_without_t", "barenblatt_without_radii", "homogeneous_without_y",
-        "homogeneous_without_times", "homogeneous_zero_y"])
+        "homogeneous_without_times", "homogeneous_zero_y", "eval_quadratic_with_other_keys",
+        "compare_mollified_base_with_other_keys", "eval_zero_with_offsets",
+        "homogeneous_with_other_keys", "barenblatt_with_small_c"])
 def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)
@@ -233,8 +247,13 @@ def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
      "error: a^(p-1) overflows a double for a = 2.0 and p = 1025.0"),
     ("evolution-sweep", dict(SWEEP_CFG, kernel={"kind": "barenblatt", "p": 40.0, "n": 2}, a=1e10),
      "error: a^(p-1) overflows a double for a = 10000000000.0 and p = 40.0"),
+    ("eval", with_changes(concave=QUADRATIC_WITH_OTHER_KEYS),
+     "error: a quadratic concave term does not take delta, slopes"),
+    ("evolution-sweep", HOMOGENEOUS_WITH_OTHER_KEYS,
+     "error: a homogeneous sweep does not take a, t, kernel.big_c"),
 ], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension",
-        "barenblatt_default_a_overflows", "barenblatt_large_a_overflows"])
+        "barenblatt_default_a_overflows", "barenblatt_large_a_overflows",
+        "quadratic_other_keys", "homogeneous_other_keys"])
 def test_config_error_line_names_the_defect(tmp_path, capsys, command, cfg, line):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)
@@ -628,30 +647,33 @@ def test_evolution_sweep_homogeneous(tmp_path):
     assert len(rows) == 11
 
 
-def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    code = "import sys, plap.cli; sys.exit('scipy.sparse' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-
-
 def test_the_cli_and_its_commands_that_solve_nothing_load_no_scipy(tmp_path):
     """scipy loads at the first banded solve, not with ``plap.cli``; eval,
-    sign-map and evolution-sweep, run in one process, never load it."""
+    sign-map, evolution-sweep and the verify suites that solve no linear
+    system, run in one process, never load it.  The comparison suite then
+    loads no scipy subpackage but scipy.linalg."""
     runs = []
     for name, cfg in (("eval", EVAL_CFG), ("sign-map", SIGN_MAP_CFG),
                       ("evolution-sweep", SWEEP_CFG)):
         write_json(tmp_path / f"{name}.json", cfg)
         runs.append([name, "--config", str(tmp_path / f"{name}.json"),
                      "--out", str(tmp_path / f"{name}.csv")])
+    for suite in ("superpose", "concave", "evolution", "comparison"):
+        runs.append(["verify", "--suite", suite, "--out", str(tmp_path / f"{suite}.json")])
     code = (
         "import json, sys\n"
         "import plap.cli\n"
         "def scipy():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not scipy(), scipy()\n"
-        "for args in json.loads(sys.argv[1]):\n"
+        "*runs, comparison = json.loads(sys.argv[1])\n"
+        "for args in runs:\n"
         "    assert plap.cli.main(args) == plap.cli.EXIT_OK, args\n"
-        "    assert not scipy(), (args[0], scipy())\n"
+        "    assert not scipy(), (args, scipy())\n"
+        "assert plap.cli.main(comparison) == plap.cli.EXIT_OK\n"
+        "packages = [m for m in scipy() if m.count('.') == 1 and not m.startswith('scipy._')\n"
+        "            and hasattr(sys.modules[m], '__path__')]\n"
+        "assert packages == ['scipy.linalg'], scipy()\n"
     )
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                          capture_output=True, text=True)

@@ -1,4 +1,7 @@
-"""The package's export list."""
+"""The package's export list and its one use of scipy."""
+
+import ast
+import pathlib
 
 import plap
 
@@ -8,3 +11,24 @@ def test_every_exported_name_resolves_and_star_import_succeeds():
     namespace = {}
     exec("from plap import *", namespace)
     assert set(plap.__all__) <= set(namespace)
+
+
+def _scipy_imports(node, where):
+    """(module, function, imported names) of every scipy import under
+    ``node``, ``where`` naming the function that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = [a.name for a in child.names] if isinstance(child, ast.Import) else []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            yield ", ".join(modules), where, [a.name for a in child.names]
+        inner = child.name if isinstance(child, ast.FunctionDef | ast.ClassDef) else where
+        yield from _scipy_imports(child, inner)
+
+
+def test_scipy_is_imported_only_for_the_banded_cholesky():
+    found = [(path.name, *imp)
+             for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
+             for imp in _scipy_imports(ast.parse(path.read_text()), None)]
+    assert found == [("comparison.py", "scipy.linalg", "_band_solve", ["solveh_banded"])]

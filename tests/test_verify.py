@@ -3,19 +3,24 @@
 ``verify_superpose`` and ``verify_concave`` make only their draws (and the
 decisions later draws depend on) in a loop, and batch the rest after it.
 The per-draw loops below are the reference: every report and the
-generator's final state must be the same, bit for bit."""
+generator's final state must be the same, bit for bit.  The evolution
+suite's bracket of the Barenblatt sign change has ``brentq`` as its
+reference."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from plap import concave, superpose, verify
+from plap import concave, evolution, superpose, verify
 from plap.core import Params
 from plap.verify import (
+    BRACKET_XTOL,
     DEFAULT_SEED,
     TRIALS,
     SuiteReport,
+    _bracket_sign_change,
     _derived_stacks,
     _random_point_away,
     _random_pole_set,
@@ -242,3 +247,35 @@ def test_verify_superpose_evaluates_each_class_four_times(monkeypatch):
     monkeypatch.setattr(superpose, "evaluate", counting)
     verify.verify_superpose(DEFAULT_SEED)
     assert len(calls) == 12 and set(calls.values()) == {4}
+
+
+@pytest.mark.parametrize("p, n, big_c, t", [
+    (3.0, 2, 1.0, 1.0), (4.0, 3, 2.0, 0.5),  # the suite's two kernels
+    (2.5, 1, 1.0, 1.0), (6.0, 4, 1.0, 2.0),
+])
+def test_the_bracket_holds_brentqs_root_of_the_fd_time_derivative(p, n, big_c, t):
+    kb = evolution.EvolutionKernel(evolution.BARENBLATT, Params(p, n, 1.0), big_c=big_c)
+
+    def bt_fd(r):  # the FD B_t at a radius or an array of radii on the first axis
+        x = np.multiply.outer(r, np.eye(n)[0])
+        return evolution._time_difference(lambda s: evolution.kernel_value(kb, x, s), t)
+
+    support, radius = evolution.support_radius(kb, t), evolution.sign_change_radius(kb, t)
+    lo, hi = _bracket_sign_change(bt_fd, 0.05 * support, 0.99 * support)
+    assert 0 < hi - lo <= BRACKET_XTOL == 2e-12
+    assert np.sign(bt_fd(lo)) != np.sign(bt_fd(hi))
+    root = brentq(bt_fd, 0.05 * support, 0.99 * support)
+    assert abs(0.5 * (lo + hi) - root) <= 1e-8 * radius
+
+
+def test_the_bracket_stops_where_floats_cannot_split_it():
+    """Near 1e5 neighbouring doubles are 1.5e-11 apart, wider than
+    BRACKET_XTOL: the bracket ends as two neighbours around the root."""
+    root = 1e5 + 0.1
+    lo, hi = _bracket_sign_change(lambda r: r - root, 0.0, 2e5)
+    assert lo <= root <= hi == np.nextafter(lo, np.inf)
+
+
+def test_the_bracket_refuses_a_function_without_a_sign_change():
+    with pytest.raises(ValueError, match="does not change sign"):
+        _bracket_sign_change(lambda r: r * r + 1.0, -1.0, 1.0)
