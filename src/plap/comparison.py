@@ -281,7 +281,7 @@ def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarr
     """Node values of W = V + K on the grid (value only, derivative-free).
 
     A pole landing exactly on a node follows the pole rule of
-    ``fundamental_profile``; where that makes a node value infinite
+    ``core._profile_value``; where that makes a node value infinite
     (1 < p <= n) the grid is rejected.
     """
     if dom.dim != ps.params.n:

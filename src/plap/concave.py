@@ -242,11 +242,11 @@ def criterion_sum(hess, p):
     return _scalar(lam[..., :-1].sum(axis=-1) + (np.asarray(p) - 1) * lam[..., -1])
 
 
-def operator_term(k: ConcaveTerm, p, xi, x):
-    """(p-2) xi^T (Hess K) xi / |xi|^2 + tr Hess K at x.
+def operator_term(hess, p, xi):
+    """(p-2) xi^T H xi / |xi|^2 + tr H for Hessians H (..., n, n).
 
-    Directions xi (..., n) broadcast against the points x (..., n), and p
-    against their leading shape; one direction at one point gives a float.
+    Directions xi (..., n) broadcast against the stack of matrices, and p
+    against their leading shape; one direction and one matrix give a float.
     """
     xi = np.asarray(xi, dtype=float)
     # a row vector per direction, so each product rounds as for one direction
@@ -254,6 +254,6 @@ def operator_term(k: ConcaveTerm, p, xi, x):
     nrm2 = (row @ xi[..., None])[..., 0, 0]
     if (nrm2 == 0.0).any():
         raise DegenerateDirectionError("direction xi must be nonzero")
-    _, _, h = k.eval(x)
+    h = np.asarray(hess, dtype=float)
     quad = (row @ h @ xi[..., None])[..., 0, 0]
     return _scalar((np.asarray(p) - 2) * quad / nrm2 + np.trace(h, axis1=-2, axis2=-1))

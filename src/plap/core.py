@@ -55,39 +55,41 @@ def _profile_slope(params: Params, r):
     return -params.c * r ** ((1 - params.n) / (params.p - 1))
 
 
-def fundamental_profile(params: Params, r):
-    """Closed-form fundamental-solution profile v, v', v'' at radii r >= 0.
-
-    v = -c (p-1)/(p-n) r^((p-n)/(p-1)) for p != n, v = -c ln r for p = n;
-    branch selection is by exact equality of p and n.  r may have any
-    shape; the three returned arrays have the same shape.
-
-    This is the only place the pole rule lives: at r = 0 the pole
-    contributes v = +inf when (p-n)/(p-1) <= 0, i.e. 1 < p <= n (the log
-    case p = n included), and otherwise its limit v = 0.  v' and v'' are
-    NaN there: derivatives are unavailable at any pole.
-    """
+def _off_pole(r):
+    """Radii r >= 0 as floats, zeros (poles) set to the placeholder 1 so no
+    power or log of 0 is taken, and the mask of the zeros (None if none)."""
     r = np.asarray(r, dtype=float)
     low = r.min(initial=math.inf)
     if not low >= 0:
         raise PoleSingularityError("radii must be nonnegative")
+    pole = None if low > 0 else r == 0
+    return r if pole is None else np.where(pole, 1.0, r), pole
+
+
+def _profile_value(params: Params, r):
+    """The profile v alone at radii r >= 0 of any shape: -c (p-1)/(p-n)
+    r^((p-n)/(p-1)) for p != n, -c ln r for p = n (by exact equality).
+
+    The one home of the pole rule: at r = 0 the pole contributes v = +inf
+    when (p-n)/(p-1) <= 0, i.e. 1 < p <= n (the log case p = n included),
+    and otherwise its limit v = 0."""
+    r, pole = _off_pole(r)
     p, n, c = params.p, params.n, params.c
     a = (p - n) / (p - 1)
-    on_pole = low == 0
-    if on_pole:
-        pole = r == 0
-        r = np.where(pole, 1.0, r)  # placeholder radius, overwritten below
-    if p == n:
-        v = -c * np.log(r)
-    else:
-        v = -c * (p - 1) / (p - n) * r**a
-    e = (1 - n) / (p - 1)
-    dv = _profile_slope(params, r)
-    ddv = -c * e * r ** (e - 1)
-    if on_pole:
-        v = np.where(pole, math.inf if a <= 0 else 0.0, v)
-        dv = np.where(pole, math.nan, dv)
-        ddv = np.where(pole, math.nan, ddv)
+    v = -c * np.log(r) if p == n else -c * (p - 1) / (p - n) * r**a
+    return v if pole is None else np.where(pole, math.inf if a <= 0 else 0.0, v)
+
+
+def fundamental_profile(params: Params, r):
+    """Closed-form profile v, v', v'' at radii r >= 0 of any shape, v from
+    ``_profile_value``; v' and v'' are NaN at r = 0, since derivatives are
+    unavailable at any pole."""
+    v = _profile_value(params, r)
+    r, pole = _off_pole(r)
+    e = (1 - params.n) / (params.p - 1)
+    dv, ddv = _profile_slope(params, r), -params.c * e * r ** (e - 1)
+    if pole is not None:
+        dv, ddv = np.where(pole, math.nan, dv), np.where(pole, math.nan, ddv)
     return v, dv, ddv
 
 

@@ -25,6 +25,7 @@ from .concave import ConcaveTerm
 from .core import (
     Params,
     _profile_slope,
+    _profile_value,
     _scalar,
     fd_p_laplacian,
     fd_spacing,
@@ -157,7 +158,7 @@ class EvalResult:
 
     angles[..., i] is the angle in [0, pi] between x - y_i and the total
     gradient (0 by convention when the gradient vanishes).  At a pole the
-    value follows the pole rule of ``fundamental_profile`` (+inf for
+    value follows the pole rule of ``core._profile_value`` (+inf for
     1 < p <= n, else the finite value with that pole contributing 0).
 
     For points (..., n) every field keeps the leading shape; a single
@@ -182,18 +183,19 @@ class EvalResult:
         return self.gradient is not None
 
 
-def _pole_terms(ps: PoleSet, x):
-    """Offsets x - y_i, radii r_i and the profile v, v', v'' for points
-    x of shape (..., n) against every pole; pole axis second to last."""
+def _offsets(ps: PoleSet, x):
+    """Offsets x - y_i and radii r_i of points x (..., n) against every
+    pole, pole axis second to last; refuses points without n coordinates."""
+    x, n = np.asarray(x, dtype=float), ps.params.n
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"query points have shape {x.shape}, expected (..., {n})")
     d = x[..., None, :] - ps.locations
-    r = np.linalg.norm(d, axis=-1)
-    return (d, r) + fundamental_profile(ps.params, r)
+    return d, np.linalg.norm(d, axis=-1)
 
 
 def pole_distance(ps: PoleSet, x):
     """Distance of points x (..., n) to their nearest pole, shape (...)."""
-    x = np.asarray(x, dtype=float)
-    return np.linalg.norm(x[..., None, :] - ps.locations, axis=-1).min(axis=-1)
+    return _offsets(ps, x)[1].min(axis=-1)
 
 
 def near_pole(ps: PoleSet, x, step: float):
@@ -208,24 +210,20 @@ def near_pole(ps: PoleSet, x, step: float):
 def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
     """V + K at points x of shape (..., n) from values alone, so a kink of K
     is harmless; a point on a pole follows the pole rule."""
-    x = np.asarray(x, dtype=float)
     # a padded pole (weight 0) on x must not add 0 * inf
-    v = np.where(ps.weights > 0, _pole_terms(ps, x)[2], 0.0)
+    v = np.where(ps.weights > 0, _profile_value(ps.params, _offsets(ps, x)[1]), 0.0)
     return np.vecdot(v, ps.weights) + (0.0 if k is None else k.value(x))
 
 
 def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
     """Value, gradient, Hessian, angles and distances of V + K at points x
     of shape (..., n), with what the analytic routes read."""
-    x = np.asarray(x, dtype=float)
-    n = ps.params.n
-    if x.shape[-1:] != (n,):
-        raise ValueError(f"query points have shape {x.shape}, expected (..., {n})")
-    d, r, v, dv, ddv = _pole_terms(ps, x)
+    d, r = _offsets(ps, x)
     if not r.all():
         # on a pole: the value the pole rule gives, no derivatives
         value = _scalar(superposition_value(ps, k, x))
         return EvalResult(value, None, None, None, r, None, ps, k, None, None, None)
+    v, dv, ddv = fundamental_profile(ps.params, r)
     a = ps.weights
     u = d / r[..., None]
     t = a * dv / r
@@ -233,7 +231,7 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
     grad = ((a * dv)[..., None, :] @ u)[..., 0, :]
     # sum_i a_i (v_i'' u_i u_i^T + (v_i'/r_i)(I - u_i u_i^T)), no n x n block per pole
     hess = (np.swapaxes(u, -1, -2) * (a * ddv - t)[..., None, :]) @ u
-    hess += t.sum(axis=-1)[..., None, None] * np.eye(n)
+    hess += t.sum(axis=-1)[..., None, None] * np.eye(ps.params.n)
     kh = None
     if k is not None:
         kv, kg, kh = k.eval(x)

@@ -204,7 +204,7 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
             accepted.append((h, p, rng.standard_normal((10, n))))
     worst = 0.0
     for h, p, xi in accepted:
-        terms = concave.operator_term(concave.QuadraticTerm(h), p, xi, np.zeros(len(h)))
+        terms = concave.operator_term(h, p, xi)
         worst = max(worst, float(terms.max()))
     rep.add("criterion_implies_sign", worst, 1e-12)
 

@@ -122,7 +122,7 @@ def test_criterion_4_borderline_counterexample():
         worst_sum = max(worst_sum, abs(criterion_sum(hess, p)))
         for _ in range(1000):
             xi = rng.normal(size=n)
-            worst_op = max(worst_op, operator_term(k, p, xi, np.zeros(n)))
+            worst_op = max(worst_op, operator_term(k.eval(np.zeros(n))[2], p, xi))
     ok = all_ok and worst_sum <= 1e-12 and worst_op <= 1e-12
     report(
         "criterion 4 (borderline quadratic counterexample)",

@@ -352,7 +352,7 @@ def test_eval_calls_the_kernel_once_per_route_and_block(tmp_path, monkeypatch):
     cfg = eval_config(np.random.default_rng(18), n, poles, far, with_k=False)
     path = tmp_path / "eval.json"
     path.write_text(json.dumps(cfg))
-    calls = {"profile": 0, "slope": 0}
+    calls = {"value": 0, "profile": 0, "slope": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -360,6 +360,7 @@ def test_eval_calls_the_kernel_once_per_route_and_block(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(superpose, "_profile_value", counted("value", superpose._profile_value))
     monkeypatch.setattr(superpose, "fundamental_profile",
                         counted("profile", superpose.fundamental_profile))
     monkeypatch.setattr(superpose, "_profile_slope", counted("slope", superpose._profile_slope))
@@ -367,8 +368,9 @@ def test_eval_calls_the_kernel_once_per_route_and_block(tmp_path, monkeypatch):
     assert cli.main(args) == cli.EXIT_OK
     blocks = math.ceil(far / rows)
     assert blocks == 3
-    # one evaluation per block, and one value-only pass over the near rows
-    assert calls["profile"] == blocks + 1
+    # one value-only pass over the near rows, and one evaluation per block
+    assert calls["value"] == 1
+    assert calls["profile"] == blocks
     # the FD stencil evaluates v' once per block
     assert calls["slope"] == blocks
 

@@ -145,7 +145,7 @@ def test_criterion_implies_operator_sign():
         term = QuadraticTerm(h)
         for _ in range(20):
             xi = rng.standard_normal(n)
-            assert operator_term(term, p, xi, np.zeros(n)) <= 1e-12
+            assert operator_term(term.eval(np.zeros(n))[2], p, xi) <= 1e-12
         hits += 1
 
 
@@ -154,7 +154,7 @@ def test_operator_term_concave_nonpositive():
     k = QuadraticTerm(random_nsd(rng, 3))
     for _ in range(20):
         xi = rng.standard_normal(3)
-        assert operator_term(k, 3.5, xi, np.zeros(3)) <= 1e-12
+        assert operator_term(k.eval(np.zeros(3))[2], 3.5, xi) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
@@ -171,20 +171,15 @@ def test_stacked_criterion_and_operator_terms_equal_per_matrix_calls(n):
     assert criterion_sum(h, 3.0).tolist() == [criterion_sum(m, 3.0) for m in h]
     assert criterion_sum(h.reshape(2, 4, n, n), p.reshape(2, 4)).ravel().tolist() == sums.tolist()
 
-    k = QuadraticTerm(h[0])
     xi = rng.standard_normal((10, n))
-    terms = operator_term(k, p[0], xi, np.zeros(n))
+    terms = operator_term(h[0], p[0], xi)
     assert terms.shape == (10,)
-    assert terms.tolist() == [operator_term(k, p[0], v, np.zeros(n)) for v in xi]
-    # directions against points, with p per row; the mollifier's 16^n nodes
-    # keep a Hessian that varies with x to small n
-    x = rng.uniform(-1, 1, (10, n))
-    if n <= 3:
-        k = MollifiedTerm(AffineMinTerm(rng.standard_normal((3, n)), rng.standard_normal(3)), 0.3)
-    else:
-        k = QuadraticTerm(h[1], b=rng.standard_normal(n))
-    terms = operator_term(k, np.full(10, p[1]), xi, x)
-    assert terms.tolist() == [operator_term(k, p[1], v, y) for v, y in zip(xi, x)]
+    assert terms.tolist() == [operator_term(h[0], p[0], v) for v in xi]
+    # directions against a stack of distinct matrices, with p per row
+    b = rng.standard_normal((10, n, n))
+    hs = 0.5 * (b + b.mT)
+    terms = operator_term(hs, np.full(10, p[1]), xi)
+    assert terms.tolist() == [operator_term(m, p[1], v) for m, v in zip(hs, xi)]
 
 
 def test_a_stack_with_one_asymmetric_matrix_is_refused():
@@ -198,7 +193,7 @@ def test_a_stack_with_one_asymmetric_matrix_is_refused():
 
 def test_operator_term_zero_matrix():
     k = QuadraticTerm(np.zeros((2, 2)))
-    assert operator_term(k, 3.0, [1.0, 0.0], [0.0, 0.0]) == 0.0
+    assert operator_term(k.eval([0.0, 0.0])[2], 3.0, [1.0, 0.0]) == 0.0
 
 
 def test_operator_term_counterexample_nonpositive():
@@ -208,7 +203,7 @@ def test_operator_term_counterexample_nonpositive():
     rng = np.random.default_rng(26)
     for _ in range(200):
         xi = rng.standard_normal(n)
-        assert operator_term(k, p, xi, np.zeros(n)) <= 1e-12
+        assert operator_term(k.eval(np.zeros(n))[2], p, xi) <= 1e-12
 
 
 # ------------------------------------------------------- batched contract
@@ -377,7 +372,7 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
 
     monkeypatch.setattr(concave.QuadraticTerm, "__post_init__", record_quadratic)
     monkeypatch.setattr(concave, "eigenvalue_criterion", record_criterion)
-    monkeypatch.setattr(concave, "operator_term", lambda k, p, xi, x: np.zeros(len(xi)))
+    monkeypatch.setattr(concave, "operator_term", lambda h, p, xi: np.zeros(len(xi)))
     monkeypatch.setattr(superpose, "evaluate", lambda ps, k, x: x)
     monkeypatch.setattr(superpose, "delta_p_direct", lambda res: np.zeros(len(res)))
     monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(

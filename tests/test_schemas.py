@@ -252,3 +252,21 @@ def test_importing_the_cli_leaves_jsonschema_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 
+
+
+def test_the_cli_kind_keys_are_the_schema_keys():
+    """``cli.KIND_KEYS`` lists per kind the keys ``SCHEMAS`` lets every kind
+    take: the concave kinds and their keys are ``_CONCAVE``'s, the sweep
+    kinds and theirs the ``evolution_sweep`` ones (kernel keys under
+    ``kernel.``)."""
+    def keys(kinds):
+        return {key for kind in kinds for part in cli.KIND_KEYS[kind] for key in part}
+
+    concave_kinds = schemas._CONCAVE["properties"]["kind"]["enum"]
+    sweep = SCHEMAS["evolution_sweep"]["properties"]
+    kernel = sweep["kernel"]["properties"]
+    sweep_kinds = kernel["kind"]["enum"]
+    assert set(cli.KIND_KEYS) == set(concave_kinds) | set(sweep_kinds)
+    assert keys(concave_kinds) == schemas._CONCAVE["properties"].keys() - {"kind"}
+    assert keys(sweep_kinds) == (sweep.keys() - {"schema_version", "kernel"}) | {
+        "kernel." + key for key in kernel.keys() - {"kind", "p", "n"}}

@@ -1,6 +1,7 @@
 """Superposition evaluation and the three Delta_p routes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,14 +20,16 @@ from plap import (
     delta_p_fd,
     evaluate,
     sign_region,
+    superpose,
 )
+from plap.comparison import superposition_grid
 from plap.core import fd_spacing
 from plap.errors import (
     KinkError,
     PoleSingularityError,
     UnsupportedConfigurationError,
 )
-from plap.superpose import DEFAULT_FD_STEP, pole_distance
+from plap.superpose import DEFAULT_FD_STEP, near_pole, pole_distance, superposition_value
 
 
 def rel(a, b, scale=0.0):
@@ -282,6 +285,42 @@ def test_pole_distance_is_the_per_pole_minimum_on_a_padded_stack_and_on_grid_nod
     ps = PoleSet([1.0, 0.5, 2.0], [[0.2, 0.1], [-0.4, 0.3], [0.0, -0.7]], Params(3, 2))
     nodes = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33)).nodes()
     np.testing.assert_array_equal(pole_distance(ps, nodes), per_pole_minimum(ps.locations, nodes))
+
+
+def test_values_need_no_profile_derivatives(monkeypatch):
+    ps = PoleSet([1.0, 2.0], [[0.5, 0.0], [-0.5, 0.25]], Params(3, 2))
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(9, 9))
+    k = QuadraticTerm(-np.eye(2))
+    x = np.array([[0.1, 0.2], [0.5, 0.0]])
+    want = superposition_value(ps, k, x), superposition_grid(ps, None, dom)
+
+    def refuse(params, r):
+        raise AssertionError("the value of V needs no v' or v''")
+
+    monkeypatch.setattr(superpose, "fundamental_profile", refuse)
+    np.testing.assert_array_equal(superposition_value(ps, k, x), want[0])
+    np.testing.assert_array_equal(superposition_grid(ps, None, dom), want[1])
+    # a batch with a point on a pole takes the value path
+    np.testing.assert_array_equal(evaluate(ps, k, x).value, want[0])
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5]], ids=["1 coordinate", "3 coordinates"])
+@pytest.mark.parametrize("route", ["evaluate", "superposition_value", "pole_distance",
+                                   "near_pole", "delta_p_fd"])
+def test_every_point_function_refuses_a_point_of_another_dimension(route, point):
+    ps = PoleSet([1.0, 2.0], [[0.5, 0.0], [-0.5, 0.25]], Params(3, 2))
+    call = {
+        "evaluate": lambda x: evaluate(ps, None, x),
+        "superposition_value": lambda x: superposition_value(ps, None, x),
+        "pole_distance": lambda x: pole_distance(ps, x),
+        "near_pole": lambda x: near_pole(ps, x, DEFAULT_FD_STEP),
+        "delta_p_fd": lambda x: delta_p_fd(ps, None, x),
+    }[route]
+    shape = re.escape(f"query points have shape {np.shape(point)}, expected (..., 2)")
+    with pytest.raises(ValueError, match=shape):
+        call(point)
+    with pytest.raises(ValueError, match=re.escape("expected (..., 2)")):
+        call([point, point])
 
 
 def test_fd_guard_uses_the_stencil_spacing():

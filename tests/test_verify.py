@@ -123,7 +123,7 @@ def reference_concave(rng):
         term = concave.QuadraticTerm(h)
         for _ in range(10):
             xi = rng.standard_normal(n)
-            worst = max(worst, concave.operator_term(term, p, xi, np.zeros(n)))
+            worst = max(worst, concave.operator_term(term.eval(np.zeros(n))[2], p, xi))
     rep.add("criterion_implies_sign", worst, 1e-12)
 
     worst = -np.inf
