@@ -28,8 +28,11 @@ class ConcaveTerm:
 
     All three take points of shape (..., d) and keep the leading shape:
     values (...), gradients (..., d), Hessians (..., d, d).  A single point
-    (d,) gives a float value.
+    (d,) gives a float value.  A term whose Hessian is 0 everywhere says so
+    in ``zero_hessian``.
     """
+
+    zero_hessian = False
 
     def value(self, x):
         raise NotImplementedError
@@ -46,7 +49,9 @@ class QuadraticTerm(ConcaveTerm):
     """K(x) = x^T A x / 2 + b.x + c0.
 
     Non-concave A is allowed (needed for the eigenvalue-criterion
-    counterexamples).
+    counterexamples).  A stack of B terms has A (B, d, d), b (B, d) and c0
+    (B,) or one c0 for all; it takes points (..., B, d), each term at its
+    own points, and checks each matrix's symmetry against its own scale.
     """
 
     a_matrix: np.ndarray
@@ -55,14 +60,17 @@ class QuadraticTerm(ConcaveTerm):
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("A must be a square matrix")
-        if not np.abs(a - a.T).max() <= 1e-12 * max(1.0, np.abs(a).max()):
+        if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+            raise ValueError("A must be a square matrix or a stack of them")
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if not (np.abs(a - a.mT).max(axis=(-2, -1)) <= 1e-12 * scale).all():
             raise ValueError("A must be symmetric")
-        a = 0.5 * (a + a.T)
-        b = np.zeros(a.shape[0]) if self.b is None else np.asarray(self.b, dtype=float)
-        if b.shape != (a.shape[0],):
+        a = 0.5 * (a + a.mT)
+        b = np.zeros(a.shape[:-1]) if self.b is None else np.asarray(self.b, dtype=float)
+        if b.shape != a.shape[:-1]:
             raise ValueError("b has the wrong dimension")
+        if np.asarray(self.c0).shape not in ((), a.shape[:-2]):
+            raise ValueError("c0 needs one value per matrix")
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "b", b)
 
@@ -83,6 +91,8 @@ class QuadraticTerm(ConcaveTerm):
 @dataclass(frozen=True)
 class AffineMinTerm(ConcaveTerm):
     """K(x) = min_j (m_j . x + q_j), concave as a minimum of affine maps."""
+
+    zero_hessian = True
 
     slopes: np.ndarray
     offsets: np.ndarray
@@ -159,7 +169,8 @@ class MollifiedTerm(ConcaveTerm):
 
     Derivatives are carried under the quadrature sum, so concavity of the
     base transfers node by node.  The base is called once per block of
-    points, on all their shifted quadrature nodes at once.
+    points, on all their shifted quadrature nodes at once.  A base with a
+    zero Hessian is not summed: its sum is the +0.0 the Hessian starts as.
     """
 
     base: ConcaveTerm
@@ -206,12 +217,14 @@ class MollifiedTerm(ConcaveTerm):
     def eval(self, x):
         shape, wts, blocks = self._blocks(x)
         m, d = math.prod(shape[:-1]), shape[-1]
-        val, grad, hess = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
+        val, grad = np.empty(m), np.empty((m, d))
+        hess = (np.zeros if self.base.zero_hessian else np.empty)((m, d, d))
         for rows, z in blocks:
             v, g, h = self.base.eval_lenient(z)
             val[rows] = np.vecdot(v, wts)
             grad[rows] = np.einsum("q,bqi->bi", wts, g)
-            hess[rows] = np.einsum("q,bqij->bij", wts, h)
+            if not self.base.zero_hessian:
+                hess[rows] = np.einsum("q,bqij->bij", wts, h)
         lead = shape[:-1]
         return _scalar(val.reshape(lead)), grad.reshape(shape), hess.reshape(lead + (d, d))
 

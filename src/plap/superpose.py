@@ -112,17 +112,58 @@ class PoleSet:
         point than a real one and adds nothing to V or to its derivatives.
         """
         sets = list(sets)
-        if not sets:
-            raise ValueError("need at least one pole set to stack")
-        params = sets[0].params
+        params = sets[0].params if sets else None
         if any(s.params != params or s.weights.ndim != 1 for s in sets):
             raise ValueError("only unstacked pole sets with the same params stack")
-        counts = np.array([s.counts for s in sets])
+        return cls.stack_rows([s.weights for s in sets], [s.locations for s in sets], params)
+
+    @classmethod
+    def stack_rows(cls, weights, locations, params):
+        """``stack([PoleSet(w, y, params) for w, y in zip(weights, locations)])``,
+        the same fields or the same error, without a set per row.
+
+        One pass over all rows finds those ``__init__`` would change or
+        refuse: a weight that is not > 0, two equal locations (float ==, as
+        ``__init__`` merges them), no pole at all, or arrays not shaped
+        (m,) and (m, n).  Only those rows go through ``__init__``, in row
+        order, so its first refusal is the stack's.  Any other row has
+        distinct locations and positive weights: ``__init__`` would drop and
+        merge nothing, so the row is already its own set.
+        """
+        rows = [(np.asarray(w, dtype=float), np.asarray(y, dtype=float))
+                for w, y in zip(weights, locations, strict=True)]
+        if not rows:
+            raise ValueError("need at least one pole set to stack")
+        n = params.n
+
+        def flat():
+            # a row of another shape counts as empty; __init__ reshapes or refuses it
+            counts = np.array([len(w) if w.ndim == 1 and y.shape == (len(w), n) else 0
+                               for w, y in rows])
+            shaped = [r for r, c in zip(rows, counts) if c]
+            return (counts, np.concatenate([np.zeros(0)] + [w for w, _ in shaped]),
+                    np.concatenate([np.zeros((0, n))] + [y for _, y in shaped]))
+
+        counts, w, y = flat()
+        row = np.repeat(np.arange(len(rows)), counts)
+        # __init__'s duplicate test with the row as the first key: equal
+        # locations of a row are neighbours after the stable sort
+        order = np.lexsort((*y.T[::-1], row))
+        y_sorted, row_sorted = y[order], row[order]
+        twins = (row_sorted[1:] == row_sorted[:-1]) & (y_sorted[1:] == y_sorted[:-1]).all(axis=1)
+        flagged = counts == 0
+        flagged[row[~(w > 0)]] = True
+        flagged[row_sorted[1:][twins]] = True
+        if flagged.any():
+            for b in np.flatnonzero(flagged):
+                merged = cls(*rows[b], params)
+                rows[b] = merged.weights, merged.locations
+            counts, w, y = flat()
         real = np.arange(counts.max()) < counts[:, None]
         weights = np.zeros(real.shape)
-        weights[real] = np.concatenate([s.weights for s in sets])
-        locations = np.zeros(real.shape + (params.n,))
-        locations[real] = np.concatenate([s.locations for s in sets])
+        weights[real] = w
+        locations = np.zeros(real.shape + (n,))
+        locations[real] = y
         return cls._from_rows(weights, locations, counts, params)
 
     @classmethod
@@ -138,7 +179,7 @@ class PoleSet:
         out.counts = counts
         # summed over each unpadded row, as __init__ sums an unstacked set
         total = np.empty(len(counts))
-        for count in np.unique(counts):
+        for count in set(counts.tolist()):
             rows = counts == count
             total[rows] = out.weights[rows, :count].sum(axis=1)
         out.gradient_epsilon = 1e-12 * np.maximum(1.0, total)

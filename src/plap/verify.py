@@ -8,6 +8,8 @@ and concave suites draw 1-8 poles (1-5 in the concave suite) with weights in
 [0.1, 2] and locations in [-1, 1]^n, and query points in [-2, 2]^n at least
 ``MIN_POLE_DISTANCE`` from every pole."""
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,8 @@ TRIALS = 100                # per check of the concave suite
 MIN_POLE_DISTANCE = 0.05    # of a query point from every pole
 BRACKET_RADII = 33          # per call of the function whose sign change is bracketed
 BRACKET_XTOL = 2e-12        # the bracket's final width, brentq's default xtol
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -61,19 +65,35 @@ class SuiteReport:
         }
 
 
-def _random_pole_set(rng, p, n, max_poles=8):
+def _pole_draw(rng, n, max_poles=8):
+    """The weights and locations of one pole set, as plain arrays."""
     count = int(rng.integers(1, max_poles + 1))
-    weights = rng.uniform(0.1, 2.0, count)
-    locations = rng.uniform(-1.0, 1.0, (count, n))
-    return superpose.PoleSet(weights, locations, Params(float(p), int(n), 1.0))
+    return rng.uniform(0.1, 2.0, count), rng.uniform(-1.0, 1.0, (count, n))
 
 
-def _random_point_away(rng, ps):
-    n = ps.params.n
+def _points_away(rng, locations, count):
+    """``count`` points (count, n), each drawn until it is
+    ``MIN_POLE_DISTANCE`` from every location, measured as
+    ``superpose.pole_distance`` measures it: for real offsets np.linalg.norm
+    is this square root of the summed squares.  The candidates still owed
+    are drawn in one call, which reads the stream as one call per candidate
+    would, and the first ``count`` that pass are kept, in order."""
+    n = locations.shape[1]
+    points = rng.uniform(-2.0, 2.0, (count, n))
     while True:
-        x = rng.uniform(-2.0, 2.0, n)
-        if superpose.pole_distance(ps, x) >= MIN_POLE_DISTANCE:
-            return x
+        d = points[:, None, :] - locations
+        far = np.sqrt(np.add.reduce(d * d, -1)).min(axis=-1) >= MIN_POLE_DISTANCE
+        if far.all():
+            return points
+        kept = points[far]
+        points = np.concatenate([kept, rng.uniform(-2.0, 2.0, (count - len(kept), n))])
+
+
+def _worst(parts, floor=0.0):
+    """The largest of ``floor`` and every value in ``parts``, numbers or
+    arrays; a NaN anywhere is the result, so a NaN residual fails its
+    check.  A zero is +0.0 whichever signed zero np.max picks among ties."""
+    return float(np.concatenate([[floor], *map(np.ravel, parts)]).max()) + 0.0
 
 
 def _rel(a, b, scale):
@@ -105,19 +125,19 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     for _ in range(200):
         p = (2.0, 2.5, 3.0, 4.0)[rng.integers(4)]
         n = (2, 3, 5)[rng.integers(3)]
-        ps = _random_pole_set(rng, p, n)
-        x = _random_point_away(rng, ps)
+        w, y = _pole_draw(rng, n)
+        x = _points_away(rng, y, 1)[0]
         # isometry: the rotation from the QR of g, then a translation
         g = rng.standard_normal((n, n))
         shift = rng.uniform(-1, 1, n)
         s = float(rng.uniform(0.5, 3.0))
         # a Python float power, which rounds unlike an array's
-        classes.setdefault((p, n), []).append((ps, x, g, shift, s, s ** (p - 1)))
+        classes.setdefault((p, n), []).append((w, y, x, g, shift, s, s ** (p - 1)))
 
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
     for (p, n), draws in classes.items():
-        sets, x, g, shift, s, factor = zip(*draws)
-        base = superpose.PoleSet.stack(sets)
+        w, y, x, g, shift, s, factor = zip(*draws)
+        base = superpose.PoleSet.stack_rows(w, y, Params(p, n, 1.0))
         x, shift, factor = np.array(x), np.array(shift), np.array(factor)
         q = np.linalg.qr(np.array(g))[0]
         moved, scaled, single = _derived_stacks(base, q, shift, np.array(s))
@@ -140,16 +160,12 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
         scal.append(_rel(c_scaled, factor * c, factor * scale))
         null.append(np.abs(c_single))
 
-    def worst(parts):
-        # a NaN residual is a failure, not a draw to skip
-        return float(np.concatenate([[0.0], *parts]).max())
-
-    rep.add("three_way_direct_vs_closed", worst(dc), 1e-10)
-    rep.add("three_way_fd_vs_closed", worst(fd), 1e-4)
-    rep.add("sign_soundness", worst(sign), 1e-12)
-    rep.add("isometry_equivariance", worst(iso), 1e-12)
-    rep.add("weight_scaling", worst(scal), 1e-11)
-    rep.add("single_pole_nullity", worst(null), 0.0)
+    rep.add("three_way_direct_vs_closed", _worst(dc), 1e-10)
+    rep.add("three_way_fd_vs_closed", _worst(fd), 1e-4)
+    rep.add("sign_soundness", _worst(sign), 1e-12)
+    rep.add("isometry_equivariance", _worst(iso), 1e-12)
+    rep.add("weight_scaling", _worst(scal), 1e-11)
+    rep.add("single_pole_nullity", _worst(null), 0.0)
     return rep
 
 
@@ -178,7 +194,8 @@ def _by_size(draws):
 
 def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
     """Each check's draw loop makes only the draws and the decisions later
-    draws depend on; its matrices are then built and checked per size n."""
+    draws depend on; its matrices are then built and checked per size n,
+    and V + K per (p, n) class."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("concave")
 
@@ -187,12 +204,11 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
         n = int(rng.integers(2, 6))
         p = float(rng.uniform(2.01, 8.0))
         draws.append(_nsd_draw(rng, n) + (p,))
-    worst = 0.0
+    missed = []
     for _, g, lam, p in _by_size(draws):
         h = _nsd(g, lam)
-        failed = ~concave.eigenvalue_criterion(h, p)
-        worst = max(worst, float(np.max(concave.criterion_sum(h, p), where=failed, initial=0.0)))
-    rep.add("concavity_implies_criterion", worst, 1e-12)
+        missed.append(concave.criterion_sum(h, p)[~concave.eigenvalue_criterion(h, p)])
+    rep.add("concavity_implies_criterion", _worst(missed), 1e-12)
 
     accepted = []
     for _ in range(TRIALS):
@@ -202,27 +218,35 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
         # only a matrix that meets the criterion draws its 10 directions
         if concave.eigenvalue_criterion(h, p):
             accepted.append((h, p, rng.standard_normal((10, n))))
-    worst = 0.0
-    for h, p, xi in accepted:
-        terms = concave.operator_term(h, p, xi)
-        worst = max(worst, float(terms.max()))
-    rep.add("criterion_implies_sign", worst, 1e-12)
+    terms = [concave.operator_term(h[:, None], p[:, None], xi)
+             for _, h, p, xi in _by_size(accepted)]
+    rep.add("criterion_implies_sign", _worst(terms), 1e-12)
 
-    draws, trials = [], []
+    classes = {}
     for _ in range(TRIALS):
         p = (2.5, 3.0, 4.0)[rng.integers(3)]
         n = (2, 3)[rng.integers(2)]
-        ps = _random_pole_set(rng, p, n, max_poles=5)
-        draws.append(_nsd_draw(rng, n))
+        w, y = _pole_draw(rng, n, max_poles=5)
+        g, lam = _nsd_draw(rng, n)
         b, c0 = rng.uniform(-1, 1, n), float(rng.uniform(-1, 1))
-        trials.append((ps, b, c0, np.array([_random_point_away(rng, ps) for _ in range(5)])))
-    worst = -np.inf  # the largest value of Δ_p(V + K) itself, so its margin shows
-    for rows, g, lam in _by_size(draws):
-        for i, h in zip(rows, _nsd(g, lam)):
-            ps, b, c0, x = trials[i]
-            k = concave.QuadraticTerm(h, b=b, c0=c0)
-            worst = max(worst, float(superpose.delta_p_direct(superpose.evaluate(ps, k, x)).max()))
-    rep.add("concave_superposition_sign", worst, 1e-10)
+        x = _points_away(rng, y, 5)
+        classes.setdefault((p, n), []).append((w, y, g, lam, b, c0, x))
+    signs = []
+    for (p, n), trials in classes.items():
+        w, y, g, lam, b, c0, x = zip(*trials)
+        stack = superpose.PoleSet.stack_rows(w, y, Params(p, n, 1.0))
+        a, b, c0 = _nsd(np.array(g), np.array(lam)), np.array(b), np.array(c0)
+        x = np.stack(x, axis=1)
+        # one evaluation per pole count: no row is padded, so each rounds as alone
+        for count in np.unique(stack.counts):
+            rows = stack.counts == count
+            ps = superpose.PoleSet._from_rows(stack.weights[rows, :count],
+                                              stack.locations[rows, :count],
+                                              stack.counts[rows], stack.params)
+            k = concave.QuadraticTerm(a[rows], b=b[rows], c0=c0[rows])
+            signs.append(superpose.delta_p_direct(superpose.evaluate(ps, k, x[:, rows])))
+    # the largest value of Δ_p(V + K) itself, so its margin shows
+    rep.add("concave_superposition_sign", _worst(signs, floor=-np.inf), 1e-10)
 
     base = concave.AffineMinTerm(
         [[1.0, 0.5], [-0.7, 0.2], [0.1, -1.0]], [0.0, 0.3, -0.2]
@@ -234,13 +258,11 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
         mol = concave.MollifiedTerm(base, delta)
         sups.append(float(np.abs(mol.value(box) - base.value(box)).max()))
     # locally uniform convergence: sup distance must shrink as delta halves
-    worst = max(sups[i + 1] / sups[i] for i in range(len(sups) - 1))
-    rep.add("mollification_sup_shrinks", worst, 0.99)
+    rep.add("mollification_sup_shrinks", _worst([np.divide(sups[1:], sups[:-1])]), 0.99)
 
     mol = concave.MollifiedTerm(concave.QuadraticTerm(_nsd(*_nsd_draw(rng, 2))), 0.2)
     _, _, h = mol.eval(box[::5])
-    worst = max(0.0, float(np.linalg.eigvalsh(h)[:, -1].max()))
-    rep.add("mollified_hessian_nsd", worst, 1e-10)
+    rep.add("mollified_hessian_nsd", _worst([np.linalg.eigvalsh(h)[:, -1]]), 1e-10)
     return rep
 
 
@@ -249,21 +271,17 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
     rep = SuiteReport("comparison")
     dom = comparison.GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33))
 
-    worst_mp = 0.0
+    excess = []
     nodes_xy = dom.nodes()
     for p in (2.0, 3.0, 4.0):
         data = np.sin(2 * nodes_xy[..., 0]) + 0.5 * np.cos(3 * nodes_xy[..., 1])
         sol = comparison.solve_p_harmonic(dom, data, p)
         bmask = dom.boundary_mask()
         lo, hi = data[bmask].min(), data[bmask].max()
-        worst_mp = max(
-            worst_mp,
-            float(np.max(sol) - hi),
-            float(lo - np.min(sol)),
-        )
-    rep.add("discrete_maximum_principle", worst_mp, 1e-9)
+        excess.append([np.max(sol) - hi, lo - np.min(sol)])
+    rep.add("discrete_maximum_principle", _worst(excess), 1e-9)
 
-    worst = 0.0
+    gaps = []
     refine_pair = None
     for i in range(5):
         p = (2.5, 3.0, 4.0)[rng.integers(3)]
@@ -274,15 +292,15 @@ def verify_comparison(seed=DEFAULT_SEED) -> SuiteReport:
         )
         k = concave.QuadraticTerm(_nsd(*_nsd_draw(rng, 2)), b=rng.uniform(-0.5, 0.5, 2))
         report = comparison.comparison_check(ps, k, dom)
-        worst = max(worst, -report.min_gap)
+        gaps.append(-report.min_gap)
         if i == 0:
             coarse = comparison.GridDomain(
                 bounds=dom.bounds, shape=tuple((m - 1) // 2 + 1 for m in dom.shape)
             )
             rep_coarse = comparison.comparison_check(ps, k, coarse)
-            refine_pair = (max(0.0, -rep_coarse.min_gap), max(0.0, -report.min_gap))
+            refine_pair = (_worst([-rep_coarse.min_gap]), _worst([-report.min_gap]))
     tol = report.tol
-    rep.add("comparison_principle", worst, tol)
+    rep.add("comparison_principle", _worst(gaps), tol)
     # violations must not grow under refinement
     rep.add(
         "refinement_no_persistent_violation",
@@ -322,7 +340,7 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
     g = evolution.two_bump_gradient(kw, offsets, np.zeros(2), times)
     rep.add("two_bump_gradient_symmetry", float(np.abs(g).max()), 1e-14)
 
-    worst_defect = worst_radius = 0.0
+    defects, radii = [], []
     for p, n, big_c, t in ((3.0, 2, 1.0, 1.0), (4.0, 3, 2.0, 0.5)):
         kb = evolution.EvolutionKernel(
             evolution.BARENBLATT, Params(p, n, 1.0), big_c=big_c
@@ -339,16 +357,16 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
         for a in (0.5, 2.0):
             lhs = evolution.barenblatt_defect_fd(kb, a, points, t)
             rhs = evolution.barenblatt_defect(kb, a, points, t)
-            worst_defect = max(worst_defect, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
+            defects.append(np.abs(lhs - rhs) / np.abs(rhs))
 
         def bt_fd(r):  # the FD B_t at radii r on the first axis
             x = np.multiply.outer(r, np.eye(n)[0])
             return evolution._time_difference(lambda s: evolution.kernel_value(kb, x, s), t)
 
         lo, hi = _bracket_sign_change(bt_fd, 0.05 * support, 0.99 * support)
-        worst_radius = max(worst_radius, abs(0.5 * (lo + hi) - radius) / radius)
-    rep.add("barenblatt_defect_identity", worst_defect, 1e-3)
-    rep.add("sign_change_radius_bracketing", worst_radius, 0.01)
+        radii.append(abs(0.5 * (lo + hi) - radius) / radius)
+    rep.add("barenblatt_defect_identity", _worst(defects), 1e-3)
+    rep.add("sign_change_radius_bracketing", _worst(radii), 0.01)
 
     kb = evolution.EvolutionKernel(evolution.BARENBLATT, Params(3.0, 2, 1.0))
     t = 1.0
@@ -361,7 +379,8 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
 
 
 def run_suite(name, seed=DEFAULT_SEED):
-    """Run one named suite (or 'all'); returns a list of SuiteReport."""
+    """Run one named suite (or 'all'); returns a list of SuiteReport and
+    logs each suite's seconds at DEBUG."""
     # looked up at call time, so a suite patched on the module is the one run
     runners = {
         "superpose": verify_superpose,
@@ -369,5 +388,10 @@ def run_suite(name, seed=DEFAULT_SEED):
         "comparison": verify_comparison,
         "evolution": verify_evolution,
     }
-    names = SUITE_NAMES if name == "all" else (name,)
-    return [runners[s](seed) for s in names]
+    reports, stages = [], []
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        start = time.perf_counter()
+        reports.append(runners[suite](seed))
+        stages.append(f"{suite} {time.perf_counter() - start:.4f}")
+    log.debug("verify stages (s): %s", ", ".join(stages))
+    return reports

@@ -749,3 +749,22 @@ def test_eval_logs_its_stage_times_at_debug(tmp_path):
     res = run(*args, env=env)
     assert res.returncode == 0, res.stderr
     assert stages not in res.stderr
+
+
+def test_verify_logs_each_suites_seconds_at_debug(tmp_path):
+    args = ["verify", "--suite", "all", "--out", str(tmp_path / "v.json")]
+    stages = "verify stages (s): "
+
+    res = run(*args, env=dict(os.environ, PLAP_LOG="DEBUG"))
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stderr.splitlines() if stages in line]
+    assert len(lines) == 1
+    seconds = lines[0].split(stages)[1].split(", ")
+    assert [s.split(" ")[0] for s in seconds] == list(verify.SUITE_NAMES)
+    assert all(float(s.split(" ")[1]) >= 0.0 for s in seconds)
+
+    env = dict(os.environ)
+    env.pop("PLAP_LOG", None)
+    res = run(*args, env=env)
+    assert res.returncode == 0, res.stderr
+    assert stages not in res.stderr

@@ -77,6 +77,23 @@ def test_mollified_preserves_affine():
         assert np.abs(h).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_mollified_affine_min_hessian_is_the_summed_base_hessian(d):
+    """The affine-min base says its Hessian is zero, so the quadrature sum
+    of it is skipped: the Hessian is still the +0.0 the sum gives, bit for
+    bit, over points that span several blocks."""
+    rng = np.random.default_rng(30 + d)
+    base = AffineMinTerm(rng.uniform(-1, 1, (3, d)), rng.uniform(-0.3, 0.3, 3))
+    assert base.zero_hessian and not QuadraticTerm(-np.eye(d)).zero_hessian
+    mol = MollifiedTerm(base, 0.2)
+    x = rng.uniform(-1, 1, (2 * MOLLIFIER_BLOCK // len(_mollifier_grid(d)[1]) + 3, d))
+    pts, wts = _mollifier_grid(d)
+    summed = np.einsum("q,bqij->bij", wts, base.eval_lenient(x[:, None, :] - 0.2 * pts)[2])
+    _, _, h = mol.eval(x)
+    assert h.shape == summed.shape and h.tobytes() == summed.tobytes()
+    assert not np.signbit(h).any()
+
+
 def test_mollified_requires_positive_delta():
     with pytest.raises(ValueError):
         MollifiedTerm(QuadraticTerm(-np.eye(2)), 0.0)
@@ -189,6 +206,47 @@ def test_a_stack_with_one_asymmetric_matrix_is_refused():
         eigenvalue_criterion(h, 3.0)
     with pytest.raises(ValueError, match="p > 2"):
         eigenvalue_criterion(-np.stack([np.eye(3)] * 2), [3.0, 2.0])
+
+
+def test_a_stacked_quadratic_term_is_each_term_at_its_own_points():
+    """A (B, n, n), b (B, n), c0 (B,) and points (5, B, n): value, gradient
+    and Hessian of each term, bit for bit as the term alone at its points."""
+    rng = np.random.default_rng(14)
+    m = rng.standard_normal((6, 3, 3))
+    a, b, c0 = 0.5 * (m + m.mT), rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, 6)
+    x = rng.uniform(-2, 2, (5, 6, 3))
+    stack = QuadraticTerm(a, b=b, c0=c0)
+    got = (stack.value(x), *stack.eval(x))
+    for i in range(6):
+        one = QuadraticTerm(a[i], b=b[i], c0=float(c0[i]))
+        assert one.a_matrix.tobytes() == stack.a_matrix[i].tobytes()
+        xi = np.ascontiguousarray(x[:, i])
+        for g, want in zip(got, (one.value(xi), *one.eval(xi))):
+            assert g[:, i].tobytes() == want.tobytes()
+    # one c0 for every term, and no b
+    want = QuadraticTerm(a, b=np.zeros((6, 3)), c0=np.zeros(6)).value(x)
+    assert QuadraticTerm(a).value(x).tobytes() == want.tobytes()
+
+
+def test_a_stacked_quadratic_term_checks_each_matrix_against_its_own_scale():
+    a = np.stack([-np.eye(3)] * 4)
+    a[2, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticTerm(a)
+    # 1e-9 would pass against the scale 1e6 of the second matrix, not the first's
+    a = np.stack([-np.eye(2), -1e6 * np.eye(2)])
+    a[0, 0, 1] = 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticTerm(a)
+    a[1, 0, 1] = 1e-9
+    QuadraticTerm(a[1:])
+    a = np.stack([-np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        QuadraticTerm(a, b=np.zeros(2))
+    with pytest.raises(ValueError, match="c0"):
+        QuadraticTerm(a, c0=np.zeros(3))
+    with pytest.raises(ValueError, match="square"):
+        QuadraticTerm(np.zeros((2, 2, 2, 2)))
 
 
 def test_operator_term_zero_matrix():
@@ -351,8 +409,8 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
     """Every matrix the concave and comparison suites hand to QuadraticTerm
     or eigenvalue_criterion over seeds 0-199 is decided as np.allclose at
     rtol 0 (symmetry) and the eigenvalue sum (the criterion) decide it.  A
-    stacked criterion call is recorded matrix by matrix.  Work that draws
-    no random numbers (Delta_p, operator terms, pole sets, grid solves) is
+    stacked term or criterion call is recorded matrix by matrix.  Work that
+    draws no random numbers (Delta_p, operator terms, grid solves) is
     stubbed, so the draws are verify's own."""
     quadratic, criterion = [], []
     post_init, decide = concave.QuadraticTerm.__post_init__, concave.eigenvalue_criterion
@@ -360,7 +418,7 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
     def record_quadratic(self):
         a = np.asarray(self.a_matrix, dtype=float)
         post_init(self)
-        quadratic.append((a,))
+        quadratic.extend((m,) for m in a.reshape((-1,) + a.shape[-2:]))
 
     def record_criterion(h, p):
         decision = decide(h, p)
@@ -375,8 +433,6 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
     monkeypatch.setattr(concave, "operator_term", lambda h, p, xi: np.zeros(len(xi)))
     monkeypatch.setattr(superpose, "evaluate", lambda ps, k, x: x)
     monkeypatch.setattr(superpose, "delta_p_direct", lambda res: np.zeros(len(res)))
-    monkeypatch.setattr(superpose, "PoleSet", lambda w, y, params: SimpleNamespace(
-        params=params, locations=y))
     monkeypatch.setattr(comparison, "solve_p_harmonic", lambda dom, data, p: data)
     monkeypatch.setattr(comparison, "comparison_check", lambda *args, **kwargs: SimpleNamespace(
         min_gap=0.0, tol=comparison.COMPARISON_TOL))

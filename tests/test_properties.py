@@ -38,7 +38,7 @@ from plap import (
 from plap import cli
 from plap.errors import UnsupportedConfigurationError
 from plap.superpose import DEFAULT_FD_STEP, delta_p_scale, near_pole
-from plap.verify import _random_point_away, _random_pole_set
+from plap.verify import _points_away, _pole_draw
 
 # deterministic and without an example database, so a run leaves no files
 property_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -56,8 +56,8 @@ def random_config(seed, p, n):
     weights in [0.1, 2], locations in [-1, 1]^n and a point in [-2, 2]^n
     at least ``verify.MIN_POLE_DISTANCE`` from every pole."""
     rng = np.random.default_rng(seed)
-    ps = _random_pole_set(rng, p, n)
-    return ps, _random_point_away(rng, ps), rng
+    w, y = _pole_draw(rng, n)
+    return PoleSet(w, y, Params(float(p), int(n), 1.0)), _points_away(rng, y, 1)[0], rng
 
 
 # ------------------------------------------------------------- pole rule
@@ -174,8 +174,9 @@ def test_stacked_routes_equal_the_per_set_routes(seed, p, n, count):
     another order), and a one-pole row gives exactly 0 from the closed
     form."""
     rng = np.random.default_rng(seed)
-    sets = [_random_pole_set(rng, p, n) for _ in range(count)]
-    x = np.array([_random_point_away(rng, ps) for ps in sets])
+    draws = [_pole_draw(rng, n) for _ in range(count)]
+    sets = [PoleSet(w, y, Params(p, n, 1.0)) for w, y in draws]
+    x = np.array([_points_away(rng, y, 1)[0] for _, y in draws])
     stack = PoleSet.stack(sets)
     assert stack.weights.shape == stack.locations.shape[:2] == (count, max(stack.counts))
     routes = {

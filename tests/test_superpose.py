@@ -136,6 +136,66 @@ def test_pole_set_rejects_bad_input(weights, locations, match):
         PoleSet(weights, locations, Params(3, 2))
 
 
+STACK_FIELDS = ("weights", "locations", "counts", "gradient_epsilon")
+DISTINCT_ROW = ([0.5, 1.5], [[0.3, -0.2], [-0.6, 0.4]])  # a row __init__ keeps as given
+
+
+def stack_of_sets(weights, locations, params):
+    return PoleSet.stack([PoleSet(w, y, params) for w, y in zip(weights, locations)])
+
+
+@pytest.mark.parametrize("weights, locations, through_init", [
+    ([1.0, 2.0, 0.5], [[0.1, 0.2], [0.7, 0.0], [0.1, 0.2]], True),
+    ([1.0, 2.0], [[0.0, 0.5], [-0.0, 0.5]], True),
+    ([1.0, 0.0, 2.0], [[0.1, 0.2], [0.7, 0.0], [0.3, 0.3]], True),
+    ([1.0, 2.0], [[math.nan, 0.0], [math.nan, 0.0]], False),
+    ([math.nan, 2.0], [[0.1, 0.2], [0.7, 0.0]], True),
+    (2.0, [0.4, 0.4], True),
+    ([1.0, 2.0, 3.0], [[0.1, 0.2], [0.1, -0.2], [0.2, 0.1]], False),
+], ids=["duplicate", "signed-zero-duplicate", "zero-weight", "nan-locations", "nan-weight",
+        "scalar-and-vector", "distinct"])
+def test_a_stack_of_raw_rows_is_the_stack_of_their_sets(monkeypatch, weights, locations,
+                                                         through_init):
+    """Field by field and bit by bit.  Only a row that ``__init__`` would
+    change or refuse, or one not shaped (m,) and (m, n), goes through it."""
+    params = Params(3, 2)
+    rows = ([DISTINCT_ROW[0], weights, DISTINCT_ROW[0]],
+            [DISTINCT_ROW[1], locations, DISTINCT_ROW[1]])
+    want = stack_of_sets(*rows, params)
+    calls, init = [], PoleSet.__init__
+    monkeypatch.setattr(PoleSet, "__init__", lambda self, *args: calls.append(init(self, *args)))
+    got = PoleSet.stack_rows(*rows, params)
+    monkeypatch.undo()
+    assert len(calls) == through_init
+    assert got.params == want.params
+    for name in STACK_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("weights, locations, match", [
+    ([1.0, -1.0], [[0, 0], [1, 1]], "non-negative"),
+    ([-1.0], [[0, 0]], "non-negative"),
+    ([0.0, 0.0], [[0, 0], [1, 1]], "at least one positive weight"),
+    ([], np.zeros((0, 2)), "at least one positive weight"),
+    ([1.0, 2.0], [[0, 0]], "one location per weight"),
+    ([1.0], [[0, 0, 0]], "dimension 3, expected 2"),
+    ([[1.0]], [[0, 0]], "a list of weights"),
+])
+def test_raw_rows_are_refused_as_their_sets_are(weights, locations, match):
+    rows = [DISTINCT_ROW[0], weights], [DISTINCT_ROW[1], locations]
+    for build in (stack_of_sets, PoleSet.stack_rows):
+        with pytest.raises(ValueError, match=match):
+            build(*rows, Params(3, 2))
+    # the first refused row is the one reported
+    rows = [[1.0, -1.0], [1.0]], [[[0, 0], [1, 1]], [[0, 0, 0]]]
+    for build in (stack_of_sets, PoleSet.stack_rows):
+        with pytest.raises(ValueError, match="non-negative"):
+            build(*rows, Params(3, 2))
+    with pytest.raises(ValueError, match="at least one pole set"):
+        PoleSet.stack_rows([], [], Params(3, 2))
+
+
 def test_eval_single_pole_newtonian():
     ps = PoleSet([1.0], [[0, 0, 0]], Params(2, 3, 1.0))
     res = evaluate(ps, None, [2.0, 0.0, 0.0])

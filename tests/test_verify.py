@@ -7,27 +7,46 @@ generator's final state must be the same, bit for bit.  The evolution
 suite's bracket of the Barenblatt sign change has ``brentq`` as its
 reference."""
 
+import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from plap import concave, evolution, superpose, verify
+from plap import comparison, concave, evolution, superpose, verify
 from plap.core import Params
 from plap.verify import (
     BRACKET_XTOL,
     DEFAULT_SEED,
+    MIN_POLE_DISTANCE,
     TRIALS,
     SuiteReport,
     _bracket_sign_change,
     _derived_stacks,
-    _random_point_away,
-    _random_pole_set,
     _rel,
 )
 
 SEEDS = list(range(50)) + [DEFAULT_SEED]  # 0-49 include 7
+
+
+def _random_pole_set(rng, p, n, max_poles=8):
+    """One pole set per draw, built by ``PoleSet``."""
+    count = int(rng.integers(1, max_poles + 1))
+    weights = rng.uniform(0.1, 2.0, count)
+    locations = rng.uniform(-1.0, 1.0, (count, n))
+    return superpose.PoleSet(weights, locations, Params(float(p), int(n), 1.0))
+
+
+def _random_point_away(rng, ps):
+    """A point drawn until ``superpose.pole_distance`` puts it far enough
+    from every pole of ``ps``."""
+    n = ps.params.n
+    while True:
+        x = rng.uniform(-2.0, 2.0, n)
+        if superpose.pole_distance(ps, x) >= MIN_POLE_DISTANCE:
+            return x
 
 
 def reference_superpose_draws(rng):
@@ -218,20 +237,90 @@ def test_a_stack_holds_each_set_as_the_set_holds_itself():
         assert (stack.locations[row, m:] == ps.locations[0]).all()
 
 
-def test_verify_superpose_builds_one_pole_set_per_draw(monkeypatch):
-    calls = []
-    init = superpose.PoleSet.__init__
+def counted_pole_sets(monkeypatch):
+    """The list that gains one entry per ``PoleSet.__init__`` call."""
+    calls, init = [], superpose.PoleSet.__init__
+    monkeypatch.setattr(superpose.PoleSet, "__init__",
+                        lambda self, *args: calls.append(init(self, *args)))
+    return calls
 
-    def counting(self, *args):
-        calls.append(None)
-        init(self, *args)
 
-    monkeypatch.setattr(superpose.PoleSet, "__init__", counting)
+def test_verify_superpose_builds_no_pole_set_per_draw(monkeypatch):
+    calls = counted_pole_sets(monkeypatch)
     reference_superpose_draws(np.random.default_rng(DEFAULT_SEED))
     assert len(calls) == 800
     calls.clear()
     verify.verify_superpose(DEFAULT_SEED)
-    assert len(calls) <= 200
+    assert not calls
+
+
+def test_verify_concave_builds_no_pole_set_per_draw(monkeypatch):
+    calls = counted_pole_sets(monkeypatch)
+    reference_concave(np.random.default_rng(DEFAULT_SEED))
+    assert len(calls) == TRIALS
+    calls.clear()
+    verify.verify_concave(DEFAULT_SEED)
+    assert not calls
+
+
+def test_verify_concave_evaluates_v_plus_k_once_per_class(monkeypatch):
+    """One evaluation per (p, n, pole count) class, every row unpadded and
+    with its own K from one stacked ``QuadraticTerm``, at points (5, B, n)."""
+    classes, evaluate = Counter(), superpose.evaluate
+
+    def counting(ps, k, x):
+        classes[ps.params.p, ps.params.n, ps.weights.shape[1]] += 1
+        assert (ps.counts == ps.weights.shape[1]).all()
+        assert k.a_matrix.shape == (len(ps.counts), ps.params.n, ps.params.n)
+        assert x.shape == (5, len(ps.counts), ps.params.n)
+        return evaluate(ps, k, x)
+
+    monkeypatch.setattr(superpose, "evaluate", counting)
+    verify.verify_concave(DEFAULT_SEED)
+    assert set(classes.values()) == {1} and len(classes) <= 3 * 2 * 5
+
+
+def nan_like(f):
+    """``f`` with every value it returns replaced by NaN."""
+    return lambda *args, **kwargs: np.full(np.shape(f(*args, **kwargs)), np.nan)
+
+
+def nan_hessian(f):
+    """``MollifiedTerm.eval`` with a NaN Hessian."""
+    def patched(self, x):
+        value, grad, hess = f(self, x)
+        return value, grad, np.full(hess.shape, np.nan)
+    return patched
+
+
+def nan_gap(f):
+    """``comparison_check`` with a NaN ``min_gap``."""
+    return lambda *args, **kwargs: dataclasses.replace(f(*args, **kwargs), min_gap=np.nan)
+
+
+NAN_CASES = [  # suite, check, and the route that returns NaN
+    ("concave", "concavity_implies_criterion", concave, "criterion_sum", nan_like),
+    ("concave", "criterion_implies_sign", concave, "operator_term", nan_like),
+    ("concave", "concave_superposition_sign", superpose, "delta_p_direct", nan_like),
+    ("concave", "mollification_sup_shrinks", concave.MollifiedTerm, "value", nan_like),
+    ("concave", "mollified_hessian_nsd", concave.MollifiedTerm, "eval", nan_hessian),
+    ("comparison", "discrete_maximum_principle", comparison, "solve_p_harmonic", nan_like),
+    ("comparison", "comparison_principle", comparison, "comparison_check", nan_gap),
+    ("comparison", "refinement_no_persistent_violation", comparison, "comparison_check", nan_gap),
+    ("evolution", "barenblatt_defect_identity", evolution, "barenblatt_defect_fd", nan_like),
+    ("evolution", "sign_change_radius_bracketing", evolution, "sign_change_radius", nan_like),
+    ("superpose", "three_way_direct_vs_closed", superpose, "delta_p_direct", nan_like),
+]
+
+
+@pytest.mark.parametrize("suite, check, owner, name, patch", NAN_CASES,
+                         ids=[case[1] for case in NAN_CASES])
+def test_a_nan_residual_fails_its_check(monkeypatch, suite, check, owner, name, patch):
+    """Every check that keeps the worst of several residuals: a NaN among
+    them is the worst, not a draw to skip."""
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+    result = {c.name: c for c in verify.run_suite(suite, seed=1)[0].checks}[check]
+    assert not result.passed and math.isnan(result.worst_residual)
 
 
 def test_verify_superpose_evaluates_each_class_four_times(monkeypatch):
