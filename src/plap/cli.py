@@ -285,9 +285,12 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
+    start = time.perf_counter()
     cfg = _load_config(args.config, "compare")
+    loaded = time.perf_counter()
     _, ps, k, dom = _build(cfg)
     _check_rows(math.prod(map(float, dom.shape)), "comparison grid")
+    built = time.perf_counter()
     report = comparison.comparison_check(
         ps,
         k,
@@ -295,6 +298,7 @@ def cmd_compare(args):
         shift=float(cfg.get("shift", 0.0)),
         tol=float(cfg["tol"]) if "tol" in cfg else None,
     )
+    checked = time.perf_counter()
     w = report.w_values.ravel()
     h = report.h_values.ravel()
     header = [f"x{i}" for i in range(dom.dim)] + ["w", "h", "gap", "excised"]
@@ -310,6 +314,10 @@ def cmd_compare(args):
     with _open_output(args.summary) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    log.debug(
+        "compare stages (s): load+validate %.4f, build %.4f, check %.4f, csv %.4f",
+        loaded - start, built - loaded, checked - built, time.perf_counter() - checked,
+    )
     return EXIT_OK
 
 

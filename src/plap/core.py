@@ -104,6 +104,22 @@ def row_norm(z):
     return np.sqrt(np.vecdot(z, z))
 
 
+def axis_norm(z, keepdims=False):
+    """Euclidean norm along the last axis of a float array, equal to
+    ``np.linalg.norm(z, axis=-1, keepdims=keepdims)`` bit for bit.
+
+    numpy sums fewer than 8 terms in order and 8 or more pairwise, so
+    below 8 coordinates the squares are summed one coordinate at a time,
+    the same order without a squared copy of z or a reduction."""
+    n = z.shape[-1]
+    if not 0 < n < 8:
+        return np.sqrt(np.add.reduce(z * z, -1, keepdims=keepdims))
+    s = z[..., 0] * z[..., 0]
+    for j in range(1, n):
+        s += z[..., j] * z[..., j]
+    return np.sqrt(s[..., None] if keepdims else s)
+
+
 def fd_spacing(x, step: float):
     """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at
     points x of shape (..., n): shape (...), a float for one point."""
@@ -139,7 +155,7 @@ def fd_p_laplacian(gradient, x, step: float, p: float, eps):
 
     def flux(z):
         g = gradient(z)
-        gn = np.linalg.norm(g, axis=-1, keepdims=True)
+        gn = axis_norm(g, keepdims=True)
         vanishing = gn < eps
         if p < 2 and vanishing.any():
             raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")

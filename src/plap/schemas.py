@@ -3,12 +3,18 @@
 Every config carries a ``schema_version`` field; unknown keys are
 rejected so that typos cannot silently change an experiment.
 
-``config_error`` interprets the ``SCHEMAS`` dicts directly, with
+At import each schema is compiled once into an accept predicate, one
+closure per schema node with ``$ref`` resolved, which takes JSON-native
+values only (dict, list, str, int, float, bool, None).  ``config_error``
+returns None as soon as the predicate accepts a config.  On a config it
+refuses, the walker interprets the ``SCHEMAS`` dicts directly, with
 jsonschema's semantics for exactly the keywords they use, and reports the
-error jsonschema's ``best_match`` would choose.  It checks an array of
-numbers in one pass over its elements, which is most of a config.
+error jsonschema's ``best_match`` would choose; it is the only code that
+finds and ranks errors.  Both check an array of numbers in one pass over
+its elements, which is most of a config.
 """
 
+import math
 import numbers
 
 _PARAMS = {
@@ -166,13 +172,19 @@ def config_error(instance, name):
     """The error in ``instance`` against ``SCHEMAS[name]`` as (path, message),
     path a tuple of keys and indices; None if the instance is valid.
 
-    Path and message are those of jsonschema's ``best_match``: the error
-    nearest the root, then the greatest path, then one whose instance does
-    not have its schema's type; ties go to the first error found, with
-    keywords checked in each schema's order.
+    A config the compiled predicate accepts is valid.  On any other the
+    walker decides, and path and message are those of jsonschema's
+    ``best_match``: the error nearest the root, then the greatest path, then
+    one whose instance does not have its schema's type; ties go to the first
+    error found, with keywords checked in each schema's order.
     """
+    return None if _ACCEPT[name](instance) else _walker_error(instance, SCHEMAS[name])
+
+
+def _walker_error(instance, schema):
+    """``config_error`` from the walker alone."""
     errors = []
-    _walk(instance, SCHEMAS[name], (), errors)
+    _walk(instance, schema, (), errors)
     if not errors:
         return None
     path, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], not e[2]))
@@ -180,7 +192,7 @@ def config_error(instance, name):
 
 
 def _is_number(x):
-    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+    return type(x) in _NUMBER_TYPES or isinstance(x, numbers.Number) and not isinstance(x, bool)
 
 
 _TYPES = {
@@ -235,10 +247,15 @@ def _additional_properties(instance, allowed, schema, path, errors):
                   f"Additional properties are not allowed ({listed} {verb} unexpected)")
 
 
+def _all_json_numbers(values):
+    """Whether every value is an int or a float, what json parses a number to."""
+    return all(map(_NUMBER_TYPES.__contains__, map(type, values)))
+
+
 def _items(instance, items, schema, path, errors):
     if not isinstance(instance, list):
         return
-    if items == _NUMBER and all(map(_NUMBER_TYPES.__contains__, map(type, instance))):
+    if items == _NUMBER and _all_json_numbers(instance):
         return
     for i, item in enumerate(instance):
         _walk(item, items, path + (i,), errors)
@@ -303,3 +320,74 @@ _KEYWORDS = {
     "const": _const,
     "enum": _enum,
 }
+
+
+_JSON_TYPES = frozenset((dict, list, str, int, float, bool, type(None)))
+# the keywords ``accept`` below applies; any other keyword refuses to compile
+_PREDICATE_KEYWORDS = frozenset((
+    "$id", "$ref", "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "const", "enum",
+))
+_ABSENT = object()
+
+
+def _compile(schema, compiled):
+    """The accept predicate of ``schema``: one closure for the node that
+    applies each of its keywords as the walker does, and is True exactly
+    for the JSON-native values in which the walker finds no error.
+    ``compiled`` maps the id of every node compiled so far to its closure,
+    so a shared node, or one a ``$ref`` names, compiles once.  A keyword
+    outside ``_PREDICATE_KEYWORDS`` is an error."""
+    if id(schema) in compiled:
+        return compiled[id(schema)]
+    unknown = schema.keys() - _PREDICATE_KEYWORDS
+    if unknown:
+        raise ValueError(f"no accept predicate for schema keyword(s) {sorted(unknown)}")
+    # a $ref back to this node, met while its subnodes compile, calls the closure below
+    compiled[id(schema)] = lambda x: accept(x)
+    type_ok = _TYPES[schema["type"]] if "type" in schema else None
+    properties = schema.get("properties", {})
+    names = properties.keys()
+    subs = [(key, _compile(sub, compiled)) for key, sub in properties.items()]
+    closed = not schema.get("additionalProperties", True)
+    required = frozenset(schema.get("required", ()))
+    items = schema.get("items")
+    item_ok = None if items is None or items == _NUMBER else _compile(items, compiled)
+    min_items, max_items = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    minimum, above = schema.get("minimum"), schema.get("exclusiveMinimum")
+    const, enum = schema.get("const", _ABSENT), schema.get("enum")
+    ref = _compile(_REFS[schema["$ref"]], compiled) if "$ref" in schema else None
+
+    def accept(x):
+        t = type(x)
+        if t not in _JSON_TYPES or type_ok is not None and not type_ok(x):
+            return False
+        if t is dict:
+            keys = x.keys()
+            if closed and not keys <= names or not keys >= required:
+                return False
+            for key, sub in subs:
+                if key in x and not sub(x[key]):
+                    return False
+        elif t is list:
+            if not min_items <= len(x) <= max_items:
+                return False
+            if items is not None and not (
+                _all_json_numbers(x) if item_ok is None else all(map(item_ok, x))
+            ):
+                return False
+        elif t in _NUMBER_TYPES:
+            if minimum is not None and x < minimum or above is not None and x <= above:
+                return False
+        if const is not _ABSENT and not _equal(x, const):
+            return False
+        if enum is not None and not any(_equal(x, v) for v in enum):
+            return False
+        return ref is None or ref(x)
+
+    compiled[id(schema)] = accept
+    return accept
+
+
+_COMPILED = {}
+_ACCEPT = {name: _compile(schema, _COMPILED) for name, schema in SCHEMAS.items()}

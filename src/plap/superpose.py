@@ -27,6 +27,7 @@ from .core import (
     _profile_slope,
     _profile_value,
     _scalar,
+    axis_norm,
     fd_p_laplacian,
     fd_spacing,
     fundamental_profile,
@@ -231,7 +232,7 @@ def _offsets(ps: PoleSet, x):
     if x.shape[-1:] != (n,):
         raise ValueError(f"query points have shape {x.shape}, expected (..., {n})")
     d = x[..., None, :] - ps.locations
-    return d, np.linalg.norm(d, axis=-1)
+    return d, axis_norm(d)
 
 
 def pole_distance(ps: PoleSet, x):
@@ -284,7 +285,7 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
     u_g = grad / np.maximum(gn, ps.gradient_epsilon)[..., None]
     proj = (d @ u_g[..., None])[..., 0]
     rej = d - proj[..., None] * u_g[..., None, :]
-    angles = np.where(big[..., None], np.arctan2(np.linalg.norm(rej, axis=-1), proj), 0.0)
+    angles = np.where(big[..., None], np.arctan2(axis_norm(rej), proj), 0.0)
     return EvalResult(_scalar(value), grad, hess, angles, r, gn, ps, k, dv, ddv, kh)
 
 
@@ -359,7 +360,7 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
 
     def gradient(z):
         d = z[..., None, :] - y
-        r = np.linalg.norm(d, axis=-1)
+        r = axis_norm(d)
         g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r) / r, d)
         if k is not None:
             g += k.eval(z)[1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import comparison, concave, evolution, superpose
-from .core import Params
+from .core import Params, axis_norm
 
 DEFAULT_SEED = 20160118
 SUITE_NAMES = ("superpose", "concave", "comparison", "evolution")
@@ -73,16 +73,16 @@ def _pole_draw(rng, n, max_poles=8):
 
 def _points_away(rng, locations, count):
     """``count`` points (count, n), each drawn until it is
-    ``MIN_POLE_DISTANCE`` from every location, measured as
-    ``superpose.pole_distance`` measures it: for real offsets np.linalg.norm
-    is this square root of the summed squares.  The candidates still owed
-    are drawn in one call, which reads the stream as one call per candidate
-    would, and the first ``count`` that pass are kept, in order."""
+    ``MIN_POLE_DISTANCE`` from every location, measured with
+    ``core.axis_norm`` as ``superpose.pole_distance`` measures it.  The
+    candidates still owed are drawn in one call, which reads the stream as
+    one call per candidate would, and the first ``count`` that pass are
+    kept, in order."""
     n = locations.shape[1]
     points = rng.uniform(-2.0, 2.0, (count, n))
     while True:
         d = points[:, None, :] - locations
-        far = np.sqrt(np.add.reduce(d * d, -1)).min(axis=-1) >= MIN_POLE_DISTANCE
+        far = axis_norm(d).min(axis=-1) >= MIN_POLE_DISTANCE
         if far.all():
             return points
         kept = points[far]

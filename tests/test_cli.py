@@ -751,6 +751,27 @@ def test_eval_logs_its_stage_times_at_debug(tmp_path):
     assert stages not in res.stderr
 
 
+def test_compare_logs_its_stage_times_at_debug(tmp_path):
+    cfg = tmp_path / "compare.json"
+    write_json(cfg, COMPARE_CFG)
+    args = ["compare", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+            "--summary", str(tmp_path / "s.json")]
+    stages = "compare stages (s): load+validate "
+
+    res = run(*args, env=dict(os.environ, PLAP_LOG="DEBUG"))
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stderr.splitlines() if stages in line]
+    assert len(lines) == 1
+    for stage in ("build", "check", "csv"):
+        assert f", {stage} " in lines[0]
+
+    env = dict(os.environ)
+    env.pop("PLAP_LOG", None)
+    res = run(*args, env=env)
+    assert res.returncode == 0, res.stderr
+    assert stages not in res.stderr
+
+
 def test_verify_logs_each_suites_seconds_at_debug(tmp_path):
     args = ["verify", "--suite", "all", "--out", str(tmp_path / "v.json")]
     stages = "verify stages (s): "

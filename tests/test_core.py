@@ -17,7 +17,7 @@ from plap import (
 )
 from plap import evolution, superpose
 from plap.concave import QuadraticTerm
-from plap.core import _profile_slope, fd_divergence, fd_p_laplacian
+from plap.core import _profile_slope, axis_norm, fd_divergence, fd_p_laplacian
 from plap.errors import PoleSingularityError, UndefinedOperatorError
 
 
@@ -383,6 +383,24 @@ def test_evolution_fd_defects_are_the_reference_flux_closures_bit_for_bit(p, n):
     y, times = rng.uniform(-1, 1, (5, n)), rng.uniform(0.2, 3.0, 5)
     for args in ((kw, y, times), (kw, y[0], 1.3)):
         assert same_bits(evolution.two_bump_defect_fd(*args), reference_two_bump_defect_fd(*args))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_axis_norm_is_linalg_norm_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    sequential_differs = False
+    # one point, one point against m poles, a stack, the FD stencil stack, a grid
+    for shape in [(n,), (7, n), (5, 7, n), (4, 2 * n, 16, n), (300, 3, n)]:
+        # coordinates over several decades, so that rounding differs by order
+        z = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        for keepdims in (False, True):
+            assert same_bits(axis_norm(z, keepdims=keepdims),
+                             np.linalg.norm(z, axis=-1, keepdims=keepdims)), (shape, keepdims)
+        sequential = np.sqrt(sum(z[..., j] * z[..., j] for j in range(n)))
+        sequential_differs |= not same_bits(sequential, np.linalg.norm(z, axis=-1))
+    # numpy sums 8 or more terms pairwise: a sum one coordinate at a time
+    # matches it only below 8, so from 8 on axis_norm must reduce as numpy does
+    assert sequential_differs == (n >= 8)
 
 
 def test_rayleigh_radial_direction():

@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -195,17 +196,22 @@ def test_single_defect_cases_cover_every_listed_kind():
         assert wanted in labels, wanted
 
 
+def defect_pairs(cfg, name):
+    """Copies of ``cfg`` with two single defects that jsonschema rejects, at
+    sites of which neither holds the other, drawn at random."""
+    rejected = [c for c in single_defects(cfg, name) if reference(with_edits(cfg, c), name)]
+    rng = np.random.default_rng(7)
+    for i, j in rng.integers(0, len(rejected), size=(40, 2)):
+        (a, _), (b, _) = rejected[i], rejected[j]
+        if a[: len(b)] != b[: len(a)]:
+            yield with_edits(cfg, rejected[i], rejected[j])
+
+
 @pytest.mark.parametrize("example", sorted(EXAMPLES))
 def test_several_defects_report_one_of_jsonschemas_errors(example):
     name, cfg = EXAMPLES[example]
-    rejected = [c for c in single_defects(cfg, name) if reference(with_edits(cfg, c), name)]
-    rng = np.random.default_rng(7)
     tried = 0
-    for i, j in rng.integers(0, len(rejected), size=(40, 2)):
-        (a, _), (b, _) = rejected[i], rejected[j]
-        if a[: len(b)] == b[: len(a)]:
-            continue  # one site inside the other
-        merged = with_edits(cfg, rejected[i], rejected[j])
+    for merged in defect_pairs(cfg, name):
         got = schemas.config_error(merged, name)
         errors = {(tuple(e.absolute_path), e.message) for e in VALIDATORS[name].iter_errors(merged)}
         assert len(errors) >= 2 and got in errors, (got, errors)
@@ -235,9 +241,38 @@ def test_number_arrays_off_the_fast_path_agree():
     assert schemas.config_error(with_edits(cfg, (("params", "n"), 2.0)), name) is None
 
 
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_the_compiled_predicate_accepts_exactly_what_the_walker_finds_valid(example):
+    name, cfg = EXAMPLES[example]
+    accept, schema = schemas._ACCEPT[name], SCHEMAS[name]
+    cases = [cfg, *(with_edits(cfg, c) for c in single_defects(cfg, name)), *defect_pairs(cfg, name)]
+    verdicts = [(accept(c), schemas._walker_error(c, schema) is None) for c in cases]
+    assert [a for a, _ in verdicts] == [w for _, w in verdicts]
+    assert {a for a, _ in verdicts} == {True, False}
+    # numbers json never parses to, a big int and a bool at every number
+    # site: the walker decides them, as it did before the predicate
+    number_sites = [path for path, _, sub in sites(cfg, schema) if sub.get("type") == "number"]
+    assert number_sites
+    for path in number_sites:
+        for value in (np.float64(0.5), Fraction(1, 2), 2**70, True):
+            mutated = with_edits(cfg, (path, value))
+            got = schemas.config_error(mutated, name)
+            assert got == schemas._walker_error(mutated, schema) == reference(mutated, name)
+            # the predicate takes JSON-native values only
+            assert accept(mutated) == (type(value) is int and got is None)
+
+
 def test_every_keyword_in_the_schemas_is_implemented():
     nodes = [node for s in SCHEMAS.values() for node in schema_nodes(s)]
     assert {key for node in nodes for key in node} <= schemas._KEYWORDS.keys()
+    # the walker and the compiled predicates implement the same keywords,
+    # and a schema with any other keyword, at any depth, does not compile
+    assert schemas._PREDICATE_KEYWORDS == schemas._KEYWORDS.keys()
+    for unknown in ({"type": "object", "patternProperties": {"^x": {}}},
+                    {"type": "array", "items": {"type": "string", "format": "date"}},
+                    {"properties": {"a": {"$ref": "concave_term", "if": {}}}}):
+        with pytest.raises(ValueError, match="no accept predicate"):
+            schemas._compile(unknown, {})
     assert {node["type"] for node in nodes if "type" in node} <= schemas._TYPES.keys()
     # the walker implements additionalProperties: false and scalar const/enum values only
     assert {node["additionalProperties"] for node in nodes if "additionalProperties" in node} == {False}
