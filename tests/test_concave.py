@@ -407,13 +407,15 @@ def test_superposition_grid_calls_the_mollified_base_per_block():
 
 def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(monkeypatch):
     """Every matrix the concave and comparison suites hand to QuadraticTerm
-    or eigenvalue_criterion over seeds 0-199 is decided as np.allclose at
-    rtol 0 (symmetry) and the eigenvalue sum (the criterion) decide it.  A
-    stacked term or criterion call is recorded matrix by matrix.  Work that
-    draws no random numbers (Delta_p, operator terms, grid solves) is
-    stubbed, so the draws are verify's own."""
+    or criterion_sum over seeds 0-199 is decided as np.allclose at rtol 0
+    (symmetry) and the eigenvalue sum (the criterion) decide it.  Every
+    criterion decision goes through criterion_sum: eigenvalue_criterion's,
+    and the accept loop's, which skips eigenvalue_criterion's checks, so each
+    of its matrices must pass them too.  A stacked term or criterion call is
+    recorded matrix by matrix.  Work that draws no random numbers (Delta_p,
+    operator terms, grid solves) is stubbed, so the draws are verify's own."""
     quadratic, criterion = [], []
-    post_init, decide = concave.QuadraticTerm.__post_init__, concave.eigenvalue_criterion
+    post_init, criterion_sum = concave.QuadraticTerm.__post_init__, concave.criterion_sum
 
     def record_quadratic(self):
         a = np.asarray(self.a_matrix, dtype=float)
@@ -421,15 +423,15 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
         quadratic.extend((m,) for m in a.reshape((-1,) + a.shape[-2:]))
 
     def record_criterion(h, p):
-        decision = decide(h, p)
+        total = criterion_sum(h, p)
         h = np.asarray(h, dtype=float)
         lead = h.shape[:-2]
         criterion.extend(zip(h.reshape((-1,) + h.shape[-2:]), np.broadcast_to(p, lead).ravel(),
-                             np.broadcast_to(decision, lead).ravel()))
-        return decision
+                             np.broadcast_to(total <= concave.CRITERION_SLACK, lead).ravel()))
+        return total
 
     monkeypatch.setattr(concave.QuadraticTerm, "__post_init__", record_quadratic)
-    monkeypatch.setattr(concave, "eigenvalue_criterion", record_criterion)
+    monkeypatch.setattr(concave, "criterion_sum", record_criterion)
     monkeypatch.setattr(concave, "operator_term", lambda h, p, xi: np.zeros(len(xi)))
     monkeypatch.setattr(superpose, "evaluate", lambda ps, k, x: x)
     monkeypatch.setattr(superpose, "delta_p_direct", lambda res: np.zeros(len(res)))
@@ -451,11 +453,13 @@ def test_symmetry_and_criterion_decisions_on_verify_draws_match_the_reference(mo
         atol = rel * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
         return np.isclose(a, a.swapaxes(1, 2), rtol=0, atol=atol[:, None, None]).all(axis=(1, 2))
 
-    assert len(quadratic) > 200 * 10 and len(criterion) == 200 * 2 * verify.TRIALS
+    # the first check's matrices twice (its sums, and eigenvalue_criterion's),
+    # the accept loop's once
+    assert len(quadratic) > 200 * 10 and len(criterion) == 200 * 3 * verify.TRIALS
     for (a,) in by_size(quadratic):
         assert symmetric(a, 1e-12).all()
     for h, p, decision in by_size(criterion):
         lam = np.linalg.eigvalsh(h)
-        assert symmetric(h, 1e-10).all()
+        assert symmetric(h, 1e-10).all() and (p > 2).all()
         assert np.array_equal(
             decision, lam[:, :-1].sum(axis=1) + (p - 1) * lam[:, -1] <= concave.CRITERION_SLACK)

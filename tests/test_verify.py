@@ -5,18 +5,22 @@ decisions later draws depend on) in a loop, and batch the rest after it.
 The per-draw loops below are the reference: every report and the
 generator's final state must be the same, bit for bit.  The evolution
 suite's bracket of the Barenblatt sign change has ``brentq`` as its
-reference."""
+reference.  ``run_suite("all")`` on its forked path has the sequential path
+as its reference."""
 
 import dataclasses
 import math
+import os
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from plap import comparison, concave, evolution, superpose, verify
+from plap import cli, comparison, concave, evolution, superpose, verify
 from plap.core import Params
+from plap.errors import PlapError, SolverFailureError
 from plap.verify import (
     BRACKET_XTOL,
     DEFAULT_SEED,
@@ -368,3 +372,97 @@ def test_the_bracket_stops_where_floats_cannot_split_it():
 def test_the_bracket_refuses_a_function_without_a_sign_change():
     with pytest.raises(ValueError, match="does not change sign"):
         _bracket_sign_change(lambda r: r * r + 1.0, -1.0, 1.0)
+
+
+def test_an_unknown_suite_is_refused_before_any_suite_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nothing may run for an unknown suite")
+
+    for suite in verify.SUITE_NAMES:
+        monkeypatch.setattr(verify, f"verify_{suite}", refuse)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    with pytest.raises(ValueError) as exc:
+        verify.run_suite("nope")
+    assert "'nope'" in str(exc.value)
+    assert all(name in str(exc.value) for name in verify.SUITE_NAMES + ("'all'",))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+
+
+def cpus(monkeypatch, count):
+    """The process appears to run on ``count`` CPUs; returns the list that
+    records each os.fork call this process makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_forked_path_gives_the_sequential_reports(monkeypatch, seed):
+    forks = cpus(monkeypatch, 1)
+    sequential = [rep.to_dict() for rep in verify.run_suite("all", seed=seed)]
+    assert forks == []
+    forks = cpus(monkeypatch, 2)
+    forked = [rep.to_dict() for rep in verify.run_suite("all", seed=seed)]
+    assert forks == [1]
+    assert forked == sequential
+    assert [rep["suite"] for rep in forked] == list(verify.SUITE_NAMES)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_forked_suites_solver_failure_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    def fail(seed):
+        raise SolverFailureError("no convergence within 3 iterations", residual=0.5)
+
+    forks = cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, f"verify_{verify.FORKED_SUITES[0]}", fail)
+    with pytest.raises(SolverFailureError) as exc:
+        verify.run_suite("all", seed=1)
+    assert type(exc.value) is SolverFailureError
+    assert str(exc.value) == "no convergence within 3 iterations"
+    assert exc.value.residual == 0.5
+    assert_no_child_left()
+
+    code = cli.main(["verify", "--suite", "all", "--seed", "1", "--out", str(tmp_path / "v.json")])
+    assert code == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "solver failure: no convergence within 3 iterations (residual 0.5)" in err
+    assert forks == [1, 1]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_forked_child_that_ends_without_a_report_is_a_plap_error(monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, f"verify_{verify.FORKED_SUITES[-1]}", lambda seed: os._exit(3))
+    with pytest.raises(PlapError) as exc:
+        verify.run_suite("all", seed=1)
+    assert type(exc.value) is PlapError
+    assert all(suite in str(exc.value) for suite in verify.FORKED_SUITES)
+    assert "exit status 3" in str(exc.value)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_parent_suites_error_kills_and_reaps_the_child(monkeypatch):
+    def fail(seed):
+        raise ValueError("the parent's suite failed")
+
+    here = next(s for s in verify.SUITE_NAMES if s not in verify.FORKED_SUITES)
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, f"verify_{verify.FORKED_SUITES[0]}", lambda seed: time.sleep(60))
+    monkeypatch.setattr(verify, f"verify_{here}", fail)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the parent's suite failed"):
+        verify.run_suite("all", seed=1)
+    assert time.monotonic() - start < 30  # the child did not sleep out its minute
+    assert_no_child_left()
