@@ -243,7 +243,13 @@ def cmd_sign_map(args):
     # p_min + i p_step rounded to decimals lands exactly on the zero lines;
     # np.arange's step, (p_min + p_step) - p_min, carries the rounding of
     # p_min and drifts its rows off them once |p_min| reaches about 10
-    p_values = p_min + p_step * np.arange(int(p_count))
+    with np.errstate(over="ignore"):
+        p_values = p_min + p_step * np.arange(int(p_count))
+    # p_step > 0, so only the last row can overflow, and to +inf
+    if np.isinf(p_values[-1:]).any():
+        _usage_error(
+            f"error: p rows from p_min {cfg['p_min']!r} in steps of {cfg['p_step']!r} overflow a double"
+        )
     # rounding multiplies by 1e12: from |p| 1e12 = 2^53 on, where p has no
     # decimals left to round, the product is whole and dividing it back can
     # move p by an ulp

@@ -50,6 +50,9 @@ class GridDomain:
             raise ValueError("dimension must be 2 or 3")
         if any(m < 9 for m in shape):
             raise ValueError("need at least 9 nodes per axis")
+        # a NaN or infinite bound, or a width beyond the largest double, gives no spacing
+        if not all(math.isfinite(hi - lo) for lo, hi in bounds):
+            raise ValueError("box bounds and widths must be finite")
         if any(hi <= lo for lo, hi in bounds):
             raise ValueError("box bounds must be increasing")
         object.__setattr__(self, "bounds", bounds)

@@ -32,6 +32,9 @@ class Params:
     c: float = 1.0
 
     def __post_init__(self):
+        # compared, not converted: an int n beyond the largest double is finite
+        if not all(-math.inf < x < math.inf for x in (self.p, self.n, self.c)):
+            raise ValueError(f"p, n and c must be finite, got {self.p}, {self.n}, {self.c}")
         if self.p == 1:
             raise ValueError("p = 1 is excluded")
         if self.n < 1 or int(self.n) != self.n:

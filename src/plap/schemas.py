@@ -3,15 +3,14 @@
 Every config carries a ``schema_version`` field; unknown keys are
 rejected so that typos cannot silently change an experiment.
 
-At import each schema is compiled once into an accept predicate, one
-closure per schema node with ``$ref`` resolved, which takes JSON-native
-values only (dict, list, str, int, float, bool, None).  ``config_error``
-returns None as soon as the predicate accepts a config.  On a config it
-refuses, the walker interprets the ``SCHEMAS`` dicts directly, with
-jsonschema's semantics for exactly the keywords they use, and reports the
-error jsonschema's ``best_match`` would choose; it is the only code that
-finds and ranks errors.  Both check an array of numbers in one pass over
-its elements, which is most of a config.
+At import each schema is compiled once into a check: one closure per schema
+node, ``$ref`` resolved, that applies the node's keywords with jsonschema's
+semantics for exactly the keywords the schemas use, to any value (a
+``np.float64``, a ``Fraction`` or a bool included), and returns the node's
+errors, an empty tuple for a valid value.  ``config_error`` ranks them as
+jsonschema's ``best_match`` does.  An array of numbers is checked in one pass
+over its elements, which is most of a config; only an array that fails it is
+walked item by item.
 """
 
 import math
@@ -172,19 +171,13 @@ def config_error(instance, name):
     """The error in ``instance`` against ``SCHEMAS[name]`` as (path, message),
     path a tuple of keys and indices; None if the instance is valid.
 
-    A config the compiled predicate accepts is valid.  On any other the
-    walker decides, and path and message are those of jsonschema's
-    ``best_match``: the error nearest the root, then the greatest path, then
-    one whose instance does not have its schema's type; ties go to the first
-    error found, with keywords checked in each schema's order.
+    Path and message are those of jsonschema's ``best_match``: the error
+    nearest the root, then the greatest path, then one whose instance does
+    not have its schema's type; ties go to the first error found, with each
+    node's keywords checked in the order of ``_KEYWORDS``, which is also the
+    order of the node's dict.
     """
-    return None if _ACCEPT[name](instance) else _walker_error(instance, SCHEMAS[name])
-
-
-def _walker_error(instance, schema):
-    """``config_error`` from the walker alone."""
-    errors = []
-    _walk(instance, schema, (), errors)
+    errors = _CHECKS[name](instance)
     if not errors:
         return None
     path, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], not e[2]))
@@ -205,46 +198,17 @@ _TYPES = {
 }
 _NUMBER = {"type": "number"}
 _NUMBER_TYPES = frozenset((int, float))  # what json parses a number to; a bool is neither
+# per type, the classes of json's values that have it, which need no call of its test
+_NATIVE = {"object": {dict}, "array": {list}, "number": _NUMBER_TYPES, "integer": {int}}
 _REFS = {_CONCAVE["$id"]: _CONCAVE}
-
-
-def _walk(instance, schema, path, errors):
-    for keyword, value in schema.items():
-        _KEYWORDS[keyword](instance, value, schema, path, errors)
-
-
-def _fail(errors, path, instance, schema, message):
-    expected = schema.get("type")
-    errors.append((path, message, expected is not None and _TYPES[expected](instance)))
-
-
-def _type(instance, name, schema, path, errors):
-    if not _TYPES[name](instance):
-        _fail(errors, path, instance, schema, f"{instance!r} is not of type {name!r}")
-
-
-def _properties(instance, properties, schema, path, errors):
-    if isinstance(instance, dict):
-        for key, sub in properties.items():
-            if key in instance:
-                _walk(instance[key], sub, path + (key,), errors)
-
-
-def _required(instance, required, schema, path, errors):
-    if isinstance(instance, dict):
-        for key in required:
-            if key not in instance:
-                _fail(errors, path, instance, schema, f"{key!r} is a required property")
-
-
-def _additional_properties(instance, allowed, schema, path, errors):
-    if not allowed and isinstance(instance, dict):
-        extras = sorted(instance.keys() - schema.get("properties", {}).keys(), key=str)
-        if extras:
-            listed = ", ".join(map(repr, extras))
-            verb = "was" if len(extras) == 1 else "were"
-            _fail(errors, path, instance, schema,
-                  f"Additional properties are not allowed ({listed} {verb} unexpected)")
+# the keywords a check applies, in the order it applies them; a schema node
+# must list its keywords in this order, so that its errors come in jsonschema's
+_KEYWORDS = (
+    "$id", "$ref", "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "const", "enum",
+)
+_ANY_KIND = frozenset(("$id", "$ref", "type", "const", "enum"))  # they apply to any value
+_ABSENT = object()
 
 
 def _all_json_numbers(values):
@@ -252,36 +216,10 @@ def _all_json_numbers(values):
     return all(map(_NUMBER_TYPES.__contains__, map(type, values)))
 
 
-def _items(instance, items, schema, path, errors):
-    if not isinstance(instance, list):
-        return
-    if items == _NUMBER and _all_json_numbers(instance):
-        return
-    for i, item in enumerate(instance):
-        _walk(item, items, path + (i,), errors)
-
-
-def _min_items(instance, bound, schema, path, errors):
-    if isinstance(instance, list) and len(instance) < bound:
-        problem = "should be non-empty" if bound == 1 else "is too short"
-        _fail(errors, path, instance, schema, f"{instance!r} {problem}")
-
-
-def _max_items(instance, bound, schema, path, errors):
-    if isinstance(instance, list) and len(instance) > bound:
-        problem = "is expected to be empty" if bound == 0 else "is too long"
-        _fail(errors, path, instance, schema, f"{instance!r} {problem}")
-
-
-def _minimum(instance, bound, schema, path, errors):
-    if _is_number(instance) and instance < bound:
-        _fail(errors, path, instance, schema, f"{instance!r} is less than the minimum of {bound!r}")
-
-
-def _exclusive_minimum(instance, bound, schema, path, errors):
-    if _is_number(instance) and instance <= bound:
-        _fail(errors, path, instance, schema,
-              f"{instance!r} is less than or equal to the minimum of {bound!r}")
+def _kind(x):
+    """The type of ``x`` among object, array and number, which decides the
+    keywords that apply to it; None for any other value."""
+    return next((name for name in ("object", "array", "number") if _TYPES[name](x)), None)
 
 
 def _equal(a, b):
@@ -291,103 +229,91 @@ def _equal(a, b):
     return a == b
 
 
-def _const(instance, value, schema, path, errors):
-    if not _equal(instance, value):
-        _fail(errors, path, instance, schema, f"{value!r} was expected")
-
-
-def _enum(instance, values, schema, path, errors):
-    if not any(_equal(instance, v) for v in values):
-        _fail(errors, path, instance, schema, f"{instance!r} is not one of {values!r}")
-
-
-def _ref(instance, ref, schema, path, errors):
-    _walk(instance, _REFS[ref], path, errors)
-
-
-_KEYWORDS = {
-    "$id": lambda *_: None,
-    "$ref": _ref,
-    "type": _type,
-    "properties": _properties,
-    "required": _required,
-    "additionalProperties": _additional_properties,
-    "items": _items,
-    "minItems": _min_items,
-    "maxItems": _max_items,
-    "minimum": _minimum,
-    "exclusiveMinimum": _exclusive_minimum,
-    "const": _const,
-    "enum": _enum,
-}
-
-
-_JSON_TYPES = frozenset((dict, list, str, int, float, bool, type(None)))
-# the keywords ``accept`` below applies; any other keyword refuses to compile
-_PREDICATE_KEYWORDS = frozenset((
-    "$id", "$ref", "type", "properties", "required", "additionalProperties", "items",
-    "minItems", "maxItems", "minimum", "exclusiveMinimum", "const", "enum",
-))
-_ABSENT = object()
-
-
 def _compile(schema, compiled):
-    """The accept predicate of ``schema``: one closure for the node that
-    applies each of its keywords as the walker does, and is True exactly
-    for the JSON-native values in which the walker finds no error.
-    ``compiled`` maps the id of every node compiled so far to its closure,
-    so a shared node, or one a ``$ref`` names, compiles once.  A keyword
-    outside ``_PREDICATE_KEYWORDS`` is an error."""
+    """The check of ``schema``: one closure for the node that returns the
+    errors of a value as (path below the node, message, whether the value
+    has the node's type), in the order jsonschema finds them.  ``compiled``
+    maps the id of every node compiled so far to its closure, so a shared
+    node, or one a ``$ref`` names, compiles once.  A keyword outside
+    ``_KEYWORDS``, or out of its order, is an error."""
     if id(schema) in compiled:
         return compiled[id(schema)]
-    unknown = schema.keys() - _PREDICATE_KEYWORDS
-    if unknown:
-        raise ValueError(f"no accept predicate for schema keyword(s) {sorted(unknown)}")
+    known = [key for key in _KEYWORDS if key in schema]
+    if len(known) < len(schema):
+        raise ValueError(f"no check for schema keyword(s) {sorted(schema.keys() - set(known))}")
+    if known != list(schema):
+        raise ValueError(f"schema keywords {list(schema)} are out of the order of _KEYWORDS")
     # a $ref back to this node, met while its subnodes compile, calls the closure below
-    compiled[id(schema)] = lambda x: accept(x)
-    type_ok = _TYPES[schema["type"]] if "type" in schema else None
+    compiled[id(schema)] = lambda x: check(x)
+    ref = _compile(_REFS[schema["$ref"]], compiled) if "$ref" in schema else None
+    type_name = schema.get("type")
+    type_ok = _TYPES[type_name] if type_name is not None else None
     properties = schema.get("properties", {})
     names = properties.keys()
     subs = [(key, _compile(sub, compiled)) for key, sub in properties.items()]
+    required = schema.get("required", [])
+    required_set = frozenset(required)
     closed = not schema.get("additionalProperties", True)
-    required = frozenset(schema.get("required", ()))
     items = schema.get("items")
-    item_ok = None if items is None or items == _NUMBER else _compile(items, compiled)
+    item = None if items is None else _compile(items, compiled)
+    numbers_only = items == _NUMBER
     min_items, max_items = schema.get("minItems", 0), schema.get("maxItems", math.inf)
     minimum, above = schema.get("minimum"), schema.get("exclusiveMinimum")
     const, enum = schema.get("const", _ABSENT), schema.get("enum")
-    ref = _compile(_REFS[schema["$ref"]], compiled) if "$ref" in schema else None
+    # a value of the node's type needs no other test for the keywords that apply to it
+    own_kind = "number" if type_name == "integer" else type_name
+    native = _NATIVE.get(type_name, ())
+    by_kind = not schema.keys() <= _ANY_KIND
 
-    def accept(x):
-        t = type(x)
-        if t not in _JSON_TYPES or type_ok is not None and not type_ok(x):
-            return False
-        if t is dict:
-            keys = x.keys()
-            if closed and not keys <= names or not keys >= required:
-                return False
+    def check(x):
+        errors = () if ref is None else ref(x)
+        typed = type(x) in native or type_ok is not None and type_ok(x)
+        if typed:
+            kind = own_kind
+        else:
+            kind = _kind(x) if by_kind else None
+            if type_ok is not None:
+                errors += (((), f"{x!r} is not of type {type_name!r}", False),)
+        if kind == "object":
             for key, sub in subs:
-                if key in x and not sub(x[key]):
-                    return False
-        elif t is list:
-            if not min_items <= len(x) <= max_items:
-                return False
-            if items is not None and not (
-                _all_json_numbers(x) if item_ok is None else all(map(item_ok, x))
-            ):
-                return False
-        elif t in _NUMBER_TYPES:
-            if minimum is not None and x < minimum or above is not None and x <= above:
-                return False
+                if key in x:
+                    found = sub(x[key])
+                    if found:
+                        errors += tuple(((key,) + path, m, t) for path, m, t in found)
+            keys = x.keys()
+            if not keys >= required_set:
+                errors += tuple(((), f"{key!r} is a required property", typed)
+                                for key in required if key not in x)
+            if closed and not keys <= names:
+                extras = sorted(keys - names, key=str)
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                errors += (((), f"Additional properties are not allowed ({listed} {verb} unexpected)",
+                            typed),)
+        elif kind == "array":
+            if item is not None and not (numbers_only and _all_json_numbers(x)) and any(map(item, x)):
+                errors += tuple(((i,) + path, m, t)
+                                for i, value in enumerate(x) for path, m, t in item(value))
+            if len(x) < min_items:
+                problem = "should be non-empty" if min_items == 1 else "is too short"
+                errors += (((), f"{x!r} {problem}", typed),)
+            if len(x) > max_items:
+                problem = "is expected to be empty" if max_items == 0 else "is too long"
+                errors += (((), f"{x!r} {problem}", typed),)
+        elif kind == "number":
+            if minimum is not None and x < minimum:
+                errors += (((), f"{x!r} is less than the minimum of {minimum!r}", typed),)
+            if above is not None and x <= above:
+                errors += (((), f"{x!r} is less than or equal to the minimum of {above!r}", typed),)
         if const is not _ABSENT and not _equal(x, const):
-            return False
+            errors += (((), f"{const!r} was expected", typed),)
         if enum is not None and not any(_equal(x, v) for v in enum):
-            return False
-        return ref is None or ref(x)
+            errors += (((), f"{x!r} is not one of {enum!r}", typed),)
+        return errors
 
-    compiled[id(schema)] = accept
-    return accept
+    compiled[id(schema)] = check
+    return check
 
 
 _COMPILED = {}
-_ACCEPT = {name: _compile(schema, _COMPILED) for name, schema in SCHEMAS.items()}
+_CHECKS = {name: _compile(schema, _COMPILED) for name, schema in SCHEMAS.items()}

@@ -316,12 +316,20 @@ def test_row_limit_is_inclusive(tmp_path, capsys, monkeypatch):
 
 
 def test_sign_map_step_below_the_rounding_exits_2(tmp_path, capsys):
-    # rounded to 12 decimals, the six p values 2 + i 1e-13 would all read 2
     path = tmp_path / "map.json"
-    write_json(path, dict(SIGN_MAP_CFG, p_min=2, p_max=2.0000000000005, p_step=1e-13))
-    line = main_exits_2_with_one_error_line(capsys, "sign-map", path, tmp_path)
-    assert "p_step 1e-13 is below the 12-decimal rounding" in line
-    assert not (tmp_path / "o.csv").exists()
+    for bounds, wanted in (
+        # rounded to 12 decimals, the six p values 2 + i 1e-13 would all read 2
+        ((2, 2.0000000000005, 1e-13), "p_step 1e-13 is below the 12-decimal rounding"),
+        # the second row, 1e308 + 1e308, is inf, whose sign class would read NonNegative
+        ((1e308, 1.7e308, 1e308), "p rows from p_min 1e+308 in steps of 1e+308 overflow a double"),
+    ):
+        p_min, p_max, p_step = bounds
+        write_json(path, dict(SIGN_MAP_CFG, p_min=p_min, p_max=p_max, p_step=p_step))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = main_exits_2_with_one_error_line(capsys, "sign-map", path, tmp_path)
+        assert wanted in line
+        assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("p,sign_class", [(1e297, "NonPositive"), (-1e297, "NonNegative")])

@@ -41,6 +41,10 @@ def test_domain_validation():
         GridDomain(bounds=[(1, -1), (-1, 1)], shape=(33, 33))
     with pytest.raises(ValueError):
         GridDomain(bounds=[(-1, 1)], shape=(33,))
+    for bound in ((math.nan, 1), (-1, math.nan), (-math.inf, 1), (-1, math.inf),
+                  (math.inf, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            GridDomain(bounds=[(-1, 1), bound], shape=(9, 9))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])

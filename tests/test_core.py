@@ -37,6 +37,10 @@ def test_params_validation():
         Params(p=2.0, n=0)
     with pytest.raises(ValueError):
         Params(p=2.0, n=3, c=0.0)
+    for p, n, c in ((math.nan, 2, 1.0), (3.0, math.inf, 1.0), (math.inf, 2, 1.0),
+                    (3.0, 2, math.inf), (3.0, 2, math.nan), (-math.inf, 2, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            Params(p, n, c)
 
 
 def test_big_c_recomputed():

@@ -242,44 +242,55 @@ def test_number_arrays_off_the_fast_path_agree():
 
 
 @pytest.mark.parametrize("example", sorted(EXAMPLES))
-def test_the_compiled_predicate_accepts_exactly_what_the_walker_finds_valid(example):
+def test_numbers_json_never_parses_to_report_best_match(example):
+    """A number json never parses to, a big int and a bool at every number
+    and integer site go through the same checks as json's own values."""
     name, cfg = EXAMPLES[example]
-    accept, schema = schemas._ACCEPT[name], SCHEMAS[name]
-    cases = [cfg, *(with_edits(cfg, c) for c in single_defects(cfg, name)), *defect_pairs(cfg, name)]
-    verdicts = [(accept(c), schemas._walker_error(c, schema) is None) for c in cases]
-    assert [a for a, _ in verdicts] == [w for _, w in verdicts]
-    assert {a for a, _ in verdicts} == {True, False}
-    # numbers json never parses to, a big int and a bool at every number
-    # site: the walker decides them, as it did before the predicate
-    number_sites = [path for path, _, sub in sites(cfg, schema) if sub.get("type") == "number"]
+    number_sites = [path for path, _, sub in sites(cfg, SCHEMAS[name])
+                    if sub.get("type") in ("number", "integer")]
     assert number_sites
     for path in number_sites:
         for value in (np.float64(0.5), Fraction(1, 2), 2**70, True):
             mutated = with_edits(cfg, (path, value))
-            got = schemas.config_error(mutated, name)
-            assert got == schemas._walker_error(mutated, schema) == reference(mutated, name)
-            # the predicate takes JSON-native values only
-            assert accept(mutated) == (type(value) is int and got is None)
+            assert schemas.config_error(mutated, name) == reference(mutated, name), (path, value)
 
 
 def test_every_keyword_in_the_schemas_is_implemented():
     nodes = [node for s in SCHEMAS.values() for node in schema_nodes(s)]
-    assert {key for node in nodes for key in node} <= schemas._KEYWORDS.keys()
-    # the walker and the compiled predicates implement the same keywords,
-    # and a schema with any other keyword, at any depth, does not compile
-    assert schemas._PREDICATE_KEYWORDS == schemas._KEYWORDS.keys()
+    assert {key for node in nodes for key in node} <= set(schemas._KEYWORDS)
+    # a schema with any other keyword, at any depth, does not compile
     for unknown in ({"type": "object", "patternProperties": {"^x": {}}},
                     {"type": "array", "items": {"type": "string", "format": "date"}},
                     {"properties": {"a": {"$ref": "concave_term", "if": {}}}}):
-        with pytest.raises(ValueError, match="no accept predicate"):
+        with pytest.raises(ValueError, match="no check for schema keyword"):
             schemas._compile(unknown, {})
     assert {node["type"] for node in nodes if "type" in node} <= schemas._TYPES.keys()
-    # the walker implements additionalProperties: false and scalar const/enum values only
+    # the checks implement additionalProperties: false and scalar const/enum values only
     assert {node["additionalProperties"] for node in nodes if "additionalProperties" in node} == {False}
     scalars = [node["const"] for node in nodes if "const" in node]
     scalars += [v for node in nodes if "enum" in node for v in node["enum"]]
     assert all(isinstance(v, (str, int, float)) for v in scalars)
     assert {node["$ref"] for node in nodes if "$ref" in node} <= schemas._REFS.keys()
+
+
+def test_a_node_lists_its_keywords_in_the_order_they_are_checked():
+    """jsonschema finds a node's errors in the order of its keywords and
+    ``best_match`` keeps the first of a tie, so a node whose keywords are
+    out of ``_KEYWORDS``' order, at any depth, does not compile."""
+    nodes = [node for s in SCHEMAS.values() for node in schema_nodes(s)]
+    order = {key: i for i, key in enumerate(schemas._KEYWORDS)}
+    assert all(list(node) == sorted(node, key=order.get) for node in nodes)
+    swapped = {"minimum": 1, "type": "integer"}
+    for schema in (swapped, {"type": "object", "properties": {"n": swapped}}):
+        with pytest.raises(ValueError, match="out of the order"):
+            schemas._compile(schema, {})
+    # the order decides the reported error: 0.5 fails both keywords of n
+    in_order = {"type": "integer", "minimum": 1}
+    for schema, message in ((in_order, "0.5 is not of type 'integer'"),
+                            (swapped, "0.5 is less than the minimum of 1")):
+        validator = jsonschema.validators.validator_for(schema)(schema)
+        assert best_match(validator.iter_errors(0.5)).message == message
+    assert schemas._compile(in_order, {})(0.5)[0][1] == "0.5 is not of type 'integer'"
 
 
 def test_importing_the_cli_leaves_jsonschema_unloaded():
