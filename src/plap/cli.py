@@ -234,9 +234,14 @@ def cmd_eval(args):
 
 def cmd_sign_map(args):
     cfg = _load_config(args.config, "sign_map")
-    p_min, p_step = float(cfg["p_min"]), float(cfg["p_step"])
-    # the length of np.arange(p_min, p_max + p_step / 2, p_step), in floats: it may be inf
-    p_count = max(0.0, float(np.ceil((float(cfg["p_max"]) - p_min) / p_step + 0.5)))
+    p_min, p_max, p_step = (float(cfg[key]) for key in ("p_min", "p_max", "p_step"))
+    # the length of np.arange(p_min, p_max + p_step / 2, p_step), in floats:
+    # it may be inf.  p_max - p_min, and p_step * i below, may overflow where
+    # no p does; there every term is halved, which is exact for terms so large
+    span = (p_max - p_min) / p_step
+    if np.isinf(span):
+        span = (p_max / 2 - p_min / 2) / p_step * 2
+    p_count = max(0.0, float(np.ceil(span + 0.5)))
     n_count = max(0.0, float(cfg["n_max"]) - float(cfg["n_min"]) + 1.0)
     # the p column is built even when the n range is empty
     _check_rows(p_count * max(n_count, 1.0), "sign map")
@@ -244,7 +249,9 @@ def cmd_sign_map(args):
     # np.arange's step, (p_min + p_step) - p_min, carries the rounding of
     # p_min and drifts its rows off them once |p_min| reaches about 10
     with np.errstate(over="ignore"):
-        p_values = p_min + p_step * np.arange(int(p_count))
+        i = np.arange(int(p_count))
+        p_values = p_min + p_step * i
+        p_values = np.where(np.isinf(p_values), (p_min / 2 + p_step / 2 * i) * 2, p_values)
     # p_step > 0, so only the last row can overflow, and to +inf
     if np.isinf(p_values[-1:]).any():
         _usage_error(

@@ -9,7 +9,7 @@ their p-Laplacian through three routes:
 
 The first two read one ``evaluate`` result; the FD oracle builds its own
 gradient from (ps, k, x), so it stays independent of that evaluation.
-Points have shape (..., n).  A stacked ``PoleSet`` (``PoleSet.stack``)
+Points have shape (..., n).  A stacked ``PoleSet`` (``PoleSet.stack_rows``)
 holds B sets at once, and its batch axis broadcasts against the points'
 leading shape, so points (B, n) give every set's result at its own point.
 
@@ -49,117 +49,105 @@ class SignClass(Enum):
     EXCLUDED = "Excluded"
 
 
+def _merged(w, y, row):
+    """The poles w (k,), y (k, n) of rows ``row`` (k,), given in row order,
+    with zero weights dropped and each row's equal locations (float ==, so
+    0.0 and -0.0 merge) merged: weights summed in input order, the first
+    location kept, in order of first occurrence.  Returns (w, y, row)."""
+    keep = w != 0.0
+    w, y, row = w[keep], y[keep], row[keep]
+    # equal locations of a row are neighbours after a stable lexicographic
+    # sort keyed by the row first, first occurrence first
+    order = np.lexsort((*y.T[::-1], row))
+    y_sorted, row_sorted = y[order], row[order]
+    starts = np.ones(len(w), dtype=bool)
+    starts[1:] = (row_sorted[1:] != row_sorted[:-1]) | (y_sorted[1:] != y_sorted[:-1]).any(axis=1)
+    if starts.all():
+        return w, y, row
+    first = order[starts]
+    group = np.empty(len(w), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    merged = np.zeros(len(first))
+    np.add.at(merged, group, w)  # unbuffered, so summed in input order
+    by_first = np.argsort(first)
+    return merged[by_first], y[first[by_first]], row[first[by_first]]
+
+
+def _as_row(weights, locations):
+    """Float arrays of one row, a single weight and location made a pole."""
+    w, y = np.asarray(weights, dtype=float), np.asarray(locations, dtype=float)
+    return (w.reshape(1) if w.ndim == 0 else w), (y.reshape(1, -1) if y.ndim < 2 else y)
+
+
+def _cutoff(weights):
+    """The scale-aware cutoff 1e-12 max(1, sum_i a_i) below which |grad V|
+    is treated as vanishing, per row of weights (..., m).  Summed left to
+    right, so a row's weight-0 padding leaves its set's own sum."""
+    return 1e-12 * np.maximum(1.0, np.cumsum(weights, axis=-1)[..., -1])
+
+
 class PoleSet:
     """Immutable weighted pole configuration {(a_i, y_i)}.
 
     Duplicate locations are merged (weights summed left to right, the first
     location kept, in order of first occurrence) and zero-weight poles
-    dropped at construction; at least one positive weight must remain.
+    dropped at construction; weights and locations must be finite and at
+    least one positive weight must remain.
 
-    ``PoleSet.stack`` makes a batch of sets: weights (B, m), locations
+    ``PoleSet.stack_rows`` makes a batch of sets: weights (B, m), locations
     (B, m, n), ``gradient_epsilon`` and ``counts`` (B,).  An unstacked set
     has weights (m,), locations (m, n), a float ``gradient_epsilon`` and
     the int ``counts`` = m.
     """
 
     def __init__(self, weights, locations, params: Params):
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        y = np.atleast_2d(np.asarray(locations, dtype=float))
+        w, y = _as_row(weights, locations)
         if w.ndim != 1 or y.ndim != 2:
             raise ValueError("need a list of weights and a list of locations")
         if y.shape[0] != w.shape[0]:
             raise ValueError("need one location per weight")
         if y.shape[1] != params.n:
-            raise ValueError(
-                f"pole locations have dimension {y.shape[1]}, expected {params.n}"
-            )
+            raise ValueError(f"pole locations have dimension {y.shape[1]}, expected {params.n}")
+        if not (np.isfinite(w).all() and np.isfinite(y).all()):
+            raise ValueError("weights and locations must be finite")
         if (w < 0).any():
             raise ValueError("weights must be non-negative")
-        keep = w != 0.0
-        w, y = w[keep], y[keep]
+        w, y, _ = _merged(w, y, np.zeros(len(w), dtype=np.intp))
         if not len(w):
             raise ValueError("at least one positive weight is required")
-        # equal rows (float ==, so 0.0 and -0.0 merge and NaN never does)
-        # are neighbours after a stable lexicographic sort, first occurrence
-        # first
-        order = np.lexsort(y.T[::-1])
-        rows = y[order]
-        starts = np.ones(len(w), dtype=bool)
-        starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        if not starts.all():
-            first = order[starts]
-            rank = np.empty(len(first), dtype=np.intp)
-            rank[np.argsort(first)] = np.arange(len(first))
-            group = np.empty(len(w), dtype=np.intp)
-            group[order] = rank[np.cumsum(starts) - 1]
-            merged = np.zeros(len(first))
-            np.add.at(merged, group, w)  # unbuffered, so summed in input order
-            w, y = merged, y[np.sort(first)]
-        self.weights = w
-        self.locations = y
-        self.params = params
-        self.counts = len(w)
-        self.weights.flags.writeable = False
-        self.locations.flags.writeable = False
-        # scale-aware cutoff below which |grad V| is treated as vanishing
-        self.gradient_epsilon = 1e-12 * max(1.0, float(self.weights.sum()))
-
-    @classmethod
-    def stack(cls, sets):
-        """One batch of the unstacked sets ``sets``, which share ``params``.
-
-        A row with fewer poles than the longest is padded with weight-0
-        copies of its own first pole: a padded pole is never nearer to a
-        point than a real one and adds nothing to V or to its derivatives.
-        """
-        sets = list(sets)
-        params = sets[0].params if sets else None
-        if any(s.params != params or s.weights.ndim != 1 for s in sets):
-            raise ValueError("only unstacked pole sets with the same params stack")
-        return cls.stack_rows([s.weights for s in sets], [s.locations for s in sets], params)
+        self.weights, self.locations, self.params, self.counts = w, y, params, len(w)
+        self.gradient_epsilon = float(_cutoff(w))
+        for a in (w, y):
+            a.flags.writeable = False
 
     @classmethod
     def stack_rows(cls, weights, locations, params):
-        """``stack([PoleSet(w, y, params) for w, y in zip(weights, locations)])``,
-        the same fields or the same error, without a set per row.
+        """One batch of the sets ``PoleSet(w, y, params)`` for w, y in
+        ``zip(weights, locations)``, without a set per row; the first
+        refused row raises its set's error.
 
-        One pass over all rows finds those ``__init__`` would change or
-        refuse: a weight that is not > 0, two equal locations (float ==, as
-        ``__init__`` merges them), no pole at all, or arrays not shaped
-        (m,) and (m, n).  Only those rows go through ``__init__``, in row
-        order, so its first refusal is the stack's.  Any other row has
-        distinct locations and positive weights: ``__init__`` would drop and
-        merge nothing, so the row is already its own set.
+        Each row is merged as ``__init__`` merges a set.  A row with fewer
+        poles than the longest is padded with weight-0 copies of its own
+        first pole: a padded pole is never nearer to a point than a real one
+        and adds nothing to V or to its derivatives.
         """
-        rows = [(np.asarray(w, dtype=float), np.asarray(y, dtype=float))
-                for w, y in zip(weights, locations, strict=True)]
+        rows = [_as_row(w, y) for w, y in zip(weights, locations, strict=True)]
         if not rows:
             raise ValueError("need at least one pole set to stack")
         n = params.n
-
-        def flat():
-            # a row of another shape counts as empty; __init__ reshapes or refuses it
-            counts = np.array([len(w) if w.ndim == 1 and y.shape == (len(w), n) else 0
-                               for w, y in rows])
-            shaped = [r for r, c in zip(rows, counts) if c]
-            return (counts, np.concatenate([np.zeros(0)] + [w for w, _ in shaped]),
-                    np.concatenate([np.zeros((0, n))] + [y for _, y in shaped]))
-
-        counts, w, y = flat()
+        # a row of another shape counts as empty, so it is refused
+        counts = [len(w) if w.ndim == 1 and y.shape == (len(w), n) else 0 for w, y in rows]
+        shaped = [r for r, c in zip(rows, counts) if c]
+        w = np.concatenate([np.zeros(0)] + [w for w, _ in shaped])
+        y = np.concatenate([np.zeros((0, n))] + [y for _, y in shaped])
         row = np.repeat(np.arange(len(rows)), counts)
-        # __init__'s duplicate test with the row as the first key: equal
-        # locations of a row are neighbours after the stable sort
-        order = np.lexsort((*y.T[::-1], row))
-        y_sorted, row_sorted = y[order], row[order]
-        twins = (row_sorted[1:] == row_sorted[:-1]) & (y_sorted[1:] == y_sorted[:-1]).all(axis=1)
-        flagged = counts == 0
-        flagged[row[~(w > 0)]] = True
-        flagged[row_sorted[1:][twins]] = True
-        if flagged.any():
-            for b in np.flatnonzero(flagged):
-                merged = cls(*rows[b], params)
-                rows[b] = merged.weights, merged.locations
-            counts, w, y = flat()
+        refused = np.bincount(row[w != 0.0], minlength=len(rows)) == 0
+        valid = np.isfinite(w) & (w >= 0) & np.isfinite(y).all(axis=1)
+        refused[row[~valid]] = True
+        if refused.any():
+            cls(*rows[np.argmax(refused)], params)  # raises that row's error
+        w, y, row = _merged(w, y, row)
+        counts = np.bincount(row, minlength=len(rows))
         real = np.arange(counts.max()) < counts[:, None]
         weights = np.zeros(real.shape)
         weights[real] = w
@@ -170,20 +158,16 @@ class PoleSet:
     @classmethod
     def _from_rows(cls, weights, locations, counts, params):
         """The stack whose row b holds the first ``counts[b]`` poles of
-        ``weights`` (B, m) and ``locations`` (B, m, n), padded as ``stack``
-        pads; the rows are taken as merged sets, so nothing is merged."""
+        ``weights`` (B, m) and ``locations`` (B, m, n), padded as
+        ``stack_rows`` pads; the rows are taken as merged sets, so nothing
+        is merged."""
         real = np.arange(weights.shape[1]) < counts[:, None]
         out = cls.__new__(cls)
         out.weights = np.where(real, weights, 0.0)
         out.locations = np.where(real[..., None], locations, locations[:, :1])
         out.params = params
         out.counts = counts
-        # summed over each unpadded row, as __init__ sums an unstacked set
-        total = np.empty(len(counts))
-        for count in set(counts.tolist()):
-            rows = counts == count
-            total[rows] = out.weights[rows, :count].sum(axis=1)
-        out.gradient_epsilon = 1e-12 * np.maximum(1.0, total)
+        out.gradient_epsilon = _cutoff(out.weights)
         for a in (out.weights, out.locations, out.counts, out.gradient_epsilon):
             a.flags.writeable = False
         return out

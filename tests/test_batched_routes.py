@@ -261,7 +261,7 @@ def test_a_stacked_point_on_a_real_pole_follows_the_pole_rule(p, n, kind):
     # on the first pole, on the third, on the first, and off every pole
     x = np.array([sets[0].locations[0], sets[1].locations[2], sets[2].locations[0],
                   far_points(rng, sets[3], ())])
-    stack = PoleSet.stack(sets)
+    stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets], pa)
     k = random_term(rng, kind, n)
     res = evaluate(stack, k, x)
     assert not res.derivatives_available

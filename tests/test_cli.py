@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -352,6 +353,22 @@ def test_sign_map_writes_a_p_without_decimals_as_it_is(tmp_path):
     p = [row[0] for row in read_csv(tmp_path / "o.csv")[1:]]
     assert p == ["%.17g" % (1e15 + i * 1e12) for i in range(101)]
     assert p[6] == "1006000000000000"
+    # p_max - p_min, or p_step * 3, overflows a double, but no p does
+    for p_min, p_max, p_step in ((-1.7e308, 1.7e308, 1e308), (-8e307, 8e307, 6e307)):
+        write_json(path, dict(SIGN_MAP_CFG, p_min=p_min, p_max=p_max, p_step=p_step,
+                              n_min=2, n_max=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sign-map", "--config", str(path),
+                             "--out", str(tmp_path / "o.csv")]) == 0
+        rows = read_csv(tmp_path / "o.csv")[1:]
+        p = [float(row[0]) for row in rows]
+        assert len(p) == 4 and p[0] == p_min and all(map(math.isfinite, p))
+        for i in range(4):
+            exact = Fraction(p_min) + i * Fraction(p_step)
+            assert abs(Fraction(p[i]) - exact) <= abs(exact) * Fraction(1, 2**51)
+        assert [row[2] for row in rows] == [
+            "NonNegative" if v < 0 else "NonPositive" for v in p]
 
 
 def test_main_reuses_one_parser_with_the_outputs_of_fresh_parsers(tmp_path, capsys, monkeypatch):

@@ -364,7 +364,8 @@ def test_delta_p_fd_is_the_reference_flux_closure_bit_for_bit(p, n):
     sets = [PoleSet(rng.uniform(0.1, 2, m), rng.uniform(-1, 1, (m, n)), Params(p, n))
             for m in (1, 3, 5, 8)]
     x = rng.uniform(1.5, 2.5, (4, n)) * rng.choice([-1.0, 1.0], (4, n))
-    stack = PoleSet.stack(sets)
+    stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
+                               Params(p, n))
     k = QuadraticTerm(-np.eye(n), b=rng.uniform(-1, 1, n))
     assert same_bits(superpose.delta_p_fd(stack, None, x), reference_delta_p_fd(stack, None, x))
     for ps in sets:

@@ -177,7 +177,8 @@ def test_stacked_routes_equal_the_per_set_routes(seed, p, n, count):
     draws = [_pole_draw(rng, n) for _ in range(count)]
     sets = [PoleSet(w, y, Params(p, n, 1.0)) for w, y in draws]
     x = np.array([_points_away(rng, y, 1)[0] for _, y in draws])
-    stack = PoleSet.stack(sets)
+    stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
+                               Params(p, n, 1.0))
     assert stack.weights.shape == stack.locations.shape[:2] == (count, max(stack.counts))
     routes = {
         "direct": lambda ps, x: delta_p_direct(evaluate(ps, None, x)),

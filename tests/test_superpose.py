@@ -61,6 +61,15 @@ def merged_by_the_loop(weights, locations):
     return np.array(list(merged.values())), np.array([list(k) for k in merged])
 
 
+def summed_left_to_right(values):
+    """The reference sum behind ``gradient_epsilon``; Python's ``sum`` is
+    compensated from 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 3),
@@ -87,7 +96,7 @@ def test_pole_set_merges_as_the_loop_does(n, rows):
     # the first location kept, down to the sign of a zero
     np.testing.assert_array_equal(np.signbit(ps.locations), np.signbit(want_y))
     assert ps.counts == len(ps) == len(want_w)
-    assert ps.gradient_epsilon == 1e-12 * max(1.0, float(want_w.sum()))
+    assert ps.gradient_epsilon == 1e-12 * max(1.0, summed_left_to_right(want_w))
 
 
 def test_pole_set_merge_matches_the_loop_on_a_large_set():
@@ -98,11 +107,17 @@ def test_pole_set_merge_matches_the_loop_on_a_large_set():
     want_w, want_y = merged_by_the_loop(weights, locations)
     np.testing.assert_array_equal(ps.weights, want_w)
     np.testing.assert_array_equal(ps.locations, want_y)
+    assert ps.gradient_epsilon == 1e-12 * max(1.0, summed_left_to_right(want_w))
 
 
-def test_pole_set_never_merges_nan_locations():
-    ps = PoleSet([1.0, 2.0], [[math.nan, 0.0], [math.nan, 0.0]], Params(3, 2))
-    assert len(ps) == 2
+def test_pole_set_refuses_non_finite_input():
+    for weights, locations in (([1.0, 2.0], [[math.nan, 0.0], [math.nan, 0.0]]),
+                               ([math.nan, 2.0], [[0, 0], [1, 1]]),
+                               ([math.inf, 2.0], [[0, 0], [1, 1]]),
+                               ([-math.inf], [[0, 0]]),
+                               ([1.0], [[0.0, -math.inf]])):
+        with pytest.raises(ValueError, match="weights and locations must be finite"):
+            PoleSet(weights, locations, Params(3, 2))
 
 
 def test_pole_set_rejects_all_zero():
@@ -141,32 +156,51 @@ DISTINCT_ROW = ([0.5, 1.5], [[0.3, -0.2], [-0.6, 0.4]])  # a row __init__ keeps 
 
 
 def stack_of_sets(weights, locations, params):
-    return PoleSet.stack([PoleSet(w, y, params) for w, y in zip(weights, locations)])
+    """The stack of each row's ``PoleSet``, built from the sets' fields."""
+    sets = [PoleSet(w, y, params) for w, y in zip(weights, locations)]
+    return PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets], params)
 
 
-@pytest.mark.parametrize("weights, locations, through_init", [
-    ([1.0, 2.0, 0.5], [[0.1, 0.2], [0.7, 0.0], [0.1, 0.2]], True),
-    ([1.0, 2.0], [[0.0, 0.5], [-0.0, 0.5]], True),
-    ([1.0, 0.0, 2.0], [[0.1, 0.2], [0.7, 0.0], [0.3, 0.3]], True),
-    ([1.0, 2.0], [[math.nan, 0.0], [math.nan, 0.0]], False),
-    ([math.nan, 2.0], [[0.1, 0.2], [0.7, 0.0]], True),
-    (2.0, [0.4, 0.4], True),
-    ([1.0, 2.0, 3.0], [[0.1, 0.2], [0.1, -0.2], [0.2, 0.1]], False),
+def assert_holds_each_set(stack, sets):
+    """Row b of ``stack`` is ``sets[b]`` bit by bit, padded with weight-0
+    copies of its first pole."""
+    assert stack.weights.shape == (len(sets), max(ps.counts for ps in sets))
+    for b, ps in enumerate(sets):
+        m = ps.counts
+        assert stack.counts[b] == m and stack.gradient_epsilon[b] == ps.gradient_epsilon
+        assert stack.weights[b, :m].tobytes() == ps.weights.tobytes()
+        assert stack.locations[b, :m].tobytes() == ps.locations.tobytes()
+        assert not stack.weights[b, m:].any() and (stack.locations[b, m:] == ps.locations[0]).all()
+
+
+@pytest.mark.parametrize("weights, locations, error", [
+    ([1.0, 2.0, 0.5], [[0.1, 0.2], [0.7, 0.0], [0.1, 0.2]], None),
+    ([1.0, 2.0], [[0.0, 0.5], [-0.0, 0.5]], None),
+    ([1.0, 0.0, 2.0], [[0.1, 0.2], [0.7, 0.0], [0.3, 0.3]], None),
+    ([1.0, 2.0], [[math.nan, 0.0], [math.nan, 0.0]], "must be finite"),
+    ([math.nan, 2.0], [[0.1, 0.2], [0.7, 0.0]], "must be finite"),
+    (2.0, [0.4, 0.4], None),
+    ([1.0, 2.0, 3.0], [[0.1, 0.2], [0.1, -0.2], [0.2, 0.1]], None),
 ], ids=["duplicate", "signed-zero-duplicate", "zero-weight", "nan-locations", "nan-weight",
         "scalar-and-vector", "distinct"])
-def test_a_stack_of_raw_rows_is_the_stack_of_their_sets(monkeypatch, weights, locations,
-                                                         through_init):
-    """Field by field and bit by bit.  Only a row that ``__init__`` would
-    change or refuse, or one not shaped (m,) and (m, n), goes through it."""
+def test_a_stack_of_raw_rows_is_the_stack_of_their_sets(monkeypatch, weights, locations, error):
+    """Field by field and bit by bit, and no accepted row goes through
+    ``__init__``; a refused row raises its set's error."""
     params = Params(3, 2)
     rows = ([DISTINCT_ROW[0], weights, DISTINCT_ROW[0]],
             [DISTINCT_ROW[1], locations, DISTINCT_ROW[1]])
+    if error:
+        for build in (stack_of_sets, PoleSet.stack_rows):
+            with pytest.raises(ValueError, match=error):
+                build(*rows, params)
+        return
     want = stack_of_sets(*rows, params)
     calls, init = [], PoleSet.__init__
     monkeypatch.setattr(PoleSet, "__init__", lambda self, *args: calls.append(init(self, *args)))
     got = PoleSet.stack_rows(*rows, params)
     monkeypatch.undo()
-    assert len(calls) == through_init
+    assert not calls
+    assert_holds_each_set(got, [PoleSet(w, y, params) for w, y in zip(*rows)])
     assert got.params == want.params
     for name in STACK_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
@@ -181,6 +215,10 @@ def test_a_stack_of_raw_rows_is_the_stack_of_their_sets(monkeypatch, weights, lo
     ([1.0, 2.0], [[0, 0]], "one location per weight"),
     ([1.0], [[0, 0, 0]], "dimension 3, expected 2"),
     ([[1.0]], [[0, 0]], "a list of weights"),
+    ([1.0, math.inf], [[0, 0], [1, 1]], "must be finite"),
+    ([-math.inf], [[0, 0]], "must be finite"),
+    ([1.0], [[math.nan, 0]], "must be finite"),
+    ([1.0, 2.0], [[0, 0], [math.inf, 1]], "must be finite"),
 ])
 def test_raw_rows_are_refused_as_their_sets_are(weights, locations, match):
     rows = [DISTINCT_ROW[0], weights], [DISTINCT_ROW[1], locations]
@@ -188,10 +226,17 @@ def test_raw_rows_are_refused_as_their_sets_are(weights, locations, match):
         with pytest.raises(ValueError, match=match):
             build(*rows, Params(3, 2))
     # the first refused row is the one reported
-    rows = [[1.0, -1.0], [1.0]], [[[0, 0], [1, 1]], [[0, 0, 0]]]
-    for build in (stack_of_sets, PoleSet.stack_rows):
-        with pytest.raises(ValueError, match="non-negative"):
-            build(*rows, Params(3, 2))
+    for w_rows, y_rows, first_error in (
+        ([[1.0, -1.0], [1.0]], [[[0, 0], [1, 1]], [[0, 0, 0]]], "non-negative"),
+        # an all-zero row before a wrongly shaped one
+        ([[0.0, 0.0], [1.0]], [[[0, 0], [1, 1]], [[0, 0, 0]]], "at least one positive weight"),
+        # a refused row after a row that needs merging
+        ([[1.0, 2.0], [1.0, math.nan]], [[[0, 0], [0, 0]], [[0, 0], [1, 1]]], "must be finite"),
+        ([[1.0, 0.0, 2.0], [-1.0]], [[[0, 0], [1, 1], [0, 0]], [[0, 0]]], "non-negative"),
+    ):
+        for build in (stack_of_sets, PoleSet.stack_rows):
+            with pytest.raises(ValueError, match=first_error):
+                build(w_rows, y_rows, Params(3, 2))
     with pytest.raises(ValueError, match="at least one pole set"):
         PoleSet.stack_rows([], [], Params(3, 2))
 
@@ -338,7 +383,8 @@ def test_pole_distance_is_the_per_pole_minimum_on_a_padded_stack_and_on_grid_nod
     rng = np.random.default_rng(41)
     sets = [PoleSet(rng.uniform(0.2, 2.0, m), rng.uniform(-1, 1, (m, 3)), Params(3, 3))
             for m in (1, 5, 2, 8)]
-    stack = PoleSet.stack(sets)
+    stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
+                               Params(3, 3))
     x = rng.uniform(-2, 2, (len(sets), 3))
     want = [per_pole_minimum(ps.locations, x[i]) for i, ps in enumerate(sets)]
     np.testing.assert_array_equal(pole_distance(stack, x), want)

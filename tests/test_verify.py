@@ -53,6 +53,12 @@ def _random_point_away(rng, ps):
             return x
 
 
+def stack_of(sets):
+    """One stack of the pole sets ``sets``, built from their fields."""
+    return superpose.PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
+                                        sets[0].params)
+
+
 def reference_superpose_draws(rng):
     """The per-draw loop of ``verify_superpose``: every draw builds its
     moved, scaled and single-pole sets at once.  Draws grouped by (p, n)."""
@@ -81,7 +87,7 @@ def reference_superpose(rng):
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
     for (p, n), draws in reference_superpose_draws(rng).items():
         base, moved, scaled, single = (
-            superpose.PoleSet.stack([d[key] for d in draws])
+            stack_of([d[key] for d in draws])
             for key in ("base", "moved", "scaled", "single")
         )
         x, x_moved, factor = (np.array([d[key] for d in draws]) for key in ("x", "x_moved", "factor"))
@@ -205,10 +211,10 @@ def test_derived_stacks_equal_the_stacks_of_per_draw_sets(seed):
     the closed form of a one-pole row is exactly 0."""
     one_pole_rows = 0
     for draws in reference_superpose_draws(np.random.default_rng(seed)).values():
-        base = superpose.PoleSet.stack([d["base"] for d in draws])
+        base = stack_of([d["base"] for d in draws])
         q, shift, s = (np.array([d[key] for d in draws]) for key in ("q", "shift", "s"))
         for key, got in zip(("moved", "scaled", "single"), _derived_stacks(base, q, shift, s)):
-            want = superpose.PoleSet.stack([d[key] for d in draws])
+            want = stack_of([d[key] for d in draws])
             assert got.params == want.params
             for name in FIELDS:
                 a, b = getattr(got, name), getattr(want, name)
@@ -223,14 +229,14 @@ def test_derived_stacks_equal_the_stacks_of_per_draw_sets(seed):
 
 
 def test_a_stack_holds_each_set_as_the_set_holds_itself():
-    """Rows of 1 to 130 poles: the sum behind ``gradient_epsilon`` runs over
-    each unpadded row, as for one set, also past 8 poles, where numpy's
-    pairwise summation would add a padded row's zeros in another order."""
+    """Rows of 1 to 130 poles: the sum behind ``gradient_epsilon`` runs left
+    to right over each row, so a padded row's zeros leave its set's own sum,
+    also past 8 poles, where numpy's pairwise summation would not."""
     rng = np.random.default_rng(5)
     params = Params(3.0, 2, 1.0)
     sets = [superpose.PoleSet(rng.uniform(0.1, 2.0, m), rng.uniform(-1, 1, (m, 2)), params)
             for m in (3, 1, 9, 130, 8, 3)]
-    stack = superpose.PoleSet.stack(sets)
+    stack = stack_of(sets)
     assert stack.counts.tolist() == [3, 1, 9, 130, 8, 3]
     for row, ps in enumerate(sets):
         m = ps.counts
