@@ -68,7 +68,8 @@ def _merged(w, y, row):
     group = np.empty(len(w), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
     merged = np.zeros(len(first))
-    np.add.at(merged, group, w)  # unbuffered, so summed in input order
+    with np.errstate(over="ignore"):  # an inf weight makes an inf cutoff, which is refused
+        np.add.at(merged, group, w)  # unbuffered, so summed in input order
     by_first = np.argsort(first)
     return merged[by_first], y[first[by_first]], row[first[by_first]]
 
@@ -86,18 +87,26 @@ def _cutoff(weights):
     return 1e-12 * np.maximum(1.0, np.cumsum(weights, axis=-1)[..., -1])
 
 
+def _overflows(weights):
+    """Per row of weights (..., m), m >= 1: whether the sum ``_cutoff``
+    takes overflows a double, which a pole set refuses."""
+    with np.errstate(over="ignore"):
+        return np.isinf(_cutoff(weights))
+
+
 class PoleSet:
     """Immutable weighted pole configuration {(a_i, y_i)}.
 
     Duplicate locations are merged (weights summed left to right, the first
     location kept, in order of first occurrence) and zero-weight poles
-    dropped at construction; weights and locations must be finite and at
-    least one positive weight must remain.
+    dropped at construction; weights and locations must be finite, at
+    least one positive weight must remain, and the weights' left-to-right
+    sum must not overflow a double.
 
     ``PoleSet.stack_rows`` makes a batch of sets: weights (B, m), locations
-    (B, m, n), ``gradient_epsilon`` and ``counts`` (B,).  An unstacked set
-    has weights (m,), locations (m, n), a float ``gradient_epsilon`` and
-    the int ``counts`` = m.
+    (B, m, n) and ``counts`` (B,).  An unstacked set has weights (m,),
+    locations (m, n) and the int ``counts`` = m.  ``evaluate`` derives the
+    vanishing-gradient cutoff of each set from its weights (``_cutoff``).
     """
 
     def __init__(self, weights, locations, params: Params):
@@ -115,8 +124,9 @@ class PoleSet:
         w, y, _ = _merged(w, y, np.zeros(len(w), dtype=np.intp))
         if not len(w):
             raise ValueError("at least one positive weight is required")
+        if _overflows(w):
+            raise ValueError("the sum of the weights overflows a double")
         self.weights, self.locations, self.params, self.counts = w, y, params, len(w)
-        self.gradient_epsilon = float(_cutoff(w))
         for a in (w, y):
             a.flags.writeable = False
 
@@ -144,13 +154,16 @@ class PoleSet:
         refused = np.bincount(row[w != 0.0], minlength=len(rows)) == 0
         valid = np.isfinite(w) & (w >= 0) & np.isfinite(y).all(axis=1)
         refused[row[~valid]] = True
-        if refused.any():
-            cls(*rows[np.argmax(refused)], params)  # raises that row's error
-        w, y, row = _merged(w, y, row)
+        keep = ~refused[row]  # a refused row is neither merged nor summed
+        w, y, row = _merged(w[keep], y[keep], row[keep])
         counts = np.bincount(row, minlength=len(rows))
-        real = np.arange(counts.max()) < counts[:, None]
+        # at least one column, so every row has a sum, 0 for a refused row
+        real = np.arange(counts.max(initial=1)) < counts[:, None]
         weights = np.zeros(real.shape)
         weights[real] = w
+        refused |= _overflows(weights)
+        if refused.any():
+            cls(*rows[np.argmax(refused)], params)  # raises that row's error
         locations = np.zeros(real.shape + (n,))
         locations[real] = y
         return cls._from_rows(weights, locations, counts, params)
@@ -167,8 +180,7 @@ class PoleSet:
         out.locations = np.where(real[..., None], locations, locations[:, :1])
         out.params = params
         out.counts = counts
-        out.gradient_epsilon = _cutoff(out.weights)
-        for a in (out.weights, out.locations, out.counts, out.gradient_epsilon):
+        for a in (out.weights, out.locations, out.counts):
             a.flags.writeable = False
         return out
 
@@ -179,11 +191,15 @@ class PoleSet:
 @dataclass(frozen=True)
 class EvalResult:
     """Assembled value/gradient/Hessian plus per-pole geometry, and what
-    the analytic routes read: |gradient|, the pole set and K, the per-pole
-    v'(r_i) and v''(r_i) and the Hessian of K (None for K = None).
+    the analytic routes read: |gradient|, where it vanishes, the pole set
+    and K, the per-pole v'(r_i) and v''(r_i) and the Hessian of K (None for
+    K = None).
 
-    angles[..., i] is the angle in [0, pi] between x - y_i and the total
-    gradient (0 by convention when the gradient vanishes).  At a pole the
+    ``vanishing`` marks the points where |gradient| is below the pole set's
+    cutoff 1e-12 max(1, sum_i a_i) (``_cutoff``): the one test of a
+    vanishing gradient the analytic routes read.  angles[..., i] is the
+    angle in [0, pi] between x - y_i and the total gradient, 0 by
+    convention where the gradient vanishes.  At a pole the
     value follows the pole rule of ``core._profile_value`` (+inf for
     1 < p <= n, else the finite value with that pole contributing 0).
 
@@ -198,6 +214,7 @@ class EvalResult:
     angles: np.ndarray
     distances: np.ndarray
     grad_norm: np.ndarray
+    vanishing: np.ndarray
     poles: PoleSet
     k: ConcaveTerm
     dv: np.ndarray
@@ -248,7 +265,7 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
     if not r.all():
         # on a pole: the value the pole rule gives, no derivatives
         value = _scalar(superposition_value(ps, k, x))
-        return EvalResult(value, None, None, None, r, None, ps, k, None, None, None)
+        return EvalResult(value, None, None, None, r, None, None, ps, k, None, None, None)
     v, dv, ddv = fundamental_profile(ps.params, r)
     a = ps.weights
     u = d / r[..., None]
@@ -265,12 +282,13 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
         grad += kg
         hess += kh
     gn = row_norm(grad)
-    big = gn > ps.gradient_epsilon
-    u_g = grad / np.maximum(gn, ps.gradient_epsilon)[..., None]
+    eps = _cutoff(a)
+    vanishing = gn < eps
+    u_g = grad / np.maximum(gn, eps)[..., None]
     proj = (d @ u_g[..., None])[..., 0]
     rej = d - proj[..., None] * u_g[..., None, :]
-    angles = np.where(big[..., None], np.arctan2(axis_norm(rej), proj), 0.0)
-    return EvalResult(_scalar(value), grad, hess, angles, r, gn, ps, k, dv, ddv, kh)
+    angles = np.where(vanishing[..., None], 0.0, np.arctan2(axis_norm(rej), proj))
+    return EvalResult(_scalar(value), grad, hess, angles, r, gn, vanishing, ps, k, dv, ddv, kh)
 
 
 def _finite_derivatives(res: EvalResult):
@@ -282,9 +300,8 @@ def _finite_derivatives(res: EvalResult):
 def _vanishing_gradient(res: EvalResult, exempt=False):
     """Where |gradient| vanishes outside ``exempt``; for p < 2 a vanishing
     gradient anywhere else is an error."""
-    ps = res.poles
-    vanishing = (res.grad_norm < ps.gradient_epsilon) & np.logical_not(exempt)
-    if ps.params.p < 2 and vanishing.any():
+    vanishing = res.vanishing & np.logical_not(exempt)
+    if res.poles.params.p < 2 and vanishing.any():
         raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
     return vanishing
 
@@ -297,13 +314,14 @@ def delta_p_direct(res: EvalResult):
     Hessian) everywhere.
     """
     grad, hess = _finite_derivatives(res)
-    p, gn, eps = res.poles.params.p, res.grad_norm, res.poles.gradient_epsilon
+    p, gn = res.poles.params.p, res.grad_norm
     trace = np.trace(hess, axis1=-2, axis2=-1)
     if p == 2:
         return _scalar(trace)
     vanishing = _vanishing_gradient(res)
-    # the maximum only keeps the masked rows finite
-    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.maximum(gn, eps) ** 2
+    # the 1 only keeps the masked rows finite
+    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0]
+    rayleigh /= np.where(vanishing, 1.0, gn) ** 2
     return _scalar(np.where(vanishing, 0.0, gn ** (p - 2) * ((p - 2) * rayleigh + trace)))
 
 
@@ -350,7 +368,7 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
             g += k.eval(z)[1]
         return g
 
-    return fd_p_laplacian(gradient, x, step, ps.params.p, ps.gradient_epsilon)
+    return fd_p_laplacian(gradient, x, step, ps.params.p, _cutoff(ps.weights))
 
 
 def delta_p_scale(res: EvalResult):
@@ -368,9 +386,9 @@ def delta_p_scale(res: EvalResult):
     total = np.maximum(total, 1e-300)
     if p == 2:
         return _scalar(total)
-    # the maximum only keeps the masked rows finite
-    power = np.maximum(gn, ps.gradient_epsilon) ** (p - 2)
-    return _scalar(np.where(gn < ps.gradient_epsilon, 1e-300, power * total))
+    # the 1 only keeps the masked rows finite
+    power = np.where(res.vanishing, 1.0, gn) ** (p - 2)
+    return _scalar(np.where(res.vanishing, 1e-300, power * total))
 
 
 # indexed by sign_classes' code: 0 and 1 the sign of the factor, then the zero lines, then p = 1

@@ -235,6 +235,33 @@ def test_a_batch_raises_what_its_worst_point_raises(case):
             assert got[2] == pytest.approx(alone, rel=1e-13, abs=1e-300) or math.isinf(alone)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+def test_vanishing_marks_exactly_the_rows_the_routes_zero(p):
+    """The vanishing case in a stack: rows 0 and 2 sit at the midpoint of a
+    symmetric pair, where grad V = 0 exactly, rows 1 and 3 do not."""
+    pair = ([1.0, 1.0], [[-1.0, 0.0], [1.0, 0.0]])
+    other = ([0.5, 1.5, 1.0], [[0.3, -0.2], [-0.6, 0.4], [1.0, 1.0]])
+    rows = [pair, other, pair, other]
+    stack = PoleSet.stack_rows(*zip(*rows), Params(p, 2))
+    x = np.array([[0.0, 0.0], [1.7, -1.3], [0.0, 0.0], [0.0, 0.0]])
+    res = evaluate(stack, None, x)
+    marked = np.array([True, False, True, False])
+    assert res.vanishing.tolist() == marked.tolist()
+    for b, (w, y) in enumerate(rows):
+        assert evaluate(PoleSet(w, y, Params(p, 2)), None, x[b]).vanishing == marked[b]
+    if p < 2:
+        for route in (delta_p_direct, delta_p_closed_form):
+            with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
+                route(res)
+        return
+    for route in (delta_p_direct, delta_p_closed_form):
+        got = route(res)
+        assert (got[marked] == 0).all() and (got[~marked] != 0).all(), route.__name__
+    scale = delta_p_scale(res)
+    assert (scale[marked] == 1e-300).all() and (scale[~marked] > 1e-300).all()
+    assert (res.angles[marked] == 0).all() and (res.angles[~marked] != 0).any(axis=-1).all()
+
+
 def test_a_batch_with_a_point_on_a_pole_gives_values_only():
     ps = PoleSet([1.0, 2.0], [[0.0, 0.0], [1.0, 0.5]], Params(2.5, 2))
     x = np.array([[1.7, -1.3], [1.0, 0.5], [-1.2, 1.9]])

@@ -252,9 +252,12 @@ def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
      "error: a quadratic concave term does not take delta, slopes"),
     ("evolution-sweep", HOMOGENEOUS_WITH_OTHER_KEYS,
      "error: a homogeneous sweep does not take a, t, kernel.big_c"),
+    ("eval", with_changes(poles=[{"weight": 1e308, "location": [0.0, 0.0]},
+                                 {"weight": 1e308, "location": [1.0, 0.0]}]),
+     "error: the sum of the weights overflows a double"),
 ], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension",
         "barenblatt_default_a_overflows", "barenblatt_large_a_overflows",
-        "quadratic_other_keys", "homogeneous_other_keys"])
+        "quadratic_other_keys", "homogeneous_other_keys", "weight_sum_overflows"])
 def test_config_error_line_names_the_defect(tmp_path, capsys, command, cfg, line):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)

@@ -297,7 +297,7 @@ def test_fd_p_laplacian_refuses_a_gradient_below_eps_for_p_below_2():
 def reference_delta_p_fd(ps, k, x, step=superpose.DEFAULT_FD_STEP):
     p = ps.params.p
     y, a = ps.locations[..., None, :, :], ps.weights[..., None, :]
-    eps = np.asarray(ps.gradient_epsilon)[..., None, None]
+    eps = np.asarray(superpose._cutoff(ps.weights))[..., None, None]
 
     def flux(z):
         d = z[..., None, :] - y

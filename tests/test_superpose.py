@@ -29,7 +29,13 @@ from plap.errors import (
     PoleSingularityError,
     UnsupportedConfigurationError,
 )
-from plap.superpose import DEFAULT_FD_STEP, near_pole, pole_distance, superposition_value
+from plap.superpose import (
+    DEFAULT_FD_STEP,
+    _cutoff,
+    near_pole,
+    pole_distance,
+    superposition_value,
+)
 
 
 def rel(a, b, scale=0.0):
@@ -62,7 +68,7 @@ def merged_by_the_loop(weights, locations):
 
 
 def summed_left_to_right(values):
-    """The reference sum behind ``gradient_epsilon``; Python's ``sum`` is
+    """The reference sum behind ``_cutoff``; Python's ``sum`` is
     compensated from 3.12 on."""
     total = 0.0
     for v in values:
@@ -96,7 +102,7 @@ def test_pole_set_merges_as_the_loop_does(n, rows):
     # the first location kept, down to the sign of a zero
     np.testing.assert_array_equal(np.signbit(ps.locations), np.signbit(want_y))
     assert ps.counts == len(ps) == len(want_w)
-    assert ps.gradient_epsilon == 1e-12 * max(1.0, summed_left_to_right(want_w))
+    assert _cutoff(ps.weights) == 1e-12 * max(1.0, summed_left_to_right(want_w))
 
 
 def test_pole_set_merge_matches_the_loop_on_a_large_set():
@@ -107,7 +113,7 @@ def test_pole_set_merge_matches_the_loop_on_a_large_set():
     want_w, want_y = merged_by_the_loop(weights, locations)
     np.testing.assert_array_equal(ps.weights, want_w)
     np.testing.assert_array_equal(ps.locations, want_y)
-    assert ps.gradient_epsilon == 1e-12 * max(1.0, summed_left_to_right(want_w))
+    assert _cutoff(ps.weights) == 1e-12 * max(1.0, summed_left_to_right(want_w))
 
 
 def test_pole_set_refuses_non_finite_input():
@@ -151,7 +157,7 @@ def test_pole_set_rejects_bad_input(weights, locations, match):
         PoleSet(weights, locations, Params(3, 2))
 
 
-STACK_FIELDS = ("weights", "locations", "counts", "gradient_epsilon")
+STACK_FIELDS = ("weights", "locations", "counts")
 DISTINCT_ROW = ([0.5, 1.5], [[0.3, -0.2], [-0.6, 0.4]])  # a row __init__ keeps as given
 
 
@@ -167,7 +173,7 @@ def assert_holds_each_set(stack, sets):
     assert stack.weights.shape == (len(sets), max(ps.counts for ps in sets))
     for b, ps in enumerate(sets):
         m = ps.counts
-        assert stack.counts[b] == m and stack.gradient_epsilon[b] == ps.gradient_epsilon
+        assert stack.counts[b] == m and _cutoff(stack.weights)[b] == _cutoff(ps.weights)
         assert stack.weights[b, :m].tobytes() == ps.weights.tobytes()
         assert stack.locations[b, :m].tobytes() == ps.locations.tobytes()
         assert not stack.weights[b, m:].any() and (stack.locations[b, m:] == ps.locations[0]).all()
@@ -219,6 +225,9 @@ def test_a_stack_of_raw_rows_is_the_stack_of_their_sets(monkeypatch, weights, lo
     ([-math.inf], [[0, 0]], "must be finite"),
     ([1.0], [[math.nan, 0]], "must be finite"),
     ([1.0, 2.0], [[0, 0], [math.inf, 1]], "must be finite"),
+    ([1e308, 1e308], [[0, 0], [1, 1]], "sum of the weights overflows"),
+    # the merged weight itself overflows
+    ([1e308, 1e308], [[0, 0], [0, 0]], "sum of the weights overflows"),
 ])
 def test_raw_rows_are_refused_as_their_sets_are(weights, locations, match):
     rows = [DISTINCT_ROW[0], weights], [DISTINCT_ROW[1], locations]
@@ -233,12 +242,21 @@ def test_raw_rows_are_refused_as_their_sets_are(weights, locations, match):
         # a refused row after a row that needs merging
         ([[1.0, 2.0], [1.0, math.nan]], [[[0, 0], [0, 0]], [[0, 0], [1, 1]]], "must be finite"),
         ([[1.0, 0.0, 2.0], [-1.0]], [[[0, 0], [1, 1], [0, 0]], [[0, 0]]], "non-negative"),
+        ([[1e308, 1e308], [-1.0]], [[[0, 0], [1, 1]], [[0, 0]]], "sum of the weights overflows"),
+        ([[-1.0], [1e308, 1e308]], [[[0, 0]], [[0, 0], [1, 1]]], "non-negative"),
     ):
         for build in (stack_of_sets, PoleSet.stack_rows):
             with pytest.raises(ValueError, match=first_error):
                 build(w_rows, y_rows, Params(3, 2))
     with pytest.raises(ValueError, match="at least one pole set"):
         PoleSet.stack_rows([], [], Params(3, 2))
+
+
+def test_weights_whose_sum_is_the_largest_doubles_are_taken():
+    weights = [1e308, 7e307]
+    ps = PoleSet(weights, [[0, 0], [1, 1]], Params(3, 2))
+    stack = PoleSet.stack_rows([weights, [1.0]], [[[0, 0], [1, 1]], [[0, 0]]], Params(3, 2))
+    assert _cutoff(ps.weights) == _cutoff(stack.weights)[0] == 1e-12 * summed_left_to_right(weights)
 
 
 def test_eval_single_pole_newtonian():

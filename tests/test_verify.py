@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from plap import cli, comparison, concave, evolution, superpose, verify
 from plap.core import Params
 from plap.errors import PlapError, SolverFailureError
+from plap.superpose import _cutoff
 from plap.verify import (
     BRACKET_XTOL,
     DEFAULT_SEED,
@@ -200,7 +201,7 @@ def test_the_draw_loop_gives_the_per_draw_report_and_generator_state(
     assert made[0].bit_generator.state == expected_rng.bit_generator.state
 
 
-FIELDS = ("weights", "locations", "counts", "gradient_epsilon")
+FIELDS = ("weights", "locations", "counts")
 
 
 @pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
@@ -225,11 +226,12 @@ def test_derived_stacks_equal_the_stacks_of_per_draw_sets(seed):
                     np.testing.assert_allclose(a[one], b[one], rtol=4e-16, atol=4e-16)
                     a, b = a[~one], b[~one]
                 assert np.array_equal(a, b), (key, name)
+            assert np.array_equal(_cutoff(got.weights), _cutoff(want.weights)), key
     assert one_pole_rows > 0
 
 
 def test_a_stack_holds_each_set_as_the_set_holds_itself():
-    """Rows of 1 to 130 poles: the sum behind ``gradient_epsilon`` runs left
+    """Rows of 1 to 130 poles: the sum behind ``_cutoff`` runs left
     to right over each row, so a padded row's zeros leave its set's own sum,
     also past 8 poles, where numpy's pairwise summation would not."""
     rng = np.random.default_rng(5)
@@ -240,7 +242,7 @@ def test_a_stack_holds_each_set_as_the_set_holds_itself():
     assert stack.counts.tolist() == [3, 1, 9, 130, 8, 3]
     for row, ps in enumerate(sets):
         m = ps.counts
-        assert stack.gradient_epsilon[row] == ps.gradient_epsilon
+        assert _cutoff(stack.weights)[row] == _cutoff(ps.weights)
         assert np.array_equal(stack.weights[row, :m], ps.weights)
         assert np.array_equal(stack.locations[row, :m], ps.locations)
         assert not stack.weights[row, m:].any()
