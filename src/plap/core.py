@@ -101,15 +101,9 @@ def _scalar(v):
     return v if getattr(v, "ndim", 0) else float(v)
 
 
-def row_norm(z):
-    """Euclidean norm along the last axis, each row rounded as
-    ``np.linalg.norm`` rounds a single vector."""
-    return np.sqrt(np.vecdot(z, z))
-
-
 def axis_norm(z, keepdims=False):
-    """Euclidean norm along the last axis of a float array, equal to
-    ``np.linalg.norm(z, axis=-1, keepdims=keepdims)`` bit for bit.
+    """The one Euclidean norm: along the last axis of a float array, equal
+    to ``np.linalg.norm(z, axis=-1, keepdims=keepdims)`` bit for bit.
 
     numpy sums fewer than 8 terms in order and 8 or more pairwise, so
     below 8 coordinates the squares are summed one coordinate at a time,
@@ -126,7 +120,7 @@ def axis_norm(z, keepdims=False):
 def fd_spacing(x, step: float):
     """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at
     points x of shape (..., n): shape (...), a float for one point."""
-    return _scalar(step * (1.0 + row_norm(x)))
+    return _scalar(step * (1.0 + axis_norm(np.asarray(x, dtype=float))))
 
 
 def fd_divergence(flux, x, step: float):
@@ -150,10 +144,10 @@ def fd_divergence(flux, x, step: float):
 
 
 def fd_p_laplacian(gradient, x, step: float, p: float, eps):
-    """``fd_divergence`` of the flux |g|^{p-2} g, where ``gradient`` gives
-    g on the stencil points.  A gradient of norm below ``eps``, which
-    broadcasts against the leading shape of x, carries zero flux for p >= 2
-    and is an error for p < 2."""
+    """``fd_divergence`` of the flux |g|^{p-2} g of the field ``gradient``
+    gives on the stencil points.  Where |g| < ``eps`` (``delta_p_fd``: its
+    pole set's ``_cutoff``; the evolution defects: 0), broadcast against
+    x's leading shape, the flux is 0 for p >= 2 and an error for p < 2."""
     eps = np.asarray(eps)[..., None, None]
 
     def flux(z):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, _scalar, fd_p_laplacian, row_norm
+from .core import Params, _scalar, axis_norm, fd_p_laplacian
 from .errors import UndefinedOperatorError, UnsupportedConfigurationError
 
 BARENBLATT = "barenblatt"
@@ -85,7 +85,7 @@ def _profile(k: EvolutionKernel, x, t):
         raise ValueError(f"points have shape {x.shape}, expected (..., {n})")
     t = np.asarray(t, dtype=float)
     _require_time(t)
-    r, t = np.broadcast_arrays(row_norm(x), t)
+    r, t = np.broadcast_arrays(axis_norm(x), t)
     shape = r.shape
     r, t = r.ravel(), t.ravel()
     g, coeff = _similarity(k)

@@ -31,7 +31,6 @@ from .core import (
     fd_p_laplacian,
     fd_spacing,
     fundamental_profile,
-    row_norm,
 )
 from .errors import (
     PoleSingularityError,
@@ -83,15 +82,9 @@ def _as_row(weights, locations):
 def _cutoff(weights):
     """The scale-aware cutoff 1e-12 max(1, sum_i a_i) below which |grad V|
     is treated as vanishing, per row of weights (..., m).  Summed left to
-    right, so a row's weight-0 padding leaves its set's own sum."""
-    return 1e-12 * np.maximum(1.0, np.cumsum(weights, axis=-1)[..., -1])
-
-
-def _overflows(weights):
-    """Per row of weights (..., m), m >= 1: whether the sum ``_cutoff``
-    takes overflows a double, which a pole set refuses."""
+    right, so padding leaves a set's own sum; a set refuses an inf sum."""
     with np.errstate(over="ignore"):
-        return np.isinf(_cutoff(weights))
+        return 1e-12 * np.maximum(1.0, np.cumsum(weights, axis=-1)[..., -1])
 
 
 class PoleSet:
@@ -99,14 +92,12 @@ class PoleSet:
 
     Duplicate locations are merged (weights summed left to right, the first
     location kept, in order of first occurrence) and zero-weight poles
-    dropped at construction; weights and locations must be finite, at
-    least one positive weight must remain, and the weights' left-to-right
-    sum must not overflow a double.
+    dropped at construction; weights, locations and the sum ``_cutoff``
+    takes must be finite, and at least one positive weight must remain.
 
     ``PoleSet.stack_rows`` makes a batch of sets: weights (B, m), locations
     (B, m, n) and ``counts`` (B,).  An unstacked set has weights (m,),
-    locations (m, n) and the int ``counts`` = m.  ``evaluate`` derives the
-    vanishing-gradient cutoff of each set from its weights (``_cutoff``).
+    locations (m, n) and the int ``counts`` = m.
     """
 
     def __init__(self, weights, locations, params: Params):
@@ -124,7 +115,7 @@ class PoleSet:
         w, y, _ = _merged(w, y, np.zeros(len(w), dtype=np.intp))
         if not len(w):
             raise ValueError("at least one positive weight is required")
-        if _overflows(w):
+        if np.isinf(_cutoff(w)):
             raise ValueError("the sum of the weights overflows a double")
         self.weights, self.locations, self.params, self.counts = w, y, params, len(w)
         for a in (w, y):
@@ -151,17 +142,15 @@ class PoleSet:
         w = np.concatenate([np.zeros(0)] + [w for w, _ in shaped])
         y = np.concatenate([np.zeros((0, n))] + [y for _, y in shaped])
         row = np.repeat(np.arange(len(rows)), counts)
-        refused = np.bincount(row[w != 0.0], minlength=len(rows)) == 0
         valid = np.isfinite(w) & (w >= 0) & np.isfinite(y).all(axis=1)
-        refused[row[~valid]] = True
-        keep = ~refused[row]  # a refused row is neither merged nor summed
+        keep = ~np.isin(row, row[~valid])  # a row with an invalid pole keeps none
         w, y, row = _merged(w[keep], y[keep], row[keep])
         counts = np.bincount(row, minlength=len(rows))
-        # at least one column, so every row has a sum, 0 for a refused row
+        # at least one column, so every row has a sum, 0 for a row without poles
         real = np.arange(counts.max(initial=1)) < counts[:, None]
         weights = np.zeros(real.shape)
         weights[real] = w
-        refused |= _overflows(weights)
+        refused = (counts == 0) | np.isinf(_cutoff(weights))
         if refused.any():
             cls(*rows[np.argmax(refused)], params)  # raises that row's error
         locations = np.zeros(real.shape + (n,))
@@ -190,17 +179,13 @@ class PoleSet:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Assembled value/gradient/Hessian plus per-pole geometry, and what
-    the analytic routes read: |gradient|, where it vanishes, the pole set
-    and K, the per-pole v'(r_i) and v''(r_i) and the Hessian of K (None for
-    K = None).
+    """Value, gradient, Hessian, per-pole geometry and what the analytic
+    routes read: |gradient|, ``vanishing`` (|gradient| < ``_cutoff``), the
+    pole set, K, v'(r_i), v''(r_i) and K's Hessian (None for K = None).
 
-    ``vanishing`` marks the points where |gradient| is below the pole set's
-    cutoff 1e-12 max(1, sum_i a_i) (``_cutoff``): the one test of a
-    vanishing gradient the analytic routes read.  angles[..., i] is the
-    angle in [0, pi] between x - y_i and the total gradient, 0 by
-    convention where the gradient vanishes.  At a pole the
-    value follows the pole rule of ``core._profile_value`` (+inf for
+    angles[..., i] is the angle in [0, pi] between x - y_i and the total
+    gradient (0 by convention where ``vanishing``).  At a pole the value
+    follows the pole rule of ``core._profile_value`` (+inf for
     1 < p <= n, else the finite value with that pole contributing 0).
 
     For points (..., n) every field keeps the leading shape; a single
@@ -245,7 +230,6 @@ def near_pole(ps: PoleSet, x, step: float):
     """Whether points x (..., n) are within 10 stencil spacings
     h = step (1 + |x|) of a pole: there ``delta_p_fd`` refuses and
     ``plap eval`` gives the value only.  A bool for one point."""
-    x = np.asarray(x, dtype=float)
     near = pole_distance(ps, x) <= 10 * fd_spacing(x, step)
     return bool(near) if near.ndim == 0 else near
 
@@ -281,10 +265,9 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
         value = value + kv
         grad += kg
         hess += kh
-    gn = row_norm(grad)
-    eps = _cutoff(a)
-    vanishing = gn < eps
-    u_g = grad / np.maximum(gn, eps)[..., None]
+    gn = axis_norm(grad)
+    vanishing = gn < _cutoff(a)
+    u_g = grad / np.where(vanishing, 1.0, gn)[..., None]
     proj = (d @ u_g[..., None])[..., 0]
     rej = d - proj[..., None] * u_g[..., None, :]
     angles = np.where(vanishing[..., None], 0.0, np.arctan2(axis_norm(rej), proj))
@@ -298,8 +281,8 @@ def _finite_derivatives(res: EvalResult):
 
 
 def _vanishing_gradient(res: EvalResult, exempt=False):
-    """Where |gradient| vanishes outside ``exempt``; for p < 2 a vanishing
-    gradient anywhere else is an error."""
+    """Where ``res.vanishing`` holds outside ``exempt``; for p < 2 a
+    vanishing gradient anywhere else is an error."""
     vanishing = res.vanishing & np.logical_not(exempt)
     if res.poles.params.p < 2 and vanishing.any():
         raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
@@ -320,8 +303,7 @@ def delta_p_direct(res: EvalResult):
         return _scalar(trace)
     vanishing = _vanishing_gradient(res)
     # the 1 only keeps the masked rows finite
-    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0]
-    rayleigh /= np.where(vanishing, 1.0, gn) ** 2
+    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.where(vanishing, 1.0, gn) ** 2
     return _scalar(np.where(vanishing, 0.0, gn ** (p - 2) * ((p - 2) * rayleigh + trace)))
 
 

@@ -81,11 +81,10 @@ def _pole_draw(rng, n, max_poles=8):
 
 def _points_away(rng, locations, count):
     """``count`` points (count, n), each drawn until it is
-    ``MIN_POLE_DISTANCE`` from every location, measured with
-    ``core.axis_norm`` as ``superpose.pole_distance`` measures it.  The
-    candidates still owed are drawn in one call, which reads the stream as
-    one call per candidate would, and the first ``count`` that pass are
-    kept, in order."""
+    ``MIN_POLE_DISTANCE`` from every location, as ``superpose.pole_distance``
+    measures it.  The candidates still owed are drawn in one call, which
+    reads the stream as one call per candidate would, and the first
+    ``count`` that pass are kept, in order."""
     n = locations.shape[1]
     points = rng.uniform(-2.0, 2.0, (count, n))
     while True:
@@ -343,7 +342,7 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
     offsets, times = [], []
     for _ in range(20):
         y = rng.uniform(-1, 1, 2)
-        if np.linalg.norm(y) < 0.1:
+        if axis_norm(y) < 0.1:
             continue
         offsets.append(y)
         times.append(rng.uniform(0.2, 5.0))
@@ -363,7 +362,7 @@ def verify_evolution(seed=DEFAULT_SEED) -> SuiteReport:
             if abs(r - radius) < 0.05 * support:
                 continue  # the defect crosses zero there
             direction = rng.standard_normal(n)
-            points.append(r * direction / np.linalg.norm(direction))
+            points.append(r * direction / axis_norm(direction))
         for a in (0.5, 2.0):
             lhs = evolution.barenblatt_defect_fd(kb, a, points, t)
             rhs = evolution.barenblatt_defect(kb, a, points, t)

@@ -1,4 +1,4 @@
-"""The package's export list and its one use of scipy."""
+"""The package's export list, its one use of scipy and its one Euclidean norm."""
 
 import ast
 import pathlib
@@ -32,3 +32,21 @@ def test_scipy_is_imported_only_for_the_banded_cholesky():
              for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
              for imp in _scipy_imports(ast.parse(path.read_text()), None)]
     assert found == [("comparison.py", "scipy.linalg", "_band_solve", ["solveh_banded"])]
+
+
+def _other_norms(tree):
+    """Every ``np.linalg.norm`` call (or any call of a ``norm``) and every
+    ``np.vecdot`` of an array with itself under ``tree``, as source."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).split(".")[-1]
+            args = [ast.dump(a) for a in node.args]
+            if name == "norm" or (name == "vecdot" and len(args) == 2 and args[0] == args[1]):
+                yield ast.unparse(node)
+
+
+def test_axis_norm_is_the_only_euclidean_norm():
+    found = [(path.name, call)
+             for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
+             for call in _other_norms(ast.parse(path.read_text()))]
+    assert found == []
