@@ -91,9 +91,9 @@ class GridDomain:
 
 
 class _Stencil:
-    """The cell gradient of a grid as a stencil over the 2^dim corners of
-    each cell, and the layout of the interior unknowns and of the lower
-    band of their Newton systems, refused above MAX_BAND_BYTES.
+    """The cell volume of a grid and its cell gradient as a stencil over the
+    2^dim corners of each cell; the layout of the interior unknowns and of
+    the lower band of their Newton systems, refused above MAX_BAND_BYTES.
 
     Corner k of a cell lies ``corners[k]`` (0 or 1 per axis) above the
     cell's lowest node; ``weights[k, j]`` is its weight in the gradient
@@ -123,6 +123,7 @@ class _Stencil:
             for c in self.corners
         ])
         self.cell_shape = tuple(m - 1 for m in dom.shape)
+        self.cell_vol = float(np.prod(dom.spacing))
         self.inner = dom.interior
         # node values at corner k of every cell, and the cells that have
         # an interior node at corner k, in interior-node order
@@ -187,25 +188,25 @@ class _Stencil:
         return ab.T
 
 
-def _energy_state(st: _Stencil, u, x, p, cell_vol):
+def _energy_state(st: _Stencil, u, x, p):
     """Energy at the unknowns x, written into the node array u, its
     gradient over the unknowns and the per-cell gradient g,
     q = |g|^2 + eps^2 and weight w = q^{(p-2)/2}."""
     st.scatter(u, x)
     g = st.gradient(u)
     q = np.sum(g**2, axis=0) + REG_EPS**2
-    energy = cell_vol * float(np.sum(q ** (p / 2)))
+    energy = st.cell_vol * float(np.sum(q ** (p / 2)))
     w = q ** ((p - 2) / 2)
-    grad_e = p * cell_vol * st.divergence(w * g)
+    grad_e = p * st.cell_vol * st.divergence(w * g)
     return energy, grad_e, (g, q, w)
 
 
-def _hessian(st: _Stencil, state, p, cell_vol):
+def _hessian(st: _Stencil, state, p):
     """Lower band of the exact Hessian G_I^T B G_I of the regularized
     energy, B the per-cell blocks p vol (w I + (p-2) q^{(p-4)/2} g g^T);
     positive definite for p >= 2."""
     g, q, w = state
-    scale = p * cell_vol
+    scale = p * st.cell_vol
     return st.band(scale * w, scale * (p - 2) * q ** ((p - 4) / 2), g)
 
 
@@ -233,36 +234,36 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndar
     SolverFailureError if the energy-gradient sup-norm does not reach
     NEWTON_TOL within MAX_NEWTON_ITER iterations or a Newton system is not
     positive definite, and UnsupportedConfigurationError if its band
-    exceeds MAX_BAND_BYTES.
+    exceeds MAX_BAND_BYTES or a boundary value is not finite.
     """
     if not p >= 2:
         raise ValueError("the solver covers p >= 2 only")
-    st = _Stencil(dom)
-    boundary = np.asarray(boundary, dtype=float)
-    if boundary.shape != dom.shape:
+    if np.shape(boundary) != dom.shape:
         raise ValueError("boundary array does not match the grid shape")
-    bmask = dom.boundary_mask()
-    if not np.all(np.isfinite(boundary[bmask])):
-        raise ValueError("boundary values must be finite")
+    return _solve(_Stencil(dom), boundary, p)
 
-    cell_vol = float(np.prod(dom.spacing))
-    u = boundary.copy()
 
+def _solve(st: _Stencil, boundary, p):
+    """The one Newton core of every grid solve, on the grid of ``st`` from
+    the p = 2 start, as ``solve_p_harmonic`` documents it."""
+    u = np.array(boundary, dtype=float)
+    u[st.inner] = 0.0
+    if not np.all(np.isfinite(u)):
+        raise UnsupportedConfigurationError("boundary values must be finite")
     # initial guess: the unweighted (p = 2) discrete-harmonic extension,
     # G_I^T G_I x = -G_I^T G_B u_B
-    u[st.inner] = 0.0
     rhs = -st.divergence(st.gradient(u))
     x = _band_solve(st.band(np.ones(st.cell_shape)), rhs, residual=float(np.abs(rhs).max()))
-    energy, grad_e, state = _energy_state(st, u, x, p, cell_vol)
+    energy, grad_e, state = _energy_state(st, u, x, p)
     residual = float(np.abs(grad_e).max())
     for _ in range(MAX_NEWTON_ITER):
         if residual <= NEWTON_TOL:
             break
-        direction = _band_solve(_hessian(st, state, p, cell_vol), -grad_e, residual)
+        direction = _band_solve(_hessian(st, state, p), -grad_e, residual)
         step = 1.0
         while step > 2.0**-40:
             x_trial = x + step * direction
-            trial = _energy_state(st, u, x_trial, p, cell_vol)
+            trial = _energy_state(st, u, x_trial, p)
             if trial[0] <= energy * (1 + 1e-15) + 1e-300:
                 x, (energy, grad_e, state) = x_trial, trial
                 break
@@ -337,7 +338,7 @@ def comparison_check(
     p = ps.params.p
     if not p > 2:
         raise UnsupportedConfigurationError("the comparison harness requires p > 2")
-    _Stencil(dom)  # refuses an oversized band before the W grid is built
+    st = _Stencil(dom)  # refuses an oversized band before the W grid is built
     if tol is None:
         tol = COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
 
@@ -349,8 +350,9 @@ def comparison_check(
             "a pole lies on (or within the excision radius of) the boundary"
         )
 
-    boundary_data = w_grid + shift
-    h = solve_p_harmonic(dom, boundary_data, p)
+    with np.errstate(over="ignore"):  # _solve refuses an infinite boundary value
+        boundary_data = w_grid + shift
+    h = _solve(st, boundary_data, p)
     gap = w_grid - h
 
     interior = ~bmask & ~near_pole

@@ -255,9 +255,14 @@ def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     ("eval", with_changes(poles=[{"weight": 1e308, "location": [0.0, 0.0]},
                                  {"weight": 1e308, "location": [1.0, 0.0]}]),
      "error: the sum of the weights overflows a double"),
+    # W is finite, W + shift is not
+    ("compare", dict(COMPARE_CFG, shift=1.7e308, concave={"kind": "quadratic", "c0": 1.7e308,
+                                                          "a_matrix": (-np.eye(2)).tolist()}),
+     "error: boundary values must be finite"),
 ], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension",
         "barenblatt_default_a_overflows", "barenblatt_large_a_overflows",
-        "quadratic_other_keys", "homogeneous_other_keys", "weight_sum_overflows"])
+        "quadratic_other_keys", "homogeneous_other_keys", "weight_sum_overflows",
+        "shifted_boundary_overflows"])
 def test_config_error_line_names_the_defect(tmp_path, capsys, command, cfg, line):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)
@@ -484,7 +489,7 @@ def test_solver_failure_exits_1_with_its_residual(tmp_path, capsys, monkeypatch,
     def fail(*args):
         raise SolverFailureError("no convergence", residual=0.5)
 
-    monkeypatch.setattr(comparison, "solve_p_harmonic", fail)
+    monkeypatch.setattr(comparison, "_solve", fail)
     if command == "verify":
         args = ["verify", "--suite", "comparison"]
     else:

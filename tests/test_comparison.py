@@ -96,6 +96,24 @@ def test_solver_rejects_p_below_two(square_65):
         solve_p_harmonic(square_65, np.zeros(square_65.shape), 1.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node", [(0, 0), (0, 4), (8, 3)], ids=["corner", "low_face", "high_face"])
+def test_solver_refuses_a_non_finite_boundary_node(value, node):
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(9, 9))
+    data = smooth_data(dom)
+    data[node] = value
+    with pytest.raises(ValueError, match="boundary values must be finite"):
+        solve_p_harmonic(dom, data, 3.0)
+
+
+def test_solver_ignores_a_nan_interior_entry():
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(9, 9))
+    data = smooth_data(dom)
+    sol = solve_p_harmonic(dom, data, 3.0)
+    data[4, 5] = math.nan
+    assert np.array_equal(solve_p_harmonic(dom, data, 3.0), sol)
+
+
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
 def test_discrete_maximum_principle(p):
     dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33))
@@ -176,9 +194,8 @@ def dense(ab):
 def stencil_state(dom, boundary, x, p):
     """The stencil, the energy state at the unknowns x and its Newton band."""
     st = _Stencil(dom)
-    cell_vol = float(np.prod(dom.spacing))
-    energy, grad_e, state = _energy_state(st, boundary.copy(), x, p, cell_vol)
-    return st, energy, grad_e, _hessian(st, state, p, cell_vol)
+    energy, grad_e, state = _energy_state(st, boundary.copy(), x, p)
+    return st, energy, grad_e, _hessian(st, state, p)
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (65, 65), (33, 9), (9, 13, 21), (17, 17, 17)])
@@ -209,10 +226,10 @@ def test_hessian_matches_central_differences(shape, p):
     dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
     boundary = rng.standard_normal(shape)
     x = rng.standard_normal(math.prod(m - 2 for m in shape))
-    st, cell_vol = _Stencil(dom), float(np.prod(dom.spacing))
+    st = _Stencil(dom)
 
     def gradient(z):
-        return _energy_state(st, boundary.copy(), z, p, cell_vol)[1]
+        return _energy_state(st, boundary.copy(), z, p)[1]
 
     hess = dense(stencil_state(dom, boundary, x, p)[3])
     step = 1e-6
@@ -410,6 +427,14 @@ def test_default_tolerance_scales_as_the_square_of_the_spacing(bounds, shape, fa
     report = comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
     assert report.tol == comparison.COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
     assert report.tol == comparison.COMPARISON_TOL * factor
+
+
+def test_comparison_check_builds_one_stencil(monkeypatch):
+    built = []
+    monkeypatch.setattr(comparison, "_Stencil", lambda dom: built.append(dom) or _Stencil(dom))
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
+    comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
+    assert built == [dom]
 
 
 def test_refinement_shrinks_violations():
