@@ -340,7 +340,12 @@ def comparison_check(
         raise UnsupportedConfigurationError("the comparison harness requires p > 2")
     st = _Stencil(dom)  # refuses an oversized band before the W grid is built
     if tol is None:
-        tol = COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
+        try:  # ldexp, unlike 32 * h, raises OverflowError as the square does
+            tol = COMPARISON_TOL * math.ldexp(max(dom.spacing), 5) ** 2
+        except OverflowError:
+            raise UnsupportedConfigurationError(
+                f"the default tolerance overflows a double for a grid spacing of {max(dom.spacing)!r}"
+            ) from None
 
     w_grid = superposition_grid(ps, k, dom)
     bmask = dom.boundary_mask()

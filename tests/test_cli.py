@@ -259,10 +259,12 @@ def test_config_error_in_a_subcommand_exits_2(tmp_path, capsys, command, cfg):
     ("compare", dict(COMPARE_CFG, shift=1.7e308, concave={"kind": "quadratic", "c0": 1.7e308,
                                                           "a_matrix": (-np.eye(2)).tolist()}),
      "error: boundary values must be finite"),
+    ("compare", dict(COMPARE_CFG, grid={"bounds": [[-1e154, 1e154], [-1, 1]], "shape": [9, 9]}),
+     "error: the default tolerance overflows a double for a grid spacing of 2.5e+153"),
 ], ids=["quadratic_keys", "affine_min_keys", "mollified_keys", "grid_dimension",
         "barenblatt_default_a_overflows", "barenblatt_large_a_overflows",
         "quadratic_other_keys", "homogeneous_other_keys", "weight_sum_overflows",
-        "shifted_boundary_overflows"])
+        "shifted_boundary_overflows", "default_tolerance_overflows"])
 def test_config_error_line_names_the_defect(tmp_path, capsys, command, cfg, line):
     path = tmp_path / "cfg.json"
     write_json(path, cfg)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,6 +428,38 @@ def test_default_tolerance_scales_as_the_square_of_the_spacing(bounds, shape, fa
     report = comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
     assert report.tol == comparison.COMPARISON_TOL * (32 * max(dom.spacing)) ** 2
     assert report.tol == comparison.COMPARISON_TOL * factor
+
+
+def largest_spacing_with_a_default_tolerance():
+    """The largest h whose (32 h)^2 is a double."""
+    h = math.sqrt(np.finfo(float).max) / 32
+    while True:
+        try:
+            return h, (32 * h) ** 2
+        except OverflowError:
+            h = math.nextafter(h, 0)
+
+
+@pytest.mark.parametrize("half_width", [
+    1e154, 4 * math.nextafter(largest_spacing_with_a_default_tolerance()[0], math.inf), 8e307,
+], ids=["square_overflows", "next_spacing", "scaled_spacing_overflows"])
+def test_default_tolerance_that_overflows_is_refused_before_w_is_built(monkeypatch, half_width):
+    dom = GridDomain(bounds=[(-half_width, half_width), (-1, 1)], shape=(9, 9))
+    monkeypatch.setattr(comparison, "superposition_grid", None)  # nothing is evaluated
+    line = f"overflows a double for a grid spacing of {max(dom.spacing)!r}"
+    with pytest.raises(UnsupportedConfigurationError, match=re.escape(line)):
+        comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
+
+
+def test_largest_default_tolerance_keeps_its_bits(monkeypatch):
+    h, square = largest_spacing_with_a_default_tolerance()
+    dom = GridDomain(bounds=[(-4 * h, 4 * h)] * 2, shape=(9, 9))
+    assert max(dom.spacing) == h
+    # the tolerance is all this checks: W is zero and the solve returns its data
+    monkeypatch.setattr(comparison, "superposition_grid", lambda ps, k, dom: np.zeros(dom.shape))
+    monkeypatch.setattr(comparison, "_solve", lambda st, boundary, p: boundary)
+    report = comparison_check(PoleSet([1.0], [[0.0, 0.0]], Params(3, 2, 1.0)), None, dom)
+    assert report.tol == comparison.COMPARISON_TOL * square
 
 
 def test_comparison_check_builds_one_stencil(monkeypatch):
