@@ -202,7 +202,7 @@ def _by_size(draws):
 def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
     """Each check's draw loop makes only the draws and the decisions later
     draws depend on; its matrices are then built and checked per size n,
-    and V + K per (p, n) class."""
+    and V + K per (p, n, pole count) class."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("concave")
 
@@ -239,21 +239,14 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
         g, lam = _nsd_draw(rng, n)
         b, c0 = rng.uniform(-1, 1, n), float(rng.uniform(-1, 1))
         x = _points_away(rng, y, 5)
-        classes.setdefault((p, n), []).append((w, y, g, lam, b, c0, x))
+        classes.setdefault((p, n, len(w)), []).append((w, y, g, lam, b, c0, x))
     signs = []
-    for (p, n), trials in classes.items():
+    # one evaluation per (p, n, pole count): no row is padded, so each rounds as alone
+    for (p, n, _), trials in classes.items():
         w, y, g, lam, b, c0, x = zip(*trials)
-        stack = superpose.PoleSet.stack_rows(w, y, Params(p, n, 1.0))
-        a, b, c0 = _nsd(np.array(g), np.array(lam)), np.array(b), np.array(c0)
-        x = np.stack(x, axis=1)
-        # one evaluation per pole count: no row is padded, so each rounds as alone
-        for count in np.unique(stack.counts):
-            rows = stack.counts == count
-            ps = superpose.PoleSet._from_rows(stack.weights[rows, :count],
-                                              stack.locations[rows, :count],
-                                              stack.counts[rows], stack.params)
-            k = concave.QuadraticTerm(a[rows], b=b[rows], c0=c0[rows])
-            signs.append(superpose.delta_p_direct(superpose.evaluate(ps, k, x[:, rows])))
+        ps = superpose.PoleSet.stack_rows(w, y, Params(p, n, 1.0))
+        k = concave.QuadraticTerm(_nsd(np.array(g), np.array(lam)), b=np.array(b), c0=np.array(c0))
+        signs.append(superpose.delta_p_direct(superpose.evaluate(ps, k, np.stack(x, axis=1))))
     # the largest value of Δ_p(V + K) itself, so its margin shows
     rep.add("concave_superposition_sign", _worst(signs, floor=-np.inf), 1e-10)
 
