@@ -360,15 +360,23 @@ def cmd_evolution_sweep(args):
         x = np.zeros((radii.size, params.n))
         x[:, 0] = radii
         header, column = "radius", radii
-        derivative = evolution.kernel_time_derivative(kernel, x, t)
-        defect = evolution.barenblatt_defect(kernel, a, x, t)
     else:
         y = np.asarray(cfg["y"], dtype=float)
         if y.shape != (params.n,):
             _usage_error(f"error: the bump offset y has {y.size} coordinates, but n = {params.n}")
         header, column = "t", np.geomspace(sweep["min"], sweep["max"], int(sweep["count"]))
-        derivative = evolution.kernel_time_derivative(kernel, y, column)
-        defect = evolution.two_bump_defect(kernel, y, column)
+    # a row that overflows is refused below, after the whole sweep
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kernel.kind == evolution.BARENBLATT:
+            derivative = evolution.kernel_time_derivative(kernel, x, t)
+            defect = evolution.barenblatt_defect(kernel, a, x, t)
+        else:
+            derivative = evolution.kernel_time_derivative(kernel, y, column)
+            defect = evolution.two_bump_defect(kernel, y, column)
+    finite = np.isfinite(derivative) & np.isfinite(defect)
+    if not finite.all():
+        raise PlapError(f"the kernel time derivative or the defect is not finite at {header} "
+                        f"{float(column[np.argmin(finite)])!r}")
     _write_csv(args.out, [header, "kernel_time_derivative", "defect", "defect_sign"],
                [column, derivative, defect, np.sign(defect).astype(int)])
     return EXIT_OK

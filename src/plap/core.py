@@ -9,6 +9,11 @@ A radial function f(x) = v(|x - y|) has
 and the fundamental solution has v'(r) = -c * r^((1-n)/(p-1)), which makes
 (p-1) v'' + (n-1) v'/r vanish identically.  Also the central-difference
 p-Laplacian shared by the finite-difference oracles.
+
+The profile functions, ``big_c_at`` and ``fd_p_laplacian`` also take an
+array of exponents, one p per row of a stack of pole sets of mixed p
+(``superpose.PoleSet.p``), and give each element the bits it has with its
+own p alone.
 """
 
 import math
@@ -48,14 +53,46 @@ class Params:
 
         Recomputed on access so it can never go stale.
         """
-        p, n = self.p, self.n
-        return self.c * (p - 2) * (p + n - 2) / (p - 1)
+        return self.big_c_at(self.p)
+
+    def big_c_at(self, p):
+        """``big_c`` at the exponent p in place of ``self.p``: a float or an
+        array of exponents."""
+        return self.c * (p - 2) * (p + self.n - 2) / (p - 1)
 
 
-def _profile_slope(params: Params, r):
+def _power(x, e):
+    """x ** e for an exponent e that is a float or an array broadcast
+    against x, each element rounded as x ** float(e) rounds it.
+
+    numpy takes x ** 0.5, x ** 2.0 and x ** -1.0 of a float exponent
+    through sqrt, square and reciprocal, but np.power of an array exponent
+    through pow, which rounds otherwise in about 5 % of elements; for every
+    other exponent the two agree bit for bit (numpy 2.4;
+    ``tests/test_batched_routes.py`` checks the exponents of verify's p)."""
+    if not isinstance(e, np.ndarray):
+        return x ** e
+    out = np.power(x, e)
+    for fast, f in ((0.5, np.sqrt), (2.0, np.square), (-1.0, np.reciprocal)):
+        f(x, out=out, where=e == fast)
+    return out
+
+
+def _some(test):
+    """A test of the exponent: the bool itself for one p, whether it holds
+    in some row for an array of one p per row."""
+    return test.any() if isinstance(test, np.ndarray) else test
+
+
+def _profile_slope(params: Params, r, p=None):
     """v'(r) = -c r^e with e = (1-n)/(p-1), at radii r > 0 and without the
-    pole rule: the flux of the finite-difference oracle needs v' alone."""
-    return -params.c * r ** ((1 - params.n) / (params.p - 1))
+    pole rule: the flux of the finite-difference oracle needs v' alone.
+
+    ``p``, in this function and the other profile functions, is the
+    exponent in place of ``params.p``: a float, or an array of one p per
+    row that broadcasts against r."""
+    p = params.p if p is None else p
+    return -params.c * _power(r, (1 - params.n) / (p - 1))
 
 
 def _off_pole(r):
@@ -69,7 +106,7 @@ def _off_pole(r):
     return r if pole is None else np.where(pole, 1.0, r), pole
 
 
-def _profile_value(params: Params, r):
+def _profile_value(params: Params, r, p=None):
     """The profile v alone at radii r >= 0 of any shape: -c (p-1)/(p-n)
     r^((p-n)/(p-1)) for p != n, -c ln r for p = n (by exact equality).
 
@@ -77,20 +114,30 @@ def _profile_value(params: Params, r):
     when (p-n)/(p-1) <= 0, i.e. 1 < p <= n (the log case p = n included),
     and otherwise its limit v = 0."""
     r, pole = _off_pole(r)
-    p, n, c = params.p, params.n, params.c
+    p = params.p if p is None else p
+    n, c = params.n, params.c
     a = (p - n) / (p - 1)
-    v = -c * np.log(r) if p == n else -c * (p - 1) / (p - n) * r**a
-    return v if pole is None else np.where(pole, math.inf if a <= 0 else 0.0, v)
+    if not isinstance(p, np.ndarray):
+        v = -c * np.log(r) if p == n else -c * (p - 1) / (p - n) * r**a
+    else:
+        # a row of p = n takes the log: its quotient, over 1 in place of
+        # p - n = 0, and its power r^0 = 1 are dropped
+        log = p == n
+        v = -c * (p - 1) / np.where(log, 1.0, p - n) * _power(r, a)
+        if log.any():
+            v = np.where(log, -c * np.log(r), v)
+    return v if pole is None else np.where(pole, np.where(a <= 0, math.inf, 0.0), v)
 
 
-def fundamental_profile(params: Params, r):
+def fundamental_profile(params: Params, r, p=None):
     """Closed-form profile v, v', v'' at radii r >= 0 of any shape, v from
     ``_profile_value``; v' and v'' are NaN at r = 0, since derivatives are
     unavailable at any pole."""
-    v = _profile_value(params, r)
+    v = _profile_value(params, r, p)
     r, pole = _off_pole(r)
-    e = (1 - params.n) / (params.p - 1)
-    dv, ddv = _profile_slope(params, r), -params.c * e * r ** (e - 1)
+    p = params.p if p is None else p
+    e = (1 - params.n) / (p - 1)
+    dv, ddv = _profile_slope(params, r, p), -params.c * e * _power(r, e - 1)
     if pole is not None:
         dv, ddv = np.where(pole, math.nan, dv), np.where(pole, math.nan, ddv)
     return v, dv, ddv
@@ -143,19 +190,22 @@ def fd_divergence(flux, x, step: float):
     return _scalar(np.sum(diag / (2 * h), axis=-1))
 
 
-def fd_p_laplacian(gradient, x, step: float, p: float, eps):
+def fd_p_laplacian(gradient, x, step: float, p, eps):
     """``fd_divergence`` of the flux |g|^{p-2} g of the field ``gradient``
     gives on the stencil points.  Where |g| < ``eps`` (``delta_p_fd``: its
-    pole set's ``_cutoff``; the evolution defects: 0), broadcast against
-    x's leading shape, the flux is 0 for p >= 2 and an error for p < 2."""
+    pole set's ``_cutoff``; the evolution defects: 0), the flux is 0 for
+    p >= 2 and an error for p < 2.  p, a float, and eps may be arrays
+    broadcast against x's leading shape (``delta_p_fd`` on a stack)."""
     eps = np.asarray(eps)[..., None, None]
+    if isinstance(p, np.ndarray):
+        p = p[..., None, None]
 
     def flux(z):
         g = gradient(z)
         gn = axis_norm(g, keepdims=True)
         vanishing = gn < eps
-        if p < 2 and vanishing.any():
+        if _some(p < 2) and (vanishing & (p < 2)).any():
             raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
-        return np.where(vanishing, 0.0, gn ** (p - 2) * g)
+        return np.where(vanishing, 0.0, _power(gn, p - 2) * g)
 
     return fd_divergence(flux, x, step)

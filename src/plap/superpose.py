@@ -12,6 +12,9 @@ gradient from (ps, k, x), so it stays independent of that evaluation.
 Points have shape (..., n).  A stacked ``PoleSet`` (``PoleSet.stack_rows``)
 holds B sets at once, and its batch axis broadcasts against the points'
 leading shape, so points (B, n) give every set's result at its own point.
+The sets of a stack share n and c; each may have its own p, which then
+broadcasts as the weights do, and every row rounds as it does in a stack of
+its own p.
 
 Also the (p, n) sign classifier of the superposition's p-Laplacian.
 """
@@ -25,8 +28,10 @@ from .concave import ConcaveTerm
 from .core import (
     Params,
     _profile_slope,
+    _power,
     _profile_value,
     _scalar,
+    _some,
     axis_norm,
     fd_p_laplacian,
     fd_spacing,
@@ -98,6 +103,10 @@ class PoleSet:
     ``PoleSet.stack_rows`` makes a batch of sets: weights (B, m), locations
     (B, m, n) and ``counts`` (B,).  An unstacked set has weights (m,),
     locations (m, n) and the int ``counts`` = m.
+
+    ``p`` is the exponent of each set: the float ``params.p`` for a set or
+    a stack of one p; for a stack of mixed p an array (B,) of each row's p,
+    and ``params``, the first row's, then gives only n and c.
     """
 
     def __init__(self, weights, locations, params: Params):
@@ -118,6 +127,7 @@ class PoleSet:
         if np.isinf(_cutoff(w)):
             raise ValueError("the sum of the weights overflows a double")
         self.weights, self.locations, self.params, self.counts = w, y, params, len(w)
+        self.p = params.p
         for a in (w, y):
             a.flags.writeable = False
 
@@ -125,7 +135,9 @@ class PoleSet:
     def stack_rows(cls, weights, locations, params):
         """One batch of the sets ``PoleSet(w, y, params)`` for w, y in
         ``zip(weights, locations)``, without a set per row; the first
-        refused row raises its set's error.
+        refused row raises its set's error.  ``params`` is one ``Params``
+        for every row, or a sequence of one per row that share n and c: the
+        rows may then differ in p.
 
         Each row is merged as ``__init__`` merges a set.  A row with fewer
         poles than the longest is padded with weight-0 copies of its own
@@ -135,7 +147,13 @@ class PoleSet:
         rows = [_as_row(w, y) for w, y in zip(weights, locations, strict=True)]
         if not rows:
             raise ValueError("need at least one pole set to stack")
-        n = params.n
+        row_params = [params] * len(rows) if isinstance(params, Params) else list(params)
+        if len(row_params) != len(rows):
+            raise ValueError("need one Params per row")
+        params = row_params[0]
+        n, p = params.n, np.array([q.p for q in row_params], dtype=float)
+        if any((q.n, q.c) != (n, params.c) for q in row_params):
+            raise ValueError("the rows of a stack must share n and c")
         # a row of another shape counts as empty, so it is refused
         counts = [len(w) if w.ndim == 1 and y.shape == (len(w), n) else 0 for w, y in rows]
         shaped = [r for r, c in zip(rows, counts) if c]
@@ -152,22 +170,27 @@ class PoleSet:
         weights[real] = w
         refused = (counts == 0) | np.isinf(_cutoff(weights))
         if refused.any():
-            cls(*rows[np.argmax(refused)], params)  # raises that row's error
+            first = np.argmax(refused)
+            cls(*rows[first], row_params[first])  # raises that row's error
         locations = np.zeros(real.shape + (n,))
         locations[real] = y
-        return cls._from_rows(weights, locations, counts, params)
+        if (p == params.p).all():
+            p = params.p  # the float: a stack of one p runs a set's arithmetic
+        else:
+            p.flags.writeable = False
+        return cls._from_rows(weights, locations, counts, params, p)
 
     @classmethod
-    def _from_rows(cls, weights, locations, counts, params):
+    def _from_rows(cls, weights, locations, counts, params, p):
         """The stack whose row b holds the first ``counts[b]`` poles of
         ``weights`` (B, m) and ``locations`` (B, m, n), padded as
-        ``stack_rows`` pads; the rows are taken as merged sets, so nothing
-        is merged."""
+        ``stack_rows`` pads, with exponents ``p`` (``PoleSet.p``); the rows
+        are taken as merged sets, so nothing is merged."""
         real = np.arange(weights.shape[1]) < counts[:, None]
         out = cls.__new__(cls)
         out.weights = np.where(real, weights, 0.0)
         out.locations = np.where(real[..., None], locations, locations[:, :1])
-        out.params = params
+        out.params, out.p = params, p
         out.counts = counts
         for a in (out.weights, out.locations, out.counts):
             a.flags.writeable = False
@@ -211,6 +234,14 @@ class EvalResult:
         return self.gradient is not None
 
 
+def _aligned_p(ps: PoleSet, axes=0):
+    """``ps.p``, for a stack of mixed p with ``axes`` unit axes appended, so
+    that it broadcasts against arrays whose batch axis, followed by ``axes``
+    more, is the stack's: axes 1 for per-pole arrays, as ``ps.weights``,
+    and 2 on the FD stencil."""
+    return ps.p.reshape(ps.p.shape + (1,) * axes) if isinstance(ps.p, np.ndarray) else ps.p
+
+
 def _offsets(ps: PoleSet, x):
     """Offsets x - y_i and radii r_i of points x (..., n) against every
     pole, pole axis second to last; refuses points without n coordinates."""
@@ -238,7 +269,7 @@ def superposition_value(ps: PoleSet, k: ConcaveTerm, x):
     """V + K at points x of shape (..., n) from values alone, so a kink of K
     is harmless; a point on a pole follows the pole rule."""
     # a padded pole (weight 0) on x must not add 0 * inf
-    v = np.where(ps.weights > 0, _profile_value(ps.params, _offsets(ps, x)[1]), 0.0)
+    v = np.where(ps.weights > 0, _profile_value(ps.params, _offsets(ps, x)[1], _aligned_p(ps, 1)), 0.0)
     return np.vecdot(v, ps.weights) + (0.0 if k is None else k.value(x))
 
 
@@ -250,7 +281,7 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
         # on a pole: the value the pole rule gives, no derivatives
         value = _scalar(superposition_value(ps, k, x))
         return EvalResult(value, None, None, None, r, None, None, ps, k, None, None, None)
-    v, dv, ddv = fundamental_profile(ps.params, r)
+    v, dv, ddv = fundamental_profile(ps.params, r, _aligned_p(ps, 1))
     a = ps.weights
     u = d / r[..., None]
     t = a * dv / r
@@ -282,9 +313,11 @@ def _finite_derivatives(res: EvalResult):
 
 def _vanishing_gradient(res: EvalResult, exempt=False):
     """Where ``res.vanishing`` holds outside ``exempt``; for p < 2 a
-    vanishing gradient anywhere else is an error."""
+    vanishing gradient anywhere else is an error (in a row of p < 2 of a
+    stack of mixed p: the other rows do not raise)."""
     vanishing = res.vanishing & np.logical_not(exempt)
-    if res.poles.params.p < 2 and vanishing.any():
+    below = _aligned_p(res.poles) < 2
+    if _some(below) and (vanishing & below).any():
         raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
     return vanishing
 
@@ -297,14 +330,16 @@ def delta_p_direct(res: EvalResult):
     Hessian) everywhere.
     """
     grad, hess = _finite_derivatives(res)
-    p, gn = res.poles.params.p, res.grad_norm
+    p, gn = _aligned_p(res.poles), res.grad_norm
     trace = np.trace(hess, axis1=-2, axis2=-1)
-    if p == 2:
+    if not _some(p != 2):
         return _scalar(trace)
     vanishing = _vanishing_gradient(res)
     # the 1 only keeps the masked rows finite
     rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.where(vanishing, 1.0, gn) ** 2
-    return _scalar(np.where(vanishing, 0.0, gn ** (p - 2) * ((p - 2) * rayleigh + trace)))
+    direct = np.where(vanishing, 0.0, _power(gn, p - 2) * ((p - 2) * rayleigh + trace))
+    # the rows of p = 2 of a stack of mixed p
+    return _scalar(np.where(p == 2, trace, direct) if _some(p == 2) else direct)
 
 
 def delta_p_closed_form(res: EvalResult):
@@ -318,16 +353,17 @@ def delta_p_closed_form(res: EvalResult):
         )
     _finite_derivatives(res)
     ps, gn = res.poles, res.grad_norm
-    p, n = ps.params.p, ps.params.n
+    p, n = _aligned_p(ps), ps.params.n
     # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
-    single = ps.counts == 1
-    if p == 2:
+    zero = (ps.counts == 1) | (p == 2)
+    if not _some(p != 2):
         return _scalar(np.zeros(np.shape(res.value)))
-    vanishing = _vanishing_gradient(res, single)
-    expo = (p + n - 2) / (p - 1)
-    s = np.sum(ps.weights * np.sin(res.angles) ** 2 / res.distances**expo, axis=-1)
-    return _scalar(np.where(vanishing | single, 0.0, -ps.params.big_c * gn ** (p - 2) * s))
+    vanishing = _vanishing_gradient(res, zero)
+    per_pole = _aligned_p(ps, 1)
+    expo = (per_pole + n - 2) / (per_pole - 1)
+    s = np.sum(ps.weights * np.sin(res.angles) ** 2 / _power(res.distances, expo), axis=-1)
+    return _scalar(np.where(vanishing | zero, 0.0, -ps.params.big_c_at(p) * _power(gn, p - 2) * s))
 
 
 def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
@@ -339,18 +375,18 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
     if np.any(near_pole(ps, x, step)):
         raise PoleSingularityError("query point too close to a pole for the FD stencil")
 
-    # a stack's arrays gain the stencil axis of z (..., 2n, n)
-    y, a = ps.locations[..., None, :, :], ps.weights[..., None, :]
+    # a stack's arrays, its p included, gain the stencil axis of z (..., 2n, n)
+    y, a, p = ps.locations[..., None, :, :], ps.weights[..., None, :], _aligned_p(ps, 2)
 
     def gradient(z):
         d = z[..., None, :] - y
         r = axis_norm(d)
-        g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r) / r, d)
+        g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r, p) / r, d)
         if k is not None:
             g += k.eval(z)[1]
         return g
 
-    return fd_p_laplacian(gradient, x, step, ps.params.p, _cutoff(ps.weights))
+    return fd_p_laplacian(gradient, x, step, ps.p, _cutoff(ps.weights))
 
 
 def delta_p_scale(res: EvalResult):
@@ -359,18 +395,20 @@ def delta_p_scale(res: EvalResult):
     divergence identity.  Where the routes cancel to (near) zero, residuals
     are meaningful only relative to this scale."""
     _finite_derivatives(res)
-    ps, gn = res.poles, res.grad_norm
-    p, n = ps.params.p, ps.params.n
+    ps, n = res.poles, res.poles.params.n
+    p = _aligned_p(ps)
     mag = np.abs(res.ddv) + np.abs(res.dv) / res.distances
-    total = np.vecdot((n - 1 + 1) * mag + abs(p - 2) * mag, ps.weights)
+    total = np.vecdot((n - 1 + 1) * mag + abs(_aligned_p(ps, 1) - 2) * mag, ps.weights)
     if res.k_hessian is not None:
         total = total + (1 + abs(p - 2)) * np.abs(res.k_hessian).sum(axis=(-2, -1))
     total = np.maximum(total, 1e-300)
-    if p == 2:
+    if not _some(p != 2):
         return _scalar(total)
     # the 1 only keeps the masked rows finite
-    power = np.where(res.vanishing, 1.0, gn) ** (p - 2)
-    return _scalar(np.where(res.vanishing, 1e-300, power * total))
+    power = _power(np.where(res.vanishing, 1.0, res.grad_norm), p - 2)
+    scale = np.where(res.vanishing, 1e-300, power * total)
+    # the rows of p = 2 of a stack of mixed p
+    return _scalar(np.where(p == 2, total, scale) if _some(p == 2) else scale)
 
 
 # indexed by sign_classes' code: 0 and 1 the sign of the factor, then the zero lines, then p = 1

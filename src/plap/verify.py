@@ -8,6 +8,7 @@ and concave suites draw 1-8 poles (1-5 in the concave suite) with weights in
 [0.1, 2] and locations in [-1, 1]^n, and query points in [-2, 2]^n at least
 ``MIN_POLE_DISTANCE`` from every pole."""
 
+import functools
 import logging
 import os
 import pickle
@@ -24,9 +25,9 @@ from .errors import PlapError
 DEFAULT_SEED = 20160118
 SUITE_NAMES = ("superpose", "concave", "comparison", "evolution")
 # run_suite("all") runs these in a forked child beside the others where it
-# can; per seed on 2 cores, comparison 45 + evolution 6 ms in the child
-# against superpose 29 + concave 26 ms in the parent
-FORKED_SUITES = ("comparison", "evolution")
+# can; per seed, each suite alone on one of 2 cores: comparison 31 ms in the
+# child against superpose 13 + concave 13 + evolution 4 ms in the parent
+FORKED_SUITES = ("comparison",)
 TRIALS = 100                # per check of the concave suite
 MIN_POLE_DISTANCE = 0.05    # of a query point from every pole
 BRACKET_RADII = 33          # per call of the function whose sign change is bracketed
@@ -73,6 +74,12 @@ class SuiteReport:
         }
 
 
+@functools.cache
+def _params(p, n):
+    """The ``Params`` of a drawn (p, n), c = 1, built once."""
+    return Params(p, n, 1.0)
+
+
 def _pole_draw(rng, n, max_poles=8):
     """The weights and locations of one pole set, as plain arrays."""
     count = int(rng.integers(1, max_poles + 1))
@@ -112,20 +119,22 @@ def _derived_stacks(base, q, shift, s):
     shifts (B, n), with their weights scaled by s (B,), and reduced to their
     first pole, each built from ``base``'s arrays as ``PoleSet`` would build
     them from one set's."""
-    build = superpose.PoleSet._from_rows
+    def build(weights, locations, counts):
+        return superpose.PoleSet._from_rows(weights, locations, counts, base.params, base.p)
+
     moved = base.locations @ q.mT + shift[:, None, :]
     return (
-        build(base.weights, moved, base.counts, base.params),
-        build(s[:, None] * base.weights, base.locations, base.counts, base.params),
-        build(base.weights[:, :1], base.locations[:, :1], np.ones_like(base.counts), base.params),
+        build(base.weights, moved, base.counts),
+        build(s[:, None] * base.weights, base.locations, base.counts),
+        build(base.weights[:, :1], base.locations[:, :1], np.ones_like(base.counts)),
     )
 
 
 def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     """200 draws, each of p, n, a pole set, a point, a rotation, a shift and
     a weight factor s.  The draw loop makes only the draws and the point's
-    rejection test; the routes then run once per (p, n) class on the
-    stacked sets of its draws."""
+    rejection test; the routes then run once per dimension n on the stacked
+    sets of its draws, each row with its own p."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("superpose")
     classes = {}
@@ -139,12 +148,12 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
         shift = rng.uniform(-1, 1, n)
         s = float(rng.uniform(0.5, 3.0))
         # a Python float power, which rounds unlike an array's
-        classes.setdefault((p, n), []).append((w, y, x, g, shift, s, s ** (p - 1)))
+        classes.setdefault(n, []).append((_params(p, n), w, y, x, g, shift, s, s ** (p - 1)))
 
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
-    for (p, n), draws in classes.items():
-        w, y, x, g, shift, s, factor = zip(*draws)
-        base = superpose.PoleSet.stack_rows(w, y, Params(p, n, 1.0))
+    for n, draws in classes.items():
+        params, w, y, x, g, shift, s, factor = zip(*draws)
+        base = superpose.PoleSet.stack_rows(w, y, params)
         x, shift, factor = np.array(x), np.array(shift), np.array(factor)
         q = np.linalg.qr(np.array(g))[0]
         moved, scaled, single = _derived_stacks(base, q, shift, np.array(s))
@@ -154,9 +163,11 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
         scale = superpose.delta_p_scale(res)
         dc.append(_rel(superpose.delta_p_direct(res), c, scale))
         fd.append(_rel(superpose.delta_p_fd(base, None, x), c, scale))
-        # the part of the closed form on the wrong side of its sign class
-        wrong = {superpose.SignClass.NON_POSITIVE: c, superpose.SignClass.NON_NEGATIVE: -c}
-        sign.append(wrong.get(superpose.sign_region(p, n), np.abs(c)) / np.maximum(scale, 1e-300))
+        # the part of the closed form on the wrong side of its row's sign class
+        region = superpose.sign_classes(base.p, n)
+        wrong = np.where(region == superpose.SignClass.NON_POSITIVE.value, c,
+                         np.where(region == superpose.SignClass.NON_NEGATIVE.value, -c, np.abs(c)))
+        sign.append(wrong / np.maximum(scale, 1e-300))
 
         c_moved, c_scaled, c_single = (
             superpose.delta_p_closed_form(superpose.evaluate(ps, None, z))
@@ -202,7 +213,7 @@ def _by_size(draws):
 def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
     """Each check's draw loop makes only the draws and the decisions later
     draws depend on; its matrices are then built and checked per size n,
-    and V + K per (p, n, pole count) class."""
+    and V + K per (n, pole count) class, each row with its own p."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("concave")
 
@@ -239,12 +250,12 @@ def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
         g, lam = _nsd_draw(rng, n)
         b, c0 = rng.uniform(-1, 1, n), float(rng.uniform(-1, 1))
         x = _points_away(rng, y, 5)
-        classes.setdefault((p, n, len(w)), []).append((w, y, g, lam, b, c0, x))
+        classes.setdefault((n, len(w)), []).append((_params(p, n), w, y, g, lam, b, c0, x))
     signs = []
-    # one evaluation per (p, n, pole count): no row is padded, so each rounds as alone
-    for (p, n, _), trials in classes.items():
-        w, y, g, lam, b, c0, x = zip(*trials)
-        ps = superpose.PoleSet.stack_rows(w, y, Params(p, n, 1.0))
+    # one evaluation per (n, pole count): no row is padded, so each rounds as alone
+    for trials in classes.values():
+        params, w, y, g, lam, b, c0, x = zip(*trials)
+        ps = superpose.PoleSet.stack_rows(w, y, params)
         k = concave.QuadraticTerm(_nsd(np.array(g), np.array(lam)), b=np.array(b), c0=np.array(c0))
         signs.append(superpose.delta_p_direct(superpose.evaluate(ps, k, np.stack(x, axis=1))))
     # the largest value of Δ_p(V + K) itself, so its margin shows

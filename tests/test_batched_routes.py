@@ -262,6 +262,113 @@ def test_vanishing_marks_exactly_the_rows_the_routes_zero(p):
     assert (res.angles[marked] == 0).all() and (res.angles[~marked] != 0).any(axis=-1).all()
 
 
+MIXED_PS = (2.0, 2.5, 3.0, 4.0)
+EVAL_FIELDS = ("value", "gradient", "hessian", "angles", "distances", "grad_norm", "vanishing",
+               "dv", "ddv", "k_hessian")
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    if got.dtype.kind == "f":  # -0.0 and 0.0, and every NaN, told apart
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(got, want), what
+
+
+@pytest.mark.parametrize("with_k", [False, True], ids=["pure", "quadratic"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stack_of_mixed_p_gives_each_row_the_bits_of_its_own_p(n, with_k):
+    """Rows of p 2, 2.5, 3 and 4, interleaved, against the stack of the same
+    rows with one p, row for row: the profile takes r^0.5 (p = 3, n = 2),
+    r^-1 (p = 2, n = 3) and the log (p = n); the routes take |grad W|^2
+    (p = 4), |grad W|^0.5 (p = 2.5) and their p = 2 branches.  numpy rounds
+    the first three powers of a float exponent otherwise than np.power with
+    an array exponent.  The rows with one pole keep the closed form's
+    exact 0.  ``delta_p_fd`` cannot take a stacked K (its stencil axis
+    follows the batch axis), so with K it takes one ``QuadraticTerm`` for
+    every row."""
+    rng = np.random.default_rng(41)
+    counts = (3, 1, 5, 2, 4, 3, 1, 5)
+    rows = [(rng.uniform(0.1, 2.0, m), rng.uniform(-1.0, 1.0, (m, n))) for m in counts]
+    p_rows = [MIXED_PS[b % 4] for b in range(len(rows))]
+    weights, locations = zip(*rows)
+    mixed = PoleSet.stack_rows(weights, locations, [Params(p, n) for p in p_rows])
+    assert mixed.p.tolist() == p_rows and mixed.params == Params(2.0, n)
+    # three points per row, each at least 0.3 from every pole of its row
+    x = np.stack([far_points(rng, PoleSet(w, y, Params(3.0, n)), (3,)) for w, y in rows], axis=1)
+    k = k_fd = None
+    if with_k:
+        m = rng.standard_normal((len(rows), n, n))
+        k = QuadraticTerm(-m @ m.mT, b=rng.uniform(-1, 1, (len(rows), n)),
+                          c0=rng.uniform(-1, 1, len(rows)))
+        k_fd = random_term(rng, "quadratic", n)
+    res = evaluate(mixed, k, x)
+    routes = {"direct": delta_p_direct(res), "scale": delta_p_scale(res),
+              "fd": delta_p_fd(mixed, k_fd, x)}
+    if k is None:
+        routes["closed"] = delta_p_closed_form(res)
+    for p in MIXED_PS:
+        one = PoleSet.stack_rows(weights, locations, Params(p, n))
+        assert one.p == p and one.weights.shape == mixed.weights.shape
+        want = evaluate(one, k, x)
+        want_routes = {"direct": delta_p_direct(want), "scale": delta_p_scale(want),
+                       "fd": delta_p_fd(one, k_fd, x)}
+        if k is None:
+            want_routes["closed"] = delta_p_closed_form(want)
+        at = [b for b, q in enumerate(p_rows) if q == p]
+        for name in EVAL_FIELDS:
+            if name == "k_hessian" and k is None:
+                assert res.k_hessian is None and want.k_hessian is None
+                continue
+            assert_same_bits(getattr(res, name)[:, at], getattr(want, name)[:, at], (p, name))
+        for name, got in routes.items():
+            assert_same_bits(got[:, at], want_routes[name][:, at], (p, name))
+    if k is None:
+        assert (routes["closed"][:, np.array(counts) == 1] == 0).all()
+
+
+def test_only_a_row_of_p_below_2_with_a_vanishing_gradient_raises():
+    """grad V = 0 exactly at the midpoint of a symmetric pair.  Vanishing
+    rows of p >= 2 beside a row of p < 2 whose gradient does not vanish give
+    their continuous extension; a vanishing row of p < 2 raises."""
+    pair = ([1.0, 1.0], [[-1.0, 0.0], [1.0, 0.0]])
+    other = ([0.5, 1.5], [[0.3, -0.2], [-0.6, 0.4]])
+    rows = [pair, other, pair]
+    x = np.array([[0.0, 0.0], [1.7, -1.3], [0.0, 0.0]])
+    weights, locations = zip(*rows)
+    stack = PoleSet.stack_rows(weights, locations, [Params(p, 2) for p in (2.5, 1.5, 2.0)])
+    res = evaluate(stack, None, x)
+    assert res.vanishing.tolist() == [True, False, True]
+    direct, closed, scale = delta_p_direct(res), delta_p_closed_form(res), delta_p_scale(res)
+    for b, p in enumerate((2.5, 1.5, 2.0)):
+        own = evaluate(PoleSet(*rows[b], Params(p, 2)), None, x[b])
+        assert direct[b] == delta_p_direct(own) and closed[b] == delta_p_closed_form(own)
+        assert scale[b] == delta_p_scale(own)
+    assert direct[0] == 0 and direct[2] == np.trace(res.hessian[2]) and closed[2] == 0
+    stack = PoleSet.stack_rows(weights, locations, [Params(p, 2) for p in (1.5, 2.5, 3.0)])
+    res = evaluate(stack, None, x)
+    for route in (delta_p_direct, delta_p_closed_form):
+        with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
+            route(res)
+
+
+def test_a_stack_of_mixed_p_on_its_poles_follows_each_rows_pole_rule():
+    """n = 2: +inf on a pole for p = 1.5 and for p = 2 = n (the log), the
+    finite value with that pole left out for p = 3; each row as its set."""
+    rows = [([1.3, 0.7], [[0.2, 0.1], [-0.5, 0.4]]), ([0.9], [[0.3, -0.6]]),
+            ([1.1, 0.4, 2.0], [[-0.2, 0.8], [0.6, 0.1], [0.0, -0.9]])]
+    x = np.array([rows[0][1][1], rows[1][1][0], rows[2][1][2]])
+    weights, locations = zip(*rows)
+    for p_rows in [(1.5, 2.0, 3.0), (3.0, 1.5, 2.0)]:
+        stack = PoleSet.stack_rows(weights, locations, [Params(p, 2) for p in p_rows])
+        res = evaluate(stack, None, x)
+        assert not res.derivatives_available
+        for b, p in enumerate(p_rows):
+            want = evaluate(PoleSet(*rows[b], Params(p, 2)), None, x[b]).value
+            assert (want == math.inf) == (p <= 2)
+            assert res.value[b] == pytest.approx(want, rel=1e-14), (p_rows, b)
+
+
 def test_a_batch_with_a_point_on_a_pole_gives_values_only():
     ps = PoleSet([1.0, 2.0], [[0.0, 0.0], [1.0, 0.5]], Params(2.5, 2))
     x = np.array([[1.7, -1.3], [1.0, 0.5], [-1.2, 1.9]])

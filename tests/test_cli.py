@@ -756,6 +756,20 @@ def test_evolution_sweep_radius_at_the_support_edge_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_evolution_sweep_whose_rows_overflow_exits_1_with_one_line(tmp_path, capsys):
+    """|x| of radii 1e199 and 1e200 overflows: both rows used to be written
+    as NaN, with a defect_sign of -9223372036854775808 (NaN cast to an
+    int), after four RuntimeWarnings, and the sweep exited 0."""
+    path, out = tmp_path / "sweep.json", tmp_path / "o.csv"
+    write_json(path, {"schema_version": 1, "kernel": {"kind": "barenblatt", "p": 3.0, "n": 2,
+                                                      "big_c": 1e-300},
+                      "t": 1.0, "radii": {"min": 1e199, "max": 1e200, "count": 2}})
+    assert cli.main(["evolution-sweep", "--config", str(path), "--out", str(out)]) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the kernel time derivative or the defect is not finite at radius 1e+199"]
+    assert not out.exists()
+
+
 def test_evolution_sweep_bump_offset_of_the_wrong_dimension_exits_2(tmp_path, capsys):
     # a 3-vector y for an n = 2 kernel used to be read as a 2-D radius |y|
     path = tmp_path / "sweep.json"

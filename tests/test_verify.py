@@ -55,14 +55,16 @@ def _random_point_away(rng, ps):
 
 
 def stack_of(sets):
-    """One stack of the pole sets ``sets``, built from their fields."""
+    """One stack of the pole sets ``sets``, built from their fields, each
+    row with its set's p."""
     return superpose.PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
-                                        sets[0].params)
+                                        [s.params for s in sets])
 
 
 def reference_superpose_draws(rng):
     """The per-draw loop of ``verify_superpose``: every draw builds its
-    moved, scaled and single-pole sets at once.  Draws grouped by (p, n)."""
+    moved, scaled and single-pole sets at once.  Draws grouped by n, as
+    the suite stacks them, so that each row is padded as it is there."""
     classes = {}
     for _ in range(200):
         p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
@@ -72,7 +74,7 @@ def reference_superpose_draws(rng):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         shift = rng.uniform(-1, 1, n)
         s = float(rng.uniform(0.5, 3.0))
-        classes.setdefault((p, n), []).append(dict(
+        classes.setdefault(n, []).append(dict(
             base=ps, x=x, q=q, shift=shift, s=s,
             moved=superpose.PoleSet(ps.weights, ps.locations @ q.T + shift, ps.params),
             x_moved=q @ x + shift,
@@ -86,7 +88,7 @@ def reference_superpose_draws(rng):
 def reference_superpose(rng):
     rep = SuiteReport("superpose")
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
-    for (p, n), draws in reference_superpose_draws(rng).items():
+    for n, draws in reference_superpose_draws(rng).items():
         base, moved, scaled, single = (
             stack_of([d[key] for d in draws])
             for key in ("base", "moved", "scaled", "single")
@@ -99,13 +101,14 @@ def reference_superpose(rng):
         scale = superpose.delta_p_scale(res)
         dc.append(_rel(d, c, scale))
         fd.append(_rel(f, c, scale))
-        region = superpose.sign_region(p, n)
-        if region is superpose.SignClass.NON_POSITIVE:
-            sign.append(c / np.maximum(scale, 1e-300))
-        elif region is superpose.SignClass.NON_NEGATIVE:
-            sign.append(-c / np.maximum(scale, 1e-300))
-        else:
-            sign.append(np.abs(c) / np.maximum(scale, 1e-300))
+        for row, draw in enumerate(draws):
+            region = superpose.sign_region(draw["base"].params.p, n)
+            if region is superpose.SignClass.NON_POSITIVE:
+                sign.append([c[row] / np.maximum(scale[row], 1e-300)])
+            elif region is superpose.SignClass.NON_NEGATIVE:
+                sign.append([-c[row] / np.maximum(scale[row], 1e-300)])
+            else:
+                sign.append([np.abs(c[row]) / np.maximum(scale[row], 1e-300)])
         c_moved = superpose.delta_p_closed_form(superpose.evaluate(moved, None, x_moved))
         iso.append(_rel(c_moved, c, scale))
         c_s = superpose.delta_p_closed_form(superpose.evaluate(scaled, None, x))
@@ -216,7 +219,7 @@ def test_derived_stacks_equal_the_stacks_of_per_draw_sets(seed):
         q, shift, s = (np.array([d[key] for d in draws]) for key in ("q", "shift", "s"))
         for key, got in zip(("moved", "scaled", "single"), _derived_stacks(base, q, shift, s)):
             want = stack_of([d[key] for d in draws])
-            assert got.params == want.params
+            assert got.params == want.params and np.array_equal(got.p, want.p)
             for name in FIELDS:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.shape == b.shape and not a.flags.writeable, (key, name)
@@ -276,12 +279,14 @@ def test_verify_concave_builds_no_pole_set_per_draw(monkeypatch):
 
 
 def test_verify_concave_evaluates_v_plus_k_once_per_class(monkeypatch):
-    """One evaluation per (p, n, pole count) class, every row unpadded and
-    with its own K from one stacked ``QuadraticTerm``, at points (5, B, n)."""
-    classes, evaluate = Counter(), superpose.evaluate
+    """One evaluation per (n, pole count) class, every row unpadded and
+    with its own p and its own K from one stacked ``QuadraticTerm``, at
+    points (5, B, n)."""
+    classes, ps_seen, evaluate = Counter(), [], superpose.evaluate
 
     def counting(ps, k, x):
-        classes[ps.params.p, ps.params.n, ps.weights.shape[1]] += 1
+        classes[ps.params.n, ps.weights.shape[1]] += 1
+        ps_seen.append(ps.p)
         assert (ps.counts == ps.weights.shape[1]).all()
         assert k.a_matrix.shape == (len(ps.counts), ps.params.n, ps.params.n)
         assert x.shape == (5, len(ps.counts), ps.params.n)
@@ -289,7 +294,10 @@ def test_verify_concave_evaluates_v_plus_k_once_per_class(monkeypatch):
 
     monkeypatch.setattr(superpose, "evaluate", counting)
     verify.verify_concave(DEFAULT_SEED)
-    assert set(classes.values()) == {1} and len(classes) <= 3 * 2 * 5
+    assert set(classes.values()) == {1} and len(classes) <= 2 * 5
+    # most classes mix p
+    assert sum(np.ndim(p) for p in ps_seen) > len(ps_seen) / 2
+    assert set(np.concatenate([np.ravel(p) for p in ps_seen]).tolist()) == {2.5, 3.0, 4.0}
 
 
 def nan_like(f):
@@ -336,18 +344,21 @@ def test_a_nan_residual_fails_its_check(monkeypatch, suite, check, owner, name, 
 
 
 def test_verify_superpose_evaluates_each_class_four_times(monkeypatch):
-    """Once for the base stack, whose evaluation feeds the direct route,
-    the closed form and the scale, and once each for the moved, scaled and
-    single-pole stacks; the FD oracle evaluates nothing."""
-    calls, evaluate = Counter(), superpose.evaluate
+    """Once per dimension n for the base stack, whose evaluation feeds the
+    direct route, the closed form and the scale, and once each for the
+    moved, scaled and single-pole stacks; the FD oracle evaluates nothing.
+    Each stack holds every p drawn with its n."""
+    calls, ps_seen, evaluate = Counter(), set(), superpose.evaluate
 
     def counting(ps, k, x):
-        calls[ps.params.p, ps.params.n] += 1
+        calls[ps.params.n] += 1
+        ps_seen.update(np.ravel(ps.p).tolist())
         return evaluate(ps, k, x)
 
     monkeypatch.setattr(superpose, "evaluate", counting)
     verify.verify_superpose(DEFAULT_SEED)
-    assert len(calls) == 12 and set(calls.values()) == {4}
+    assert len(calls) == 3 and set(calls.values()) == {4}
+    assert ps_seen == {2.0, 2.5, 3.0, 4.0}
 
 
 @pytest.mark.parametrize("p, n, big_c, t", [
