@@ -10,10 +10,11 @@ and the fundamental solution has v'(r) = -c * r^((1-n)/(p-1)), which makes
 (p-1) v'' + (n-1) v'/r vanish identically.  Also the central-difference
 p-Laplacian shared by the finite-difference oracles.
 
-The profile functions, ``big_c_at`` and ``fd_p_laplacian`` also take an
-array of exponents, one p per row of a stack of pole sets of mixed p
-(``superpose.PoleSet.p``), and give each element the bits it has with its
-own p alone.
+The profile functions, ``big_c_at`` and ``fd_p_laplacian`` take the
+exponent p as a float or as an array that broadcasts against the radii, as
+``superpose.PoleSet.p`` does: one p per row of a stack.  Each element gets
+the bits it has with its own p alone; ``_power`` is the one place that
+tells one exponent from many.
 """
 
 import math
@@ -62,26 +63,25 @@ class Params:
 
 
 def _power(x, e):
-    """x ** e for an exponent e that is a float or an array broadcast
-    against x, each element rounded as x ** float(e) rounds it.
+    """x ** e for an exponent e, a float or an array that broadcasts
+    against x to x's shape, each element rounded as x ** float(e) rounds it.
 
-    numpy takes x ** 0.5, x ** 2.0 and x ** -1.0 of a float exponent
-    through sqrt, square and reciprocal, but np.power of an array exponent
-    through pow, which rounds otherwise in about 5 % of elements; for every
-    other exponent the two agree bit for bit (numpy 2.4;
-    ``tests/test_batched_routes.py`` checks the exponents of verify's p)."""
-    if not isinstance(e, np.ndarray):
-        return x ** e
+    An e of one value v, whatever its shape, takes numpy's float-exponent
+    power x ** float(v), which is also the faster.  numpy takes x ** 0.5,
+    x ** 2.0 and x ** -1.0 of a float exponent through sqrt, square and
+    reciprocal, but np.power of an array exponent through pow, which rounds
+    otherwise in about 5 % of elements; an e of several values takes
+    np.power with those three substituted.  For every other exponent the
+    two agree bit for bit (numpy 2.4; ``tests/test_batched_routes.py``
+    checks the exponents of the profile and the routes)."""
+    e = np.asarray(e, dtype=float)
+    v = float(e.flat[0])
+    if e.size == 1 or (e == v).all():
+        return x ** v
     out = np.power(x, e)
     for fast, f in ((0.5, np.sqrt), (2.0, np.square), (-1.0, np.reciprocal)):
         f(x, out=out, where=e == fast)
     return out
-
-
-def _some(test):
-    """A test of the exponent: the bool itself for one p, whether it holds
-    in some row for an array of one p per row."""
-    return test.any() if isinstance(test, np.ndarray) else test
 
 
 def _profile_slope(params: Params, r, p=None):
@@ -89,8 +89,8 @@ def _profile_slope(params: Params, r, p=None):
     pole rule: the flux of the finite-difference oracle needs v' alone.
 
     ``p``, in this function and the other profile functions, is the
-    exponent in place of ``params.p``: a float, or an array of one p per
-    row that broadcasts against r."""
+    exponent in place of ``params.p``: a float or an array that broadcasts
+    against r, as ``superpose.PoleSet.p`` with a unit axis per pole axis."""
     p = params.p if p is None else p
     return -params.c * _power(r, (1 - params.n) / (p - 1))
 
@@ -117,12 +117,12 @@ def _profile_value(params: Params, r, p=None):
     p = params.p if p is None else p
     n, c = params.n, params.c
     a = (p - n) / (p - 1)
-    if not isinstance(p, np.ndarray):
-        v = -c * np.log(r) if p == n else -c * (p - 1) / (p - n) * r**a
+    log = np.equal(p, n)
+    if log.all():
+        v = -c * np.log(r)
     else:
         # a row of p = n takes the log: its quotient, over 1 in place of
         # p - n = 0, and its power r^0 = 1 are dropped
-        log = p == n
         v = -c * (p - 1) / np.where(log, 1.0, p - n) * _power(r, a)
         if log.any():
             v = np.where(log, -c * np.log(r), v)
@@ -194,17 +194,17 @@ def fd_p_laplacian(gradient, x, step: float, p, eps):
     """``fd_divergence`` of the flux |g|^{p-2} g of the field ``gradient``
     gives on the stencil points.  Where |g| < ``eps`` (``delta_p_fd``: its
     pole set's ``_cutoff``; the evolution defects: 0), the flux is 0 for
-    p >= 2 and an error for p < 2.  p, a float, and eps may be arrays
+    p >= 2 and an error for p < 2.  p and eps are floats or arrays
     broadcast against x's leading shape (``delta_p_fd`` on a stack)."""
     eps = np.asarray(eps)[..., None, None]
-    if isinstance(p, np.ndarray):
-        p = p[..., None, None]
+    p = np.asarray(p, dtype=float)[..., None, None]
+    below = p < 2
 
     def flux(z):
         g = gradient(z)
         gn = axis_norm(g, keepdims=True)
         vanishing = gn < eps
-        if _some(p < 2) and (vanishing & (p < 2)).any():
+        if below.any() and (vanishing & below).any():
             raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
         return np.where(vanishing, 0.0, _power(gn, p - 2) * g)
 

@@ -12,9 +12,9 @@ gradient from (ps, k, x), so it stays independent of that evaluation.
 Points have shape (..., n).  A stacked ``PoleSet`` (``PoleSet.stack_rows``)
 holds B sets at once, and its batch axis broadcasts against the points'
 leading shape, so points (B, n) give every set's result at its own point.
-The sets of a stack share n and c; each may have its own p, which then
-broadcasts as the weights do, and every row rounds as it does in a stack of
-its own p.
+The sets of a stack share n and c; each may have its own p, which
+broadcasts as the weights do (``PoleSet.p``), and every row rounds as it
+does in a stack of its own p.
 
 Also the (p, n) sign classifier of the superposition's p-Laplacian.
 """
@@ -31,7 +31,6 @@ from .core import (
     _power,
     _profile_value,
     _scalar,
-    _some,
     axis_norm,
     fd_p_laplacian,
     fd_spacing,
@@ -104,9 +103,10 @@ class PoleSet:
     (B, m, n) and ``counts`` (B,).  An unstacked set has weights (m,),
     locations (m, n) and the int ``counts`` = m.
 
-    ``p`` is the exponent of each set: the float ``params.p`` for a set or
-    a stack of one p; for a stack of mixed p an array (B,) of each row's p,
-    and ``params``, the first row's, then gives only n and c.
+    ``p`` is the exponent as a read-only float64 array: shape () holding
+    ``params.p`` for a set, shape (B,) of each row's p for every stack,
+    whether its rows share one p or not.  A stack's ``params`` is its first
+    row's, so it gives only n and c.
     """
 
     def __init__(self, weights, locations, params: Params):
@@ -127,8 +127,8 @@ class PoleSet:
         if np.isinf(_cutoff(w)):
             raise ValueError("the sum of the weights overflows a double")
         self.weights, self.locations, self.params, self.counts = w, y, params, len(w)
-        self.p = params.p
-        for a in (w, y):
+        self.p = np.array(params.p, dtype=float)
+        for a in (w, y, self.p):
             a.flags.writeable = False
 
     @classmethod
@@ -174,10 +174,7 @@ class PoleSet:
             cls(*rows[first], row_params[first])  # raises that row's error
         locations = np.zeros(real.shape + (n,))
         locations[real] = y
-        if (p == params.p).all():
-            p = params.p  # the float: a stack of one p runs a set's arithmetic
-        else:
-            p.flags.writeable = False
+        p.flags.writeable = False
         return cls._from_rows(weights, locations, counts, params, p)
 
     @classmethod
@@ -235,11 +232,11 @@ class EvalResult:
 
 
 def _aligned_p(ps: PoleSet, axes=0):
-    """``ps.p``, for a stack of mixed p with ``axes`` unit axes appended, so
-    that it broadcasts against arrays whose batch axis, followed by ``axes``
-    more, is the stack's: axes 1 for per-pole arrays, as ``ps.weights``,
-    and 2 on the FD stencil."""
-    return ps.p.reshape(ps.p.shape + (1,) * axes) if isinstance(ps.p, np.ndarray) else ps.p
+    """``ps.p`` with ``axes`` unit axes appended, so that it broadcasts
+    against arrays whose batch axis, if any, is followed by ``axes`` more:
+    axes 1 for per-pole arrays, as ``ps.weights``, and 2 on the FD
+    stencil."""
+    return ps.p.reshape(ps.p.shape + (1,) * axes)
 
 
 def _offsets(ps: PoleSet, x):
@@ -317,7 +314,7 @@ def _vanishing_gradient(res: EvalResult, exempt=False):
     stack of mixed p: the other rows do not raise)."""
     vanishing = res.vanishing & np.logical_not(exempt)
     below = _aligned_p(res.poles) < 2
-    if _some(below) and (vanishing & below).any():
+    if below.any() and (vanishing & below).any():
         raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
     return vanishing
 
@@ -332,14 +329,14 @@ def delta_p_direct(res: EvalResult):
     grad, hess = _finite_derivatives(res)
     p, gn = _aligned_p(res.poles), res.grad_norm
     trace = np.trace(hess, axis1=-2, axis2=-1)
-    if not _some(p != 2):
+    if (p == 2).all():
         return _scalar(trace)
     vanishing = _vanishing_gradient(res)
     # the 1 only keeps the masked rows finite
     rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.where(vanishing, 1.0, gn) ** 2
     direct = np.where(vanishing, 0.0, _power(gn, p - 2) * ((p - 2) * rayleigh + trace))
     # the rows of p = 2 of a stack of mixed p
-    return _scalar(np.where(p == 2, trace, direct) if _some(p == 2) else direct)
+    return _scalar(np.where(p == 2, trace, direct))
 
 
 def delta_p_closed_form(res: EvalResult):
@@ -357,7 +354,7 @@ def delta_p_closed_form(res: EvalResult):
     # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
     zero = (ps.counts == 1) | (p == 2)
-    if not _some(p != 2):
+    if (p == 2).all():
         return _scalar(np.zeros(np.shape(res.value)))
     vanishing = _vanishing_gradient(res, zero)
     per_pole = _aligned_p(ps, 1)
@@ -383,7 +380,8 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
         r = axis_norm(d)
         g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r, p) / r, d)
         if k is not None:
-            g += k.eval(z)[1]
+            # the stencil axis first, so a stacked K's batch axis meets z's
+            g += np.moveaxis(k.eval(np.moveaxis(z, -2, 0))[1], 0, -2)
         return g
 
     return fd_p_laplacian(gradient, x, step, ps.p, _cutoff(ps.weights))
@@ -402,13 +400,13 @@ def delta_p_scale(res: EvalResult):
     if res.k_hessian is not None:
         total = total + (1 + abs(p - 2)) * np.abs(res.k_hessian).sum(axis=(-2, -1))
     total = np.maximum(total, 1e-300)
-    if not _some(p != 2):
+    if (p == 2).all():
         return _scalar(total)
     # the 1 only keeps the masked rows finite
     power = _power(np.where(res.vanishing, 1.0, res.grad_norm), p - 2)
     scale = np.where(res.vanishing, 1e-300, power * total)
     # the rows of p = 2 of a stack of mixed p
-    return _scalar(np.where(p == 2, total, scale) if _some(p == 2) else scale)
+    return _scalar(np.where(p == 2, total, scale))
 
 
 # indexed by sign_classes' code: 0 and 1 the sign of the factor, then the zero lines, then p = 1

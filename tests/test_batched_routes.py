@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plap import cli, core, superpose
+from plap import cli, core, superpose, verify
 from plap.concave import AffineMinTerm, QuadraticTerm
 from plap.core import Params, fd_spacing
 from plap.errors import KinkError, PoleSingularityError, UndefinedOperatorError
@@ -284,9 +284,7 @@ def test_a_stack_of_mixed_p_gives_each_row_the_bits_of_its_own_p(n, with_k):
     (p = 4), |grad W|^0.5 (p = 2.5) and their p = 2 branches.  numpy rounds
     the first three powers of a float exponent otherwise than np.power with
     an array exponent.  The rows with one pole keep the closed form's
-    exact 0.  ``delta_p_fd`` cannot take a stacked K (its stencil axis
-    follows the batch axis), so with K it takes one ``QuadraticTerm`` for
-    every row."""
+    exact 0."""
     rng = np.random.default_rng(41)
     counts = (3, 1, 5, 2, 4, 3, 1, 5)
     rows = [(rng.uniform(0.1, 2.0, m), rng.uniform(-1.0, 1.0, (m, n))) for m in counts]
@@ -296,23 +294,22 @@ def test_a_stack_of_mixed_p_gives_each_row_the_bits_of_its_own_p(n, with_k):
     assert mixed.p.tolist() == p_rows and mixed.params == Params(2.0, n)
     # three points per row, each at least 0.3 from every pole of its row
     x = np.stack([far_points(rng, PoleSet(w, y, Params(3.0, n)), (3,)) for w, y in rows], axis=1)
-    k = k_fd = None
+    k = None
     if with_k:
         m = rng.standard_normal((len(rows), n, n))
         k = QuadraticTerm(-m @ m.mT, b=rng.uniform(-1, 1, (len(rows), n)),
                           c0=rng.uniform(-1, 1, len(rows)))
-        k_fd = random_term(rng, "quadratic", n)
     res = evaluate(mixed, k, x)
     routes = {"direct": delta_p_direct(res), "scale": delta_p_scale(res),
-              "fd": delta_p_fd(mixed, k_fd, x)}
+              "fd": delta_p_fd(mixed, k, x)}
     if k is None:
         routes["closed"] = delta_p_closed_form(res)
     for p in MIXED_PS:
         one = PoleSet.stack_rows(weights, locations, Params(p, n))
-        assert one.p == p and one.weights.shape == mixed.weights.shape
+        assert (one.p == p).all() and one.weights.shape == mixed.weights.shape
         want = evaluate(one, k, x)
         want_routes = {"direct": delta_p_direct(want), "scale": delta_p_scale(want),
-                       "fd": delta_p_fd(one, k_fd, x)}
+                       "fd": delta_p_fd(one, k, x)}
         if k is None:
             want_routes["closed"] = delta_p_closed_form(want)
         at = [b for b, q in enumerate(p_rows) if q == p]
@@ -367,6 +364,80 @@ def test_a_stack_of_mixed_p_on_its_poles_follows_each_rows_pole_rule():
             want = evaluate(PoleSet(*rows[b], Params(p, 2)), None, x[b]).value
             assert (want == math.inf) == (p <= 2)
             assert res.value[b] == pytest.approx(want, rel=1e-14), (p_rows, b)
+
+
+def assert_read_only_p(p, shape):
+    assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == shape
+    assert not p.flags.writeable
+
+
+def test_pole_set_p_is_a_read_only_float64_array_in_every_case():
+    """Shape () for a set, an int p included; shape (B,) for a stack of one
+    p and for a stack of mixed p.  ``_from_rows`` and verify's derived
+    stacks keep it."""
+    one = PoleSet([1.0, 2.0], [[0.0, 0.0], [1.0, 0.5]], Params(3, 2))
+    assert_read_only_p(one.p, ())
+    assert one.p == 3.0
+    weights, locations = [[1.0, 2.0], [0.5]], [[[0.0, 0.0], [1.0, 0.5]], [[0.3, -0.2]]]
+    stacks = [PoleSet.stack_rows(weights, locations, Params(2.5, 2)),
+              PoleSet.stack_rows(weights, locations, [Params(2.5, 2), Params(4, 2)])]
+    for ps, want in zip(stacks, ([2.5, 2.5], [2.5, 4.0])):
+        assert_read_only_p(ps.p, (2,))
+        assert ps.p.tolist() == want
+        kept = PoleSet._from_rows(ps.weights, ps.locations, ps.counts, ps.params, ps.p)
+        derived = verify._derived_stacks(ps, np.stack([np.eye(2)] * 2), np.zeros((2, 2)), np.ones(2))
+        for got in (kept, *derived):
+            assert_read_only_p(got.p, (2,))
+            assert got.p.tolist() == want
+
+
+@pytest.mark.parametrize("n,count", [(2, 4), (2, 3), (3, 6), (3, 5)])
+def test_fd_with_a_stacked_quadratic_term_gives_each_row_its_own_term(n, count):
+    """A stack of ``count`` rows of mixed p with a stack of as many
+    ``QuadraticTerm`` s, at count = 2n, the stencil's width, and beside it:
+    each row of ``delta_p_fd`` against the one-row stack of the same width
+    with that row's own term, bit for bit.  K's batch axis must meet the
+    stack's, never the stencil's."""
+    rng = np.random.default_rng(59)
+    rows = [(rng.uniform(0.1, 2.0, m), rng.uniform(-1.0, 1.0, (m, n))) for m in range(1, count + 1)]
+    weights, locations = zip(*rows)
+    stack = PoleSet.stack_rows(weights, locations, [Params(MIXED_PS[b % 4], n) for b in range(count)])
+    x = np.stack([far_points(rng, PoleSet(w, y, Params(3.0, n)), (3,)) for w, y in rows], axis=1)
+    m = rng.standard_normal((count, n, n))
+    a, b, c0 = -m @ m.mT, rng.uniform(-1, 1, (count, n)), rng.uniform(-1, 1, count)
+    k = QuadraticTerm(a, b=b, c0=c0)
+    fd = delta_p_fd(stack, k, x)
+    assert fd.shape == (3, count)
+    res = evaluate(stack, k, x)
+    assert (np.abs(fd - delta_p_direct(res)) < 1e-4 * delta_p_scale(res)).all()
+    for j in range(count):
+        one = PoleSet._from_rows(stack.weights[j:j + 1], stack.locations[j:j + 1],
+                                 stack.counts[j:j + 1], stack.params, stack.p[j:j + 1])
+        want = delta_p_fd(one, QuadraticTerm(a[j], b=b[j], c0=c0[j]), x[:, j:j + 1])
+        assert_same_bits(fd[:, j:j + 1], want, j)
+
+
+def test_power_of_several_exponents_rounds_each_as_its_float_exponent():
+    """``core._power`` with an exponent of several values against
+    x ** float(e) of each value alone, bit for bit: the profile's
+    (1-n)/(p-1), that minus 1 and (p-n)/(p-1), the routes' p - 2 and the
+    closed form's (p+n-2)/(p-1), for p in (1, 2) and 2, 2.5, 3, 4, 6, 10,
+    20 and n = 1 to 8.  The exponents (E, 1) meet radii (E, m), contiguous
+    and strided; among them are 0.5, 2 and -1, which numpy takes through
+    sqrt, square and reciprocal for a float exponent."""
+    rng = np.random.default_rng(71)
+    p = np.concatenate([rng.uniform(1.01, 2.0, 143), [2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0]])[:, None]
+    n = np.arange(1, 9)
+    slope = (1 - n) / (p - 1)
+    e = np.concatenate([slope, slope - 1, (p - n) / (p - 1), np.broadcast_to(p - 2, slope.shape),
+                        (p + n - 2) / (p - 1)], axis=None)[:, None]
+    assert {0.5, 2.0, -1.0} <= set(e[:, 0].tolist())
+    radii = np.exp(rng.uniform(-7.0, 7.0, (len(e), 66)))
+    with np.errstate(over="ignore"):
+        for x in (radii[:, :33], radii[:, ::2]):
+            got = core._power(x, e)
+            want = np.stack([row ** float(v) for row, v in zip(x, e[:, 0])])
+            assert_same_bits(got, want, x.strides)
 
 
 def test_a_batch_with_a_point_on_a_pole_gives_values_only():
