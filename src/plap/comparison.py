@@ -281,13 +281,22 @@ def _solve(st: _Stencil, boundary, p):
     return u
 
 
+def _set_p(ps: PoleSet) -> float:
+    """The p of a pole set; a stack (``PoleSet.stack_rows``), even of one
+    row, is refused: the harness solves one grid for one set."""
+    if ps.p.ndim == 1:
+        raise UnsupportedConfigurationError("the comparison harness takes one pole set, not a stack")
+    return float(ps.p)
+
+
 def superposition_grid(ps: PoleSet, k: ConcaveTerm, dom: GridDomain) -> np.ndarray:
     """Node values of W = V + K on the grid (value only, derivative-free).
 
     A pole landing exactly on a node follows the pole rule of
     ``core._profile_value``; where that makes a node value infinite
-    (1 < p <= n) the grid is rejected.
+    (1 < p <= n) the grid is rejected.  A stacked pole set is refused.
     """
+    _set_p(ps)
     if dom.dim != ps.params.n:
         raise UnsupportedConfigurationError(
             f"the grid has dimension {dom.dim}, but the poles have dimension {ps.params.n}"
@@ -333,9 +342,9 @@ def comparison_check(
     Nodes within EXCISION_SPACINGS spacings of a pole are excised from the
     report (the epsilon-ball construction: there the supersolution side is
     treated as dominating by fiat) and their exported W values are clamped
-    to a level above the boundary data.
+    to a level above the boundary data.  A stacked pole set is refused.
     """
-    p = ps.params.p
+    p = _set_p(ps)
     if not p > 2:
         raise UnsupportedConfigurationError("the comparison harness requires p > 2")
     st = _Stencil(dom)  # refuses an oversized band before the W grid is built

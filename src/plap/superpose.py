@@ -231,7 +231,7 @@ class EvalResult:
         return self.gradient is not None
 
 
-def _aligned_p(ps: PoleSet, axes=0):
+def _aligned_p(ps: PoleSet, axes):
     """``ps.p`` with ``axes`` unit axes appended, so that it broadcasts
     against arrays whose batch axis, if any, is followed by ``axes`` more:
     axes 1 for per-pole arrays, as ``ps.weights``, and 2 on the FD
@@ -302,21 +302,19 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
     return EvalResult(_scalar(value), grad, hess, angles, r, gn, vanishing, ps, k, dv, ddv, kh)
 
 
-def _finite_derivatives(res: EvalResult):
+def _grad_power(res: EvalResult, exempt=False):
+    """|grad W|^{p-2} of an ``evaluate`` result, the one place that forms it,
+    and the rows ``zeroed`` (``res.vanishing`` and p != 2) that a route sets
+    to its own value.  p = 2 takes the factor 1; a vanishing gradient outside
+    ``exempt`` raises for p < 2 (in a stack, only in a row of p < 2)."""
     if not res.derivatives_available:
         raise PoleSingularityError("derivatives unavailable at a pole")
-    return res.gradient, res.hessian
-
-
-def _vanishing_gradient(res: EvalResult, exempt=False):
-    """Where ``res.vanishing`` holds outside ``exempt``; for p < 2 a
-    vanishing gradient anywhere else is an error (in a row of p < 2 of a
-    stack of mixed p: the other rows do not raise)."""
-    vanishing = res.vanishing & np.logical_not(exempt)
-    below = _aligned_p(res.poles) < 2
-    if below.any() and (vanishing & below).any():
+    p, vanishing = res.poles.p, res.vanishing
+    below = p < 2
+    if below.any() and (vanishing & np.logical_not(exempt) & below).any():
         raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
-    return vanishing
+    # the 1 only keeps the vanishing rows finite
+    return _power(np.where(vanishing, 1.0, res.grad_norm), p - 2), vanishing & (p != 2)
 
 
 def delta_p_direct(res: EvalResult):
@@ -326,17 +324,13 @@ def delta_p_direct(res: EvalResult):
     is an error for p < 2; p = 2 is the plain Laplacian (trace of the
     Hessian) everywhere.
     """
-    grad, hess = _finite_derivatives(res)
-    p, gn = _aligned_p(res.poles), res.grad_norm
+    power, zeroed = _grad_power(res)
+    p, grad, hess = res.poles.p, res.gradient, res.hessian
     trace = np.trace(hess, axis1=-2, axis2=-1)
-    if (p == 2).all():
-        return _scalar(trace)
-    vanishing = _vanishing_gradient(res)
-    # the 1 only keeps the masked rows finite
-    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / np.where(vanishing, 1.0, gn) ** 2
-    direct = np.where(vanishing, 0.0, _power(gn, p - 2) * ((p - 2) * rayleigh + trace))
-    # the rows of p = 2 of a stack of mixed p
-    return _scalar(np.where(p == 2, trace, direct))
+    # the 1 only keeps the vanishing rows finite
+    gn = np.where(res.vanishing, 1.0, res.grad_norm)
+    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / gn**2
+    return _scalar(np.where(zeroed, 0.0, power * ((p - 2) * rayleigh + trace)))
 
 
 def delta_p_closed_form(res: EvalResult):
@@ -348,19 +342,16 @@ def delta_p_closed_form(res: EvalResult):
         raise UnsupportedConfigurationError(
             "the closed form covers pure superpositions only (K = 0)"
         )
-    _finite_derivatives(res)
-    ps, gn = res.poles, res.grad_norm
-    p, n = _aligned_p(ps), ps.params.n
+    ps = res.poles
+    p, n = ps.p, ps.params.n
     # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
-    zero = (ps.counts == 1) | (p == 2)
-    if (p == 2).all():
-        return _scalar(np.zeros(np.shape(res.value)))
-    vanishing = _vanishing_gradient(res, zero)
+    exact = (ps.counts == 1) | (p == 2)
+    power, zeroed = _grad_power(res, exact)
     per_pole = _aligned_p(ps, 1)
     expo = (per_pole + n - 2) / (per_pole - 1)
     s = np.sum(ps.weights * np.sin(res.angles) ** 2 / _power(res.distances, expo), axis=-1)
-    return _scalar(np.where(vanishing | zero, 0.0, -ps.params.big_c_at(p) * _power(gn, p - 2) * s))
+    return _scalar(np.where(zeroed | exact, 0.0, -ps.params.big_c_at(p) * power * s))
 
 
 def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
@@ -392,21 +383,14 @@ def delta_p_scale(res: EvalResult):
     routes: the sum of absolute values of the per-term ingredients of the
     divergence identity.  Where the routes cancel to (near) zero, residuals
     are meaningful only relative to this scale."""
-    _finite_derivatives(res)
-    ps, n = res.poles, res.poles.params.n
-    p = _aligned_p(ps)
+    power, zeroed = _grad_power(res, exempt=True)
+    ps = res.poles
+    p, n = ps.p, ps.params.n
     mag = np.abs(res.ddv) + np.abs(res.dv) / res.distances
-    total = np.vecdot((n - 1 + 1) * mag + abs(_aligned_p(ps, 1) - 2) * mag, ps.weights)
+    total = np.vecdot(n * mag + abs(_aligned_p(ps, 1) - 2) * mag, ps.weights)
     if res.k_hessian is not None:
         total = total + (1 + abs(p - 2)) * np.abs(res.k_hessian).sum(axis=(-2, -1))
-    total = np.maximum(total, 1e-300)
-    if (p == 2).all():
-        return _scalar(total)
-    # the 1 only keeps the masked rows finite
-    power = _power(np.where(res.vanishing, 1.0, res.grad_norm), p - 2)
-    scale = np.where(res.vanishing, 1e-300, power * total)
-    # the rows of p = 2 of a stack of mixed p
-    return _scalar(np.where(p == 2, total, scale))
+    return _scalar(np.where(zeroed, 1e-300, power * np.maximum(total, 1e-300)))
 
 
 # indexed by sign_classes' code: 0 and 1 the sign of the factor, then the zero lines, then p = 1

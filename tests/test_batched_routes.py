@@ -235,10 +235,12 @@ def test_a_batch_raises_what_its_worst_point_raises(case):
             assert got[2] == pytest.approx(alone, rel=1e-13, abs=1e-300) or math.isinf(alone)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 def test_vanishing_marks_exactly_the_rows_the_routes_zero(p):
     """The vanishing case in a stack: rows 0 and 2 sit at the midpoint of a
-    symmetric pair, where grad V = 0 exactly, rows 1 and 3 do not."""
+    symmetric pair, where grad V = 0 exactly, rows 1 and 3 do not.  At
+    p = 2 no row is zeroed: the marked rows keep the plain Laplacian, the
+    closed form's exact 0 and the unmasked yardstick."""
     pair = ([1.0, 1.0], [[-1.0, 0.0], [1.0, 0.0]])
     other = ([0.5, 1.5, 1.0], [[0.3, -0.2], [-0.6, 0.4], [1.0, 1.0]])
     rows = [pair, other, pair, other]
@@ -254,11 +256,20 @@ def test_vanishing_marks_exactly_the_rows_the_routes_zero(p):
             with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
                 route(res)
         return
-    for route in (delta_p_direct, delta_p_closed_form):
-        got = route(res)
-        assert (got[marked] == 0).all() and (got[~marked] != 0).all(), route.__name__
     scale = delta_p_scale(res)
-    assert (scale[marked] == 1e-300).all() and (scale[~marked] > 1e-300).all()
+    if p == 2:
+        assert_same_bits(delta_p_direct(res)[marked], np.trace(res.hessian[marked], axis1=-2, axis2=-1),
+                         "direct")
+        assert (delta_p_closed_form(res) == 0).all()
+        # n mag + |p - 2| mag, summed over the poles, at n = p = 2
+        mag = np.abs(res.ddv) + np.abs(res.dv) / res.distances
+        assert_same_bits(scale[marked], np.vecdot(2 * mag, stack.weights)[marked], "scale")
+        assert (scale > 1e-300).all()
+    else:
+        for route in (delta_p_direct, delta_p_closed_form):
+            got = route(res)
+            assert (got[marked] == 0).all() and (got[~marked] != 0).all(), route.__name__
+        assert (scale[marked] == 1e-300).all() and (scale[~marked] > 1e-300).all()
     assert (res.angles[marked] == 0).all() and (res.angles[~marked] != 0).any(axis=-1).all()
 
 

@@ -417,6 +417,21 @@ def test_comparison_check_refuses_p_up_to_two(p):
         comparison_check(ps, None, dom)
 
 
+@pytest.mark.parametrize("rows", [9, 4, 1], ids=["axis_length", "no_axis_length", "one_row"])
+def test_every_stacked_pole_set_is_refused(monkeypatch, rows):
+    """One pole per row, p from 3.0 up by 0.1, on a 9 x 9 grid.  Unrefused,
+    9 rows gave a report whose W column j came from row j's poles, solved
+    at row 0's p; 4 rows raised numpy's broadcast ValueError."""
+    stack = PoleSet.stack_rows([[1.0]] * rows, [[[0.1 * j - 0.4, 0.05]] for j in range(rows)],
+                               [Params(3.0 + 0.1 * j, 2, 1.0) for j in range(rows)])
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(9, 9))
+    with pytest.raises(UnsupportedConfigurationError, match="one pole set, not a stack"):
+        superposition_grid(stack, None, dom)
+    monkeypatch.setattr(comparison, "_Stencil", None)  # refused before the band check
+    with pytest.raises(UnsupportedConfigurationError, match="one pole set, not a stack"):
+        comparison_check(stack, None, dom)
+
+
 @pytest.mark.parametrize("bounds,shape,factor", [
     ([(-1, 1), (-1, 1)], (17, 17), 16.0),
     ([(-1, 1), (-1, 1)], (33, 33), 4.0),

@@ -1,4 +1,5 @@
-"""The package's export list, its one use of scipy and its one Euclidean norm."""
+"""The package's export list, its one use of scipy, its one Euclidean norm
+and its one home of |grad W|^{p-2}."""
 
 import ast
 import pathlib
@@ -50,3 +51,21 @@ def test_axis_norm_is_the_only_euclidean_norm():
              for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
              for call in _other_norms(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _grad_powers(node, where):
+    """The function that holds each ``_power(..., p - 2)`` call under
+    ``node``, ``where`` naming the function that holds ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "_power"
+                and len(child.args) == 2 and ast.unparse(child.args[1]) == "p - 2"):
+            yield where
+        yield from _grad_powers(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+
+def test_grad_power_is_the_one_home_of_the_gradient_factor():
+    """The analytic routes take |grad W|^{p-2} from ``superpose._grad_power``;
+    ``core.fd_p_laplacian`` keeps the FD oracle's own flux and is not
+    scanned."""
+    path = pathlib.Path(plap.__file__).parent / "superpose.py"
+    assert list(_grad_powers(ast.parse(path.read_text()), None)) == ["_grad_power"]
