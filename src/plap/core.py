@@ -7,14 +7,14 @@ A radial function f(x) = v(|x - y|) has
     lap  f = v'' + (n-1) * v'/r,
 
 and the fundamental solution has v'(r) = -c * r^((1-n)/(p-1)), which makes
-(p-1) v'' + (n-1) v'/r vanish identically.  Also the central-difference
-p-Laplacian shared by the finite-difference oracles.
+(p-1) v'' + (n-1) v'/r vanish identically.  Also ``fd_jacobian``, the
+one central-difference stencil of the finite-difference oracles.
 
-The profile functions, ``big_c_at`` and ``fd_p_laplacian`` take the
-exponent p as a float or as an array that broadcasts against the radii, as
-``superpose.PoleSet.p`` does: one p per row of a stack.  Each element gets
-the bits it has with its own p alone; ``_power`` is the one place that
-tells one exponent from many.
+The profile functions and ``big_c_at`` take the exponent p as a float or
+as an array that broadcasts against the radii, as ``superpose.PoleSet.p``
+does: one p per row of a stack.  Each element gets the bits it has with its
+own p alone; ``_power`` is the one place that tells one exponent from
+many.
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleSingularityError, UndefinedOperatorError
+from .errors import PoleSingularityError
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _power(x, e):
 
 def _profile_slope(params: Params, r, p=None):
     """v'(r) = -c r^e with e = (1-n)/(p-1), at radii r > 0 and without the
-    pole rule: the flux of the finite-difference oracle needs v' alone.
+    pole rule: the gradient of the finite-difference oracle needs v' alone.
 
     ``p``, in this function and the other profile functions, is the
     exponent in place of ``params.p``: a float or an array that broadcasts
@@ -165,47 +165,22 @@ def axis_norm(z, keepdims=False):
 
 
 def fd_spacing(x, step: float):
-    """The stencil spacing h = step * (1 + |x|) of ``fd_divergence`` at
+    """The stencil spacing h = step * (1 + |x|) of ``fd_jacobian`` at
     points x of shape (..., n): shape (...), a float for one point."""
     return _scalar(step * (1.0 + axis_norm(np.asarray(x, dtype=float))))
 
 
-def fd_divergence(flux, x, step: float):
-    """Central-difference divergence of a vector field at points x of
-    shape (..., n): shape (...), a float for one point.
+def fd_jacobian(field, x, step: float):
+    """Central-difference Jacobian J[..., i, j] = d field_i / d x_j at
+    points x of shape (..., n), and the field's mean over the stencil.
 
-    The spacing is h = fd_spacing(x, step).  ``flux`` is called once, on
+    The spacing is h = fd_spacing(x, step).  ``field`` is called once, on
     the stencil points of shape (..., 2n, n): x + h e_j followed by
     x - h e_j along the second to last axis.  It returns the field at each
     of them in the same shape.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = np.asarray(fd_spacing(x, step))[..., None]
-    shifts = h[..., None] * np.eye(n)
-    f = flux(np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2))
-    diag = np.diagonal(f[..., :n, :], axis1=-2, axis2=-1) - np.diagonal(
-        f[..., n:, :], axis1=-2, axis2=-1
-    )
-    return _scalar(np.sum(diag / (2 * h), axis=-1))
-
-
-def fd_p_laplacian(gradient, x, step: float, p, eps):
-    """``fd_divergence`` of the flux |g|^{p-2} g of the field ``gradient``
-    gives on the stencil points.  Where |g| < ``eps`` (``delta_p_fd``: its
-    pole set's ``_cutoff``; the evolution defects: 0), the flux is 0 for
-    p >= 2 and an error for p < 2.  p and eps are floats or arrays
-    broadcast against x's leading shape (``delta_p_fd`` on a stack)."""
-    eps = np.asarray(eps)[..., None, None]
-    p = np.asarray(p, dtype=float)[..., None, None]
-    below = p < 2
-
-    def flux(z):
-        g = gradient(z)
-        gn = axis_norm(g, keepdims=True)
-        vanishing = gn < eps
-        if below.any() and (vanishing & below).any():
-            raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
-        return np.where(vanishing, 0.0, _power(gn, p - 2) * g)
-
-    return fd_divergence(flux, x, step)
+    h = np.asarray(fd_spacing(x, step))[..., None, None]
+    f = field(x[..., None, :] + h * np.concatenate([np.eye(n), -np.eye(n)]))
+    return np.swapaxes(f[..., :n, :] - f[..., n:, :], -1, -2) / (2 * h), f.mean(axis=-2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, _scalar, axis_norm, fd_p_laplacian
+from .core import Params, _power, _scalar, axis_norm, fd_jacobian
 from .errors import UndefinedOperatorError, UnsupportedConfigurationError
 
 BARENBLATT = "barenblatt"
@@ -179,6 +179,18 @@ def barenblatt_defect(k: EvolutionKernel, a: float, x, t):
     return factor * kernel_time_derivative(k, x, t) + 0.0
 
 
+def _flux_divergence(gradient, x, t, step, p):
+    """Central-difference divergence, the trace of ``fd_jacobian``, of the
+    flux |g|^{p-2} g with g = ``gradient(z, s)`` at the stencil points z and
+    times s (t against the stencil axis).  The flux, not g, is differenced:
+    B is not C^2 at the origin.  p > 2, so a vanishing g needs no rule."""
+    def flux(z):
+        g = gradient(z, np.expand_dims(t, -1))
+        return _power(axis_norm(g, keepdims=True), p - 2) * g
+
+    return _scalar(np.trace(fd_jacobian(flux, x, step)[0], axis1=-2, axis2=-1))
+
+
 def _time_difference(f, t):
     """Central difference of f at times t, relative step TIME_FD_REL_STEP."""
     dt = TIME_FD_REL_STEP * t
@@ -186,15 +198,13 @@ def _time_difference(f, t):
 
 
 def barenblatt_defect_fd(k: EvolutionKernel, a: float, x, t):
-    """Left side of the defect identity assembled numerically:
-    spatial Delta_p(a B) via a divergence-of-flux stencil minus a central
-    time difference of a B.  Keep x away from origin and free boundary."""
+    """Left side of the defect identity assembled numerically: the flux
+    divergence of a B (``_flux_divergence``) minus a central time
+    difference of a B.  Keep x away from origin and free boundary."""
     if k.kind != BARENBLATT:
         raise ValueError("defect identity applies to the Barenblatt kernel")
-    stencil_t = np.expand_dims(t, -1)  # against the (..., 2n) stencil points
-    lap = fd_p_laplacian(
-        lambda z: a * kernel_spatial_gradient(k, z, stencil_t), x, SPACE_FD_STEP, k.params.p, 0.0
-    )
+    lap = _flux_divergence(lambda z, s: a * kernel_spatial_gradient(k, z, s), x, t,
+                           SPACE_FD_STEP, k.params.p)
     return lap - _time_difference(lambda s: a * kernel_value(k, x, s), t)
 
 
@@ -245,8 +255,9 @@ def two_bump_defect(k: EvolutionKernel, y, t):
 
 def two_bump_defect_fd(k: EvolutionKernel, y, t):
     """FD assembly of (|V|^{p-2} V)_t - Delta_p V at a point x near the
-    origin (offset TWO_BUMP_OFFSET along the first axis); converges to the
-    closed form as the offset goes to 0."""
+    origin (offset TWO_BUMP_OFFSET along the first axis): a central time
+    difference minus the flux divergence of V (``_flux_divergence``);
+    converges to the closed form as the offset goes to 0."""
     if k.kind != HOMOGENEOUS:
         raise ValueError("the two-bump defect uses the homogeneous kernel")
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -258,8 +269,6 @@ def two_bump_defect_fd(k: EvolutionKernel, y, t):
         v = two_bump_value(k, y, x, s)
         return np.power(np.abs(v), p - 2) * v
 
-    stencil_y, stencil_t = y[..., None, :], np.expand_dims(t, -1)
-    lap = fd_p_laplacian(
-        lambda z: two_bump_gradient(k, stencil_y, z, stencil_t), x, TWO_BUMP_SPACE_STEP, p, 0.0
-    )
+    lap = _flux_divergence(lambda z, s: two_bump_gradient(k, y[..., None, :], z, s), x, t,
+                           TWO_BUMP_SPACE_STEP, p)
     return _time_difference(signed_power, t) - lap

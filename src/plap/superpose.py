@@ -5,7 +5,8 @@ their p-Laplacian through three routes:
                            |g|^{p-2} ((p-2) g^T H g / |g|^2 + tr H),
   * delta_p_closed_form -- the sign identity
                            -C |g|^{p-2} sum_i a_i sin^2(theta_i) / r_i^{(p+n-2)/(p-1)},
-  * delta_p_fd          -- central finite differences of the analytic flux.
+  * delta_p_fd          -- the divergence identity on the central-difference
+                           Jacobian of the analytic gradient.
 
 The first two read one ``evaluate`` result; the FD oracle builds its own
 gradient from (ps, k, x), so it stays independent of that evaluation.
@@ -32,7 +33,7 @@ from .core import (
     _profile_value,
     _scalar,
     axis_norm,
-    fd_p_laplacian,
+    fd_jacobian,
     fd_spacing,
     fundamental_profile,
 )
@@ -302,35 +303,36 @@ def evaluate(ps: PoleSet, k: ConcaveTerm, x) -> EvalResult:
     return EvalResult(_scalar(value), grad, hess, angles, r, gn, vanishing, ps, k, dv, ddv, kh)
 
 
-def _grad_power(res: EvalResult, exempt=False):
-    """|grad W|^{p-2} of an ``evaluate`` result, the one place that forms it,
-    and the rows ``zeroed`` (``res.vanishing`` and p != 2) that a route sets
-    to its own value.  p = 2 takes the factor 1; a vanishing gradient outside
-    ``exempt`` raises for p < 2 (in a stack, only in a row of p < 2)."""
-    if not res.derivatives_available:
+def _grad_power(p, grad_norm, vanishing, exempt=False):
+    """|grad W|^{p-2}, the one place that forms it, and the rows ``zeroed``
+    (``vanishing`` and p != 2) that a route sets to its own value.  p = 2
+    takes the factor 1; a vanishing gradient outside ``exempt`` raises for
+    p < 2 (in a stack, only in a row of p < 2); a ``grad_norm`` of None, on
+    a pole, raises."""
+    if grad_norm is None:
         raise PoleSingularityError("derivatives unavailable at a pole")
-    p, vanishing = res.poles.p, res.vanishing
     below = p < 2
     if below.any() and (vanishing & np.logical_not(exempt) & below).any():
         raise UndefinedOperatorError("p-Laplacian undefined at vanishing gradient for p < 2")
     # the 1 only keeps the vanishing rows finite
-    return _power(np.where(vanishing, 1.0, res.grad_norm), p - 2), vanishing & (p != 2)
+    return _power(np.where(vanishing, 1.0, grad_norm), p - 2), vanishing & (p != 2)
+
+
+def _divergence_identity(p, grad, grad_norm, vanishing, jac):
+    """|g|^{p-2} ((p-2) g^T J g / |g|^2 + tr J) for a gradient g and its
+    Jacobian J, with the factor and the vanishing rule of ``_grad_power``."""
+    power, zeroed = _grad_power(p, grad_norm, vanishing)
+    gn = np.where(vanishing, 1.0, grad_norm)  # the 1 only keeps the vanishing rows finite
+    rayleigh = (grad[..., None, :] @ jac @ grad[..., None])[..., 0, 0] / gn**2
+    trace = np.trace(jac, axis1=-2, axis2=-1)
+    return _scalar(np.where(zeroed, 0.0, power * ((p - 2) * rayleigh + trace)))
 
 
 def delta_p_direct(res: EvalResult):
-    """p-Laplacian via the divergence identity on the assembled data.
-
-    A vanishing gradient returns the continuous extension 0 for p > 2 and
-    is an error for p < 2; p = 2 is the plain Laplacian (trace of the
-    Hessian) everywhere.
-    """
-    power, zeroed = _grad_power(res)
-    p, grad, hess = res.poles.p, res.gradient, res.hessian
-    trace = np.trace(hess, axis1=-2, axis2=-1)
-    # the 1 only keeps the vanishing rows finite
-    gn = np.where(res.vanishing, 1.0, res.grad_norm)
-    rayleigh = (grad[..., None, :] @ hess @ grad[..., None])[..., 0, 0] / gn**2
-    return _scalar(np.where(zeroed, 0.0, power * ((p - 2) * rayleigh + trace)))
+    """p-Laplacian via the divergence identity on the assembled gradient
+    and Hessian: the continuous extension 0 at a vanishing gradient for
+    p > 2, an error there for p < 2, the Laplacian tr H for p = 2."""
+    return _divergence_identity(res.poles.p, res.gradient, res.grad_norm, res.vanishing, res.hessian)
 
 
 def delta_p_closed_form(res: EvalResult):
@@ -347,7 +349,7 @@ def delta_p_closed_form(res: EvalResult):
     # p = 2 zeroes C; with one pole the gradient is exactly (anti)parallel
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
     exact = (ps.counts == 1) | (p == 2)
-    power, zeroed = _grad_power(res, exact)
+    power, zeroed = _grad_power(p, res.grad_norm, res.vanishing, exact)
     per_pole = _aligned_p(ps, 1)
     expo = (per_pole + n - 2) / (per_pole - 1)
     s = np.sum(ps.weights * np.sin(res.angles) ** 2 / _power(res.distances, expo), axis=-1)
@@ -355,8 +357,10 @@ def delta_p_closed_form(res: EvalResult):
 
 
 def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
-    """Independent oracle: divergence of the flux |grad W|^{p-2} grad W by
-    central differences of the analytic gradient, step scaled by 1 + |x|."""
+    """Independent oracle: the divergence identity on the central-difference
+    Jacobian J, spacing step (1 + |x|), of a gradient built from (ps, k, x)
+    without ``evaluate``, and on g, its stencil mean.  The identity itself
+    is checked against the flux form in tests/test_core.py."""
     if not step > 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
@@ -375,7 +379,9 @@ def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):
             g += np.moveaxis(k.eval(np.moveaxis(z, -2, 0))[1], 0, -2)
         return g
 
-    return fd_p_laplacian(gradient, x, step, ps.p, _cutoff(ps.weights))
+    jac, g = fd_jacobian(gradient, x, step)
+    gn = axis_norm(g)
+    return _divergence_identity(ps.p, g, gn, gn < _cutoff(ps.weights), jac)
 
 
 def delta_p_scale(res: EvalResult):
@@ -383,9 +389,9 @@ def delta_p_scale(res: EvalResult):
     routes: the sum of absolute values of the per-term ingredients of the
     divergence identity.  Where the routes cancel to (near) zero, residuals
     are meaningful only relative to this scale."""
-    power, zeroed = _grad_power(res, exempt=True)
     ps = res.poles
     p, n = ps.p, ps.params.n
+    power, zeroed = _grad_power(p, res.grad_norm, res.vanishing, exempt=True)
     mag = np.abs(res.ddv) + np.abs(res.dv) / res.distances
     total = np.vecdot(n * mag + abs(_aligned_p(ps, 1) - 2) * mag, ps.weights)
     if res.k_hessian is not None:

@@ -169,17 +169,21 @@ def test_single_pole_closed_form_is_exactly_zero_in_every_row(seed, n, p):
     assert np.all(got == 0.0)
 
 
-def test_fd_divergence_batches_keep_the_leading_shape():
-    # the field z -> z * |z|^2 has divergence (n + 2) |z|^2
-    def flux(z):
+def test_fd_jacobian_batches_keep_the_leading_shape():
+    # the field z -> z |z|^2 has Jacobian |z|^2 I + 2 z z^T
+    def field(z):
         return z * np.sum(z**2, axis=-1, keepdims=True)
 
     x = np.random.default_rng(5).uniform(-1, 1, (2, 3, 3))
-    got = core.fd_divergence(flux, x, 1e-4)
-    assert got.shape == (2, 3)
+    jac, mean = core.fd_jacobian(field, x, 1e-4)
+    assert jac.shape == (2, 3, 3, 3) and mean.shape == (2, 3, 3)
     for i in np.ndindex(2, 3):
-        assert got[i] == core.fd_divergence(flux, x[i], 1e-4)
-    np.testing.assert_allclose(got, 5 * np.sum(x**2, axis=-1), rtol=1e-7)
+        one_jac, one_mean = core.fd_jacobian(field, x[i], 1e-4)
+        assert np.array_equal(jac[i], one_jac) and np.array_equal(mean[i], one_mean)
+    sq = np.sum(x**2, axis=-1)[..., None, None]
+    np.testing.assert_allclose(jac, sq * np.eye(3) + 2 * x[..., :, None] * x[..., None, :],
+                               rtol=1e-7, atol=1e-12)
+    np.testing.assert_allclose(mean, field(x), rtol=1e-7)
 
 
 # ------------------------------------------------- raise if any point would
@@ -213,7 +217,8 @@ REFUSALS = {
     "near_pole": {"fd": PoleSingularityError},
     "kink": {"evaluate": KinkError, "direct": KinkError, "fd": KinkError, "scale": KinkError},
     "stencil_kink": {"fd": KinkError},
-    "vanishing": {"direct": UndefinedOperatorError, "closed": UndefinedOperatorError},
+    "vanishing": {"direct": UndefinedOperatorError, "closed": UndefinedOperatorError,
+                  "fd": UndefinedOperatorError},
 }
 
 
@@ -238,9 +243,10 @@ def test_a_batch_raises_what_its_worst_point_raises(case):
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 def test_vanishing_marks_exactly_the_rows_the_routes_zero(p):
     """The vanishing case in a stack: rows 0 and 2 sit at the midpoint of a
-    symmetric pair, where grad V = 0 exactly, rows 1 and 3 do not.  At
-    p = 2 no row is zeroed: the marked rows keep the plain Laplacian, the
-    closed form's exact 0 and the unmasked yardstick."""
+    symmetric pair, where grad V = 0 exactly, and so does the mean of the
+    FD oracle's gradient over its stencil; rows 1 and 3 do not.  At p = 2
+    no row is zeroed: the marked rows keep the plain Laplacian, the closed
+    form's exact 0, the oracle's tr J and the unmasked yardstick."""
     pair = ([1.0, 1.0], [[-1.0, 0.0], [1.0, 0.0]])
     other = ([0.5, 1.5, 1.0], [[0.3, -0.2], [-0.6, 0.4], [1.0, 1.0]])
     rows = [pair, other, pair, other]
@@ -252,23 +258,28 @@ def test_vanishing_marks_exactly_the_rows_the_routes_zero(p):
     for b, (w, y) in enumerate(rows):
         assert evaluate(PoleSet(w, y, Params(p, 2)), None, x[b]).vanishing == marked[b]
     if p < 2:
-        for route in (delta_p_direct, delta_p_closed_form):
+        for route in (delta_p_direct, delta_p_closed_form, lambda res: delta_p_fd(stack, None, x)):
             with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
                 route(res)
         return
-    scale = delta_p_scale(res)
+    scale, fd = delta_p_scale(res), delta_p_fd(stack, None, x)
     if p == 2:
         assert_same_bits(delta_p_direct(res)[marked], np.trace(res.hessian[marked], axis1=-2, axis2=-1),
                          "direct")
         assert (delta_p_closed_form(res) == 0).all()
+        # tr J of the gradient, here from evaluate at the stencil points
+        for b in np.flatnonzero(marked):
+            row = PoleSet(*rows[b], Params(p, 2))
+            jac = core.fd_jacobian(lambda z: evaluate(row, None, z).gradient, x[b], DEFAULT_FD_STEP)[0]
+            assert fd[b] == pytest.approx(np.trace(jac), rel=1e-6, abs=1e-12) and fd[b] != 0
         # n mag + |p - 2| mag, summed over the poles, at n = p = 2
         mag = np.abs(res.ddv) + np.abs(res.dv) / res.distances
         assert_same_bits(scale[marked], np.vecdot(2 * mag, stack.weights)[marked], "scale")
         assert (scale > 1e-300).all()
     else:
-        for route in (delta_p_direct, delta_p_closed_form):
-            got = route(res)
-            assert (got[marked] == 0).all() and (got[~marked] != 0).all(), route.__name__
+        for name, got in (("direct", delta_p_direct(res)), ("closed", delta_p_closed_form(res)),
+                          ("fd", fd)):
+            assert (got[marked] == 0).all() and (got[~marked] != 0).all(), name
         assert (scale[marked] == 1e-300).all() and (scale[~marked] > 1e-300).all()
     assert (res.angles[marked] == 0).all() and (res.angles[~marked] != 0).any(axis=-1).all()
 
@@ -348,14 +359,17 @@ def test_only_a_row_of_p_below_2_with_a_vanishing_gradient_raises():
     res = evaluate(stack, None, x)
     assert res.vanishing.tolist() == [True, False, True]
     direct, closed, scale = delta_p_direct(res), delta_p_closed_form(res), delta_p_scale(res)
+    fd = delta_p_fd(stack, None, x)
     for b, p in enumerate((2.5, 1.5, 2.0)):
-        own = evaluate(PoleSet(*rows[b], Params(p, 2)), None, x[b])
+        own_set = PoleSet(*rows[b], Params(p, 2))
+        own = evaluate(own_set, None, x[b])
         assert direct[b] == delta_p_direct(own) and closed[b] == delta_p_closed_form(own)
-        assert scale[b] == delta_p_scale(own)
+        assert scale[b] == delta_p_scale(own) and fd[b] == delta_p_fd(own_set, None, x[b])
     assert direct[0] == 0 and direct[2] == np.trace(res.hessian[2]) and closed[2] == 0
+    assert fd[0] == 0 and fd[2] != 0
     stack = PoleSet.stack_rows(weights, locations, [Params(p, 2) for p in (1.5, 2.5, 3.0)])
     res = evaluate(stack, None, x)
-    for route in (delta_p_direct, delta_p_closed_form):
+    for route in (delta_p_direct, delta_p_closed_form, lambda res: delta_p_fd(stack, None, x)):
         with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
             route(res)
 

@@ -17,8 +17,8 @@ from plap import (
 )
 from plap import evolution, superpose
 from plap.concave import QuadraticTerm
-from plap.core import _profile_slope, axis_norm, fd_divergence, fd_p_laplacian
-from plap.errors import PoleSingularityError, UndefinedOperatorError
+from plap.core import _profile_slope, axis_norm, fd_jacobian
+from plap.errors import PoleSingularityError
 
 
 def fd_derivative(f, r, h=1e-5):
@@ -227,77 +227,50 @@ def test_rotation_equivariance():
         np.testing.assert_allclose(g_rot, q @ g, atol=1e-13 * np.linalg.norm(g))
 
 
-def test_fd_divergence_one_batched_call():
-    # central differences are exact on quadratic fields: div = tr A + 2 z_0
+def test_fd_jacobian_one_batched_call():
+    # central differences are exact on quadratic fields: J = A + 2 z_0 e_0 e_0^T
     a = np.array([[1.5, -0.2, 0.3], [0.4, -2.0, 0.1], [0.0, 0.7, 0.25]])
     x = np.array([0.3, -1.2, 0.8])
     calls = []
 
-    def flux(z):
+    def field(z):
         calls.append(z.shape)
         f = z @ a.T
         f[:, 0] += z[:, 0] ** 2
         return f
 
-    div = fd_divergence(flux, x, 1e-3)
+    jac, mean = fd_jacobian(field, x, 1e-3)
     assert calls == [(6, 3)]
-    assert div == pytest.approx(np.trace(a) + 2 * x[0], rel=1e-9)
+    want = a.copy()
+    want[0, 0] += 2 * x[0]
+    np.testing.assert_allclose(jac, want, rtol=1e-9, atol=1e-12)
+    # the mean of z_0^2 over the stencil is x_0^2 + h^2 / n
+    h = 1e-3 * (1 + np.linalg.norm(x))
+    np.testing.assert_allclose(mean, field(x[None])[0] + [h**2 / 3, 0, 0], rtol=1e-12)
 
 
-# the gradient z - z_0 + TINY e_0, z_0 the first stencil point x + h e_0 of
-# each row, has norm TINY there, below EPS, and at least h > EPS at the
-# other stencil points
-TINY, EPS = 1e-4, 5e-4
+def reference_fd_divergence(flux, x, step):
+    """The central-difference divergence of a flux on its own copy of the
+    stencil ``fd_jacobian`` takes: x + h e_j, then x - h e_j, with
+    h = step (1 + |x|)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = (step * (1.0 + np.linalg.norm(x, axis=-1)))[..., None]
+    shifts = h[..., None] * np.eye(n)
+    f = flux(np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2))
+    diag = np.diagonal(f[..., :n, :], axis1=-2, axis2=-1) - np.diagonal(
+        f[..., n:, :], axis1=-2, axis2=-1
+    )
+    out = np.sum(diag / (2 * h), axis=-1)
+    return out if out.ndim else float(out)
 
 
-def tiny_at_the_first_stencil_point(z):
-    g = z - z[..., :1, :]
-    g[..., 0] += TINY
-    return g
-
-
-def flux_reference(p, zeroed):
-    """|g|^{p-2} g of ``tiny_at_the_first_stencil_point``, zero at the first
-    stencil point of the rows in ``zeroed``."""
-    def flux(z):
-        g = tiny_at_the_first_stencil_point(z)
-        f = np.linalg.norm(g, axis=-1, keepdims=True) ** (p - 2) * g
-        f[zeroed, 0] = 0.0
-        return f
-    return flux
-
-
-@pytest.mark.parametrize("p", [2.0, 3.5])
-def test_fd_p_laplacian_gives_a_gradient_below_eps_zero_flux_row_by_row(p):
-    x = np.array([[0.3, -0.2], [1.1, 0.4], [-0.5, 0.9]])
-    step = 1e-3
-    below = fd_p_laplacian(tiny_at_the_first_stencil_point, x, step, p, EPS)
-    above = fd_p_laplacian(tiny_at_the_first_stencil_point, x, step, p, 0.0)
-    assert np.array_equal(below, fd_divergence(flux_reference(p, [0, 1, 2]), x, step))
-    assert np.array_equal(above, fd_divergence(flux_reference(p, []), x, step))
-    assert np.all(below != above)
-    stacked = fd_p_laplacian(tiny_at_the_first_stencil_point, x, step, p, [EPS, 0.0, EPS])
-    assert np.array_equal(stacked, [below[0], above[1], below[2]])
-    assert np.array_equal(stacked, fd_divergence(flux_reference(p, [0, 2]), x, step))
-
-
-def test_fd_p_laplacian_refuses_a_gradient_below_eps_for_p_below_2():
-    x = np.array([[0.3, -0.2], [1.1, 0.4]])
-    with pytest.raises(UndefinedOperatorError, match="vanishing gradient"):
-        fd_p_laplacian(tiny_at_the_first_stencil_point, x, 1e-3, 1.5, EPS)
-    # one row below its eps is enough; the others are above theirs
-    with pytest.raises(UndefinedOperatorError):
-        fd_p_laplacian(tiny_at_the_first_stencil_point, x, 1e-3, 1.5, [0.0, EPS])
-    got = fd_p_laplacian(tiny_at_the_first_stencil_point, x, 1e-3, 1.5, 0.0)
-    assert np.array_equal(got, fd_divergence(flux_reference(1.5, []), x, 1e-3))
-
-
-# the flux closures of the finite-difference oracles before
-# ``fd_p_laplacian`` owned the flux, kept as the bit-for-bit reference
-def reference_delta_p_fd(ps, k, x, step=superpose.DEFAULT_FD_STEP):
+def flux_form_delta_p(ps, k, x, step=superpose.DEFAULT_FD_STEP):
+    """div(|g|^{p-2} g) by central differences of the flux: the product
+    rule that ``delta_p_fd`` and ``delta_p_direct`` take for granted when
+    they form |g|^{p-2} ((p-2) e^T J e + tr J)."""
     p = ps.params.p
     y, a = ps.locations[..., None, :, :], ps.weights[..., None, :]
-    eps = np.asarray(superpose._cutoff(ps.weights))[..., None, None]
 
     def flux(z):
         d = z[..., None, :] - y
@@ -305,13 +278,9 @@ def reference_delta_p_fd(ps, k, x, step=superpose.DEFAULT_FD_STEP):
         g = np.einsum("...m,...mj->...j", a * _profile_slope(ps.params, r) / r, d)
         if k is not None:
             g += k.eval(z)[1]
-        gn = np.linalg.norm(g, axis=-1, keepdims=True)
-        vanishing = gn < eps
-        if p < 2 and vanishing.any():
-            raise UndefinedOperatorError("flux undefined at vanishing gradient for p < 2")
-        return np.where(vanishing, 0.0, gn ** (p - 2) * g)
+        return np.linalg.norm(g, axis=-1, keepdims=True) ** (p - 2) * g
 
-    return fd_divergence(flux, np.asarray(x, dtype=float), step)
+    return reference_fd_divergence(flux, x, step)
 
 
 def reference_flux(g, p):
@@ -321,7 +290,7 @@ def reference_flux(g, p):
 def reference_barenblatt_defect_fd(k, a, x, t):
     stencil_t = np.expand_dims(t, -1)
     gradient, value = evolution.kernel_spatial_gradient, evolution.kernel_value
-    lap = fd_divergence(
+    lap = reference_fd_divergence(
         lambda z: reference_flux(a * gradient(k, z, stencil_t), k.params.p), x, evolution.SPACE_FD_STEP
     )
     dt = evolution.TIME_FD_REL_STEP * t
@@ -344,7 +313,7 @@ def reference_two_bump_defect_fd(k, y, t):
         - signed_power(evolution.two_bump_value(k, y, x, t - dt))
     ) / (2 * dt)
     stencil_y, stencil_t = y[..., None, :], np.expand_dims(t, -1)
-    lap = fd_divergence(
+    lap = reference_fd_divergence(
         lambda z: reference_flux(evolution.two_bump_gradient(k, stencil_y, z, stencil_t), p),
         x, evolution.TWO_BUMP_SPACE_STEP,
     )
@@ -357,20 +326,47 @@ def same_bits(got, want):
             and np.asarray(got).tobytes() == np.asarray(want).tobytes())
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 4.0])
-@pytest.mark.parametrize("n", [2, 3])
-def test_delta_p_fd_is_the_reference_flux_closure_bit_for_bit(p, n):
+def pole_sets_and_points(p, n):
+    """Four pole sets of 1 to 8 poles, their stack and four points."""
     rng = np.random.default_rng(int(10 * p) + n)
     sets = [PoleSet(rng.uniform(0.1, 2, m), rng.uniform(-1, 1, (m, n)), Params(p, n))
             for m in (1, 3, 5, 8)]
     x = rng.uniform(1.5, 2.5, (4, n)) * rng.choice([-1.0, 1.0], (4, n))
     stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
                                Params(p, n))
-    k = QuadraticTerm(-np.eye(n), b=rng.uniform(-1, 1, n))
-    assert same_bits(superpose.delta_p_fd(stack, None, x), reference_delta_p_fd(stack, None, x))
+    return sets, stack, x, QuadraticTerm(-np.eye(n), b=rng.uniform(-1, 1, n))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_flux_form_agrees_with_the_oracle_and_the_closed_form(p, n):
+    """The product rule: the central-difference divergence of the flux
+    |g|^{p-2} g against the divergence identity on the Jacobian of g
+    (``delta_p_fd``), the closed form and, with K, ``delta_p_direct``,
+    each within 1e-4 of ``delta_p_scale``."""
+    sets, stack, x, k = pole_sets_and_points(p, n)
+    res = evaluate(stack, None, x)
+    scale = superpose.delta_p_scale(res)
+    flux_form = flux_form_delta_p(stack, None, x)
+    for other in (superpose.delta_p_fd(stack, None, x), superpose.delta_p_closed_form(res)):
+        assert (np.abs(flux_form - other) <= 1e-4 * scale).all()
     for ps in sets:
         for args in ((ps, None, x[0]), (ps, k, x, 1e-3)):
-            assert same_bits(superpose.delta_p_fd(*args), reference_delta_p_fd(*args))
+            res = evaluate(*args[:3])
+            flux_form, scale = flux_form_delta_p(*args), superpose.delta_p_scale(res)
+            for other in (superpose.delta_p_fd(*args), delta_p_direct(res)):
+                assert (np.abs(flux_form - other) <= 1e-4 * scale).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_delta_p_fd_at_p_2_is_the_flux_form_bit_for_bit(n):
+    """At p = 2 the flux is g, and the identity's 0 (e^T J e) + tr J is the
+    flux form's divergence."""
+    sets, stack, x, k = pole_sets_and_points(2.0, n)
+    assert same_bits(superpose.delta_p_fd(stack, None, x), flux_form_delta_p(stack, None, x))
+    for ps in sets:
+        for args in ((ps, None, x[0]), (ps, k, x, 1e-3)):
+            assert same_bits(superpose.delta_p_fd(*args), flux_form_delta_p(*args))
 
 
 @pytest.mark.parametrize("p,n", [(2.5, 2), (3.0, 2), (4.0, 3)])

@@ -64,8 +64,12 @@ def _grad_powers(node, where):
 
 
 def test_grad_power_is_the_one_home_of_the_gradient_factor():
-    """The analytic routes take |grad W|^{p-2} from ``superpose._grad_power``;
-    ``core.fd_p_laplacian`` keeps the FD oracle's own flux and is not
-    scanned."""
-    path = pathlib.Path(plap.__file__).parent / "superpose.py"
-    assert list(_grad_powers(ast.parse(path.read_text()), None)) == ["_grad_power"]
+    """Every Delta_p route of the superposition, the FD oracle included,
+    takes |grad W|^{p-2} from ``superpose._grad_power``.  The one other
+    factor is the flux of the evolution FD defects (``flux`` in
+    ``evolution._flux_divergence``): B is not C^2 at the origin, so they
+    difference the flux |grad(a B)|^{p-2} grad(a B), not the gradient."""
+    found = [(path.name, where)
+             for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
+             for where in _grad_powers(ast.parse(path.read_text()), None)]
+    assert found == [("evolution.py", "flux"), ("superpose.py", "_grad_power")]

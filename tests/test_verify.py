@@ -204,6 +204,17 @@ def test_the_draw_loop_gives_the_per_draw_report_and_generator_state(
     assert made[0].bit_generator.state == expected_rng.bit_generator.state
 
 
+def test_the_fd_oracle_passes_the_draw_where_the_flux_form_failed():
+    """Seed 1498416809, draw 128: |grad V| = 0.096 and a pole 0.065 from
+    the point.  An oracle that differenced the flux |g|^{p-2} g failed
+    ``three_way_fd_vs_closed`` there (1.79e-4 against 1e-4); the identity
+    on the Jacobian of g, with g the stencil mean, gives 6.8e-6."""
+    report = verify.verify_superpose(1498416809)
+    assert report.passed
+    fd = next(c for c in report.checks if c.name == "three_way_fd_vs_closed")
+    assert fd.worst_residual < 1e-5
+
+
 FIELDS = ("weights", "locations", "counts")
 
 
