@@ -1,6 +1,6 @@
 """Concave additive terms: quadratics, minima of affine functions, and
-their mollifications, plus the eigenvalue sufficient condition for the
-sign of the operator term (p-2) xi^T H xi / |xi|^2 + tr H."""
+their mollifications; the operator term (p-2) e^T H e + tr H, e = xi/|xi|,
+the one bracket of Delta_p; and the eigenvalue condition for its sign."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _scalar
+from .core import _scalar, axis_norm
 from .errors import DegenerateDirectionError, KinkError
 
 TIE_EPSILON = 1e-9          # relative tie detection for min-of-affine pieces
@@ -256,17 +256,17 @@ def criterion_sum(hess, p):
 
 
 def operator_term(hess, p, xi):
-    """(p-2) xi^T H xi / |xi|^2 + tr H for Hessians H (..., n, n).
-
-    Directions xi (..., n) broadcast against the stack of matrices, and p
-    against their leading shape; one direction and one matrix give a float.
-    """
+    """(p-2) e^T H e + tr H, e = xi / |xi|, for Hessians H (..., n, n): the
+    one bracket of Delta_p W / |grad W|^{p-2}, at xi = grad W.  Directions
+    xi (..., n) broadcast against the stack of matrices, and p against their
+    leading shape; one direction and one matrix give a float.  xi is scaled
+    by its largest |xi_j| first, so no nonzero xi overflows: only 0 raises."""
     xi = np.asarray(xi, dtype=float)
-    # a row vector per direction, so each product rounds as for one direction
-    row = xi[..., None, :]
-    nrm2 = (row @ xi[..., None])[..., 0, 0]
-    if (nrm2 == 0.0).any():
+    big = np.abs(xi).max(axis=-1, keepdims=True)
+    if (big == 0.0).any():
         raise DegenerateDirectionError("direction xi must be nonzero")
+    e = xi / big / axis_norm(xi / big, keepdims=True)
     h = np.asarray(hess, dtype=float)
-    quad = (row @ h @ xi[..., None])[..., 0, 0]
-    return _scalar((np.asarray(p) - 2) * quad / nrm2 + np.trace(h, axis1=-2, axis2=-1))
+    # a row vector per direction, so each product rounds as for one direction
+    quad = (e[..., None, :] @ h @ e[..., None])[..., 0, 0]
+    return _scalar((np.asarray(p) - 2) * quad + np.trace(h, axis1=-2, axis2=-1))

@@ -1,12 +1,12 @@
 """Weighted superpositions V = sum_i a_i w(x - y_i) (+ concave term) and
 their p-Laplacian through three routes:
 
-  * delta_p_direct      -- the divergence identity
-                           |g|^{p-2} ((p-2) g^T H g / |g|^2 + tr H),
+  * delta_p_direct      -- the divergence identity |g|^{p-2} T(H, g), with the
+                           bracket T(H, g) = (p-2) e^T H e + tr H, e = g/|g|,
   * delta_p_closed_form -- the sign identity
                            -C |g|^{p-2} sum_i a_i sin^2(theta_i) / r_i^{(p+n-2)/(p-1)},
-  * delta_p_fd          -- the divergence identity on the central-difference
-                           Jacobian of the analytic gradient.
+  * delta_p_fd          -- |g|^{p-2} T(J, g), T from ``concave.operator_term`` as in
+                           direct, on the central-difference Jacobian J of the analytic gradient.
 
 The first two read one ``evaluate`` result; the FD oracle builds its own
 gradient from (ps, k, x), so it stays independent of that evaluation.
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .concave import ConcaveTerm
+from .concave import ConcaveTerm, operator_term
 from .core import (
     Params,
     _profile_slope,
@@ -319,13 +319,11 @@ def _grad_power(p, grad_norm, vanishing, exempt=False):
 
 
 def _divergence_identity(p, grad, grad_norm, vanishing, jac):
-    """|g|^{p-2} ((p-2) g^T J g / |g|^2 + tr J) for a gradient g and its
-    Jacobian J, with the factor and the vanishing rule of ``_grad_power``."""
+    """|g|^{p-2} ``operator_term(J, p, g)`` for a gradient g and its Jacobian
+    J; a vanishing g is read as ones, as its row is zeroed or (p = 2) tr J."""
     power, zeroed = _grad_power(p, grad_norm, vanishing)
-    gn = np.where(vanishing, 1.0, grad_norm)  # the 1 only keeps the vanishing rows finite
-    rayleigh = (grad[..., None, :] @ jac @ grad[..., None])[..., 0, 0] / gn**2
-    trace = np.trace(jac, axis1=-2, axis2=-1)
-    return _scalar(np.where(zeroed, 0.0, power * ((p - 2) * rayleigh + trace)))
+    bracket = operator_term(jac, p, np.where(vanishing[..., None], 1.0, grad))
+    return _scalar(np.where(zeroed, 0.0, power * bracket))
 
 
 def delta_p_direct(res: EvalResult):
@@ -350,10 +348,12 @@ def delta_p_closed_form(res: EvalResult):
     # to x - y_1, so sin(theta) = 0: in every row of a stack with one pole
     exact = (ps.counts == 1) | (p == 2)
     power, zeroed = _grad_power(p, res.grad_norm, res.vanishing, exact)
-    per_pole = _aligned_p(ps, 1)
-    expo = (per_pole + n - 2) / (per_pole - 1)
-    s = np.sum(ps.weights * np.sin(res.angles) ** 2 / _power(res.distances, expo), axis=-1)
-    return _scalar(np.where(zeroed | exact, 0.0, -ps.params.big_c_at(p) * power * s))
+    zero = zeroed | exact
+    q = _aligned_p(ps, 1)
+    # the radius 1 only keeps the rows set to 0 finite, as _grad_power's 1 does
+    r_power = _power(np.where(zero[..., None], 1.0, res.distances), (q + n - 2) / (q - 1))
+    s = np.sum(ps.weights * np.sin(res.angles) ** 2 / r_power, axis=-1)
+    return _scalar(np.where(zero, 0.0, -ps.params.big_c_at(p) * power * s))
 
 
 def delta_p_fd(ps: PoleSet, k: ConcaveTerm, x, step: float = DEFAULT_FD_STEP):

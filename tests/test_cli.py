@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from plap import cli, comparison, verify
+from plap import Params, PoleSet, cli, comparison, delta_p_scale, evaluate, verify
 from plap.errors import SolverFailureError
 from plap.schemas import SCHEMAS
 
@@ -75,6 +75,27 @@ def test_eval_deterministic(tmp_path):
     assert run("eval", "--config", str(cfg), "--out", str(out1)).returncode == 0
     assert run("eval", "--config", str(cfg), "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_eval_with_weights_near_1e150_writes_finite_routes(tmp_path, p):
+    """|grad V| about 1e150 squares to inf, so the routes form their bracket
+    from a unit direction: every column is finite, with numpy's warnings as
+    errors, and direct and FD meet the closed form against delta_p_scale."""
+    weights, locations, points = [1e150, 5e149], [[0.0, 0.0], [1.0, 0.0]], [[2.0, 1.0], [-1.0, 0.5]]
+    path, out = tmp_path / "eval.json", tmp_path / "out.csv"
+    write_json(path, dict(EVAL_CFG, params={"p": p, "n": 2}, points=points,
+                          poles=[{"weight": w, "location": y} for w, y in zip(weights, locations)]))
+    assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    header, *rows = read_csv(out)
+    assert [row[-1] for row in rows] == ["", ""]
+    table = np.array([[float(v) for v in row[:-1]] for row in rows])
+    assert np.isfinite(table).all()
+    direct, closed, fd = (table[:, header.index(f"delta_p_{route}")]
+                          for route in ("direct", "closed_form", "fd"))
+    scale = delta_p_scale(evaluate(PoleSet(weights, locations, Params(p, 2)), None, points))
+    assert (abs(direct - closed) <= 1e-10 * scale).all()
+    assert (abs(fd - closed) <= 1e-4 * scale).all()
 
 
 def test_bad_config_rejected(tmp_path):

@@ -197,6 +197,10 @@ def test_stacked_criterion_and_operator_terms_equal_per_matrix_calls(n):
     hs = 0.5 * (b + b.mT)
     terms = operator_term(hs, np.full(10, p[1]), xi)
     assert terms.tolist() == [operator_term(m, p[1], v) for m, v in zip(hs, xi)]
+    # homogeneous of degree 0 in xi: no scale overflows or underflows
+    bound = 1e-14 * (1 + abs(p[1] - 2)) * np.abs(hs).sum(axis=(-2, -1))
+    for scale in (1e200, 1e-200):
+        assert (abs(operator_term(hs, np.full(10, p[1]), scale * xi) - terms) <= bound).all()
 
 
 def test_a_stack_with_one_asymmetric_matrix_is_refused():

@@ -1,5 +1,5 @@
-"""The package's export list, its one use of scipy, its one Euclidean norm
-and its one home of |grad W|^{p-2}."""
+"""The package's export list, its one use of scipy, its one Euclidean norm,
+its one home of |grad W|^{p-2} and its one home of the bracket."""
 
 import ast
 import pathlib
@@ -53,14 +53,26 @@ def test_axis_norm_is_the_only_euclidean_norm():
     assert found == []
 
 
-def _grad_powers(node, where):
-    """The function that holds each ``_power(..., p - 2)`` call under
-    ``node``, ``where`` naming the function that holds ``node``."""
+def _holders(node, match, where=None):
+    """The function that holds each node under ``node`` that ``match``
+    accepts, ``where`` naming the function that holds ``node``."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "_power"
-                and len(child.args) == 2 and ast.unparse(child.args[1]) == "p - 2"):
+        if match(child):
             yield where
-        yield from _grad_powers(child, child.name if isinstance(child, ast.FunctionDef) else where)
+        yield from _holders(child, match, child.name if isinstance(child, ast.FunctionDef) else where)
+
+
+def _package_holders(match):
+    """(file, function) of every node of the package that ``match`` accepts."""
+    return [(path.name, where)
+            for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
+            for where in _holders(ast.parse(path.read_text()), match)]
+
+
+def _is_grad_power(node):
+    """A ``_power(..., p - 2)`` call."""
+    return (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_power"
+            and len(node.args) == 2 and ast.unparse(node.args[1]) == "p - 2")
 
 
 def test_grad_power_is_the_one_home_of_the_gradient_factor():
@@ -69,7 +81,23 @@ def test_grad_power_is_the_one_home_of_the_gradient_factor():
     factor is the flux of the evolution FD defects (``flux`` in
     ``evolution._flux_divergence``): B is not C^2 at the origin, so they
     difference the flux |grad(a B)|^{p-2} grad(a B), not the gradient."""
-    found = [(path.name, where)
-             for path in sorted(pathlib.Path(plap.__file__).parent.glob("*.py"))
-             for where in _grad_powers(ast.parse(path.read_text()), None)]
-    assert found == [("evolution.py", "flux"), ("superpose.py", "_grad_power")]
+    assert _package_holders(_is_grad_power) == [("evolution.py", "flux"), ("superpose.py", "_grad_power")]
+
+
+def _is_bracket_half(node):
+    """A trace, or a product of three factors such as x^T H x: the two
+    halves of the bracket (p-2) e^T H e + tr H."""
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).split(".")[-1] == "trace"
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.MatMult))
+
+
+def test_operator_term_is_the_one_home_of_the_bracket():
+    """``delta_p_direct``, the FD oracle and the criterion checks take the
+    bracket (p-2) e^T H e + tr H from ``concave.operator_term``, whose unit
+    direction cannot overflow.  The one other trace is the divergence of the
+    evolution FD defects (``evolution._flux_divergence``): the trace of the
+    Jacobian of their flux, which has no factor and so no bracket."""
+    found = sorted(set(_package_holders(_is_bracket_half)))
+    assert found == [("concave.py", "operator_term"), ("evolution.py", "_flux_divergence")]

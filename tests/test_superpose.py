@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,16 @@ def test_p2_direct_is_trace():
     assert delta_p_direct(evaluate(ps, None, x)) == pytest.approx(np.trace(res.hessian))
 
 
+def test_p2_direct_is_the_trace_where_the_gradient_times_the_hessian_overflows():
+    """|grad V| about 9.2e89 and |H| about 1e135: g^T H g overflows a double,
+    the unit direction of ``operator_term`` does not, so 0 (p - 2) e^T H e
+    leaves tr H bit for bit."""
+    ps = PoleSet([1.0, 0.5], [[0, 0, 0], [1, 0, 0]], Params(2, 3, 1.0))
+    res = evaluate(ps, None, [1e-45, 3e-46, 0.0])
+    assert 9e89 < res.grad_norm < 1e90
+    assert delta_p_direct(res) == np.trace(res.hessian)
+
+
 def test_closed_form_single_pole_exact_zero():
     ps = PoleSet([2.0], [[0.5, 0.5]], Params(3.5, 2, 1.0))
     assert delta_p_closed_form(evaluate(ps, None, [1.7, -0.3])) == 0.0
@@ -348,6 +359,23 @@ def test_closed_form_single_pole_exact_zero():
 def test_closed_form_p2_exact_zero():
     ps = PoleSet([1.0, 1.0], [[1, 0], [-1, 0]], Params(2, 2, 1.0))
     assert delta_p_closed_form(evaluate(ps, None, [0.3, 0.8])) == 0.0
+
+
+@pytest.mark.parametrize("weights, locations, p, x", [
+    ([1.0, 0.5], [[0, 0, 0], [1, 0, 0]], 2, [1e-120, 0.0, 0.0]),
+    ([1.0], [[0, 0, 0]], 1.5, [1e-70, 0.0, 0.0]),
+], ids=["p=2", "one pole"])
+def test_closed_form_rows_set_to_zero_take_no_radius_power(weights, locations, p, x):
+    """r^{(p+n-2)/(p-1)} underflows to 0 at these points (r^3 and r^5), but
+    the rows are 0 whatever it is.  ``evaluate`` there overflows |grad V|^2
+    (``core.axis_norm`` squares without scaling), so only the closed form
+    runs with numpy's warnings as errors."""
+    ps = PoleSet(weights, locations, Params(p, 3, 1.0))
+    with np.errstate(all="ignore"):
+        res = evaluate(ps, None, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert delta_p_closed_form(res) == 0.0
 
 
 def test_closed_form_rejects_concave_term():
