@@ -20,7 +20,6 @@ from .superpose import (
     delta_p_fd,
     delta_p_scale,
     evaluate,
-    sign_region,
 )
 from .comparison import (
     ComparisonReport,
@@ -65,7 +64,6 @@ __all__ = [
     "delta_p_closed_form",
     "delta_p_fd",
     "delta_p_scale",
-    "sign_region",
     "GridDomain",
     "ComparisonReport",
     "solve_p_harmonic",

@@ -204,8 +204,7 @@ def cmd_eval(args):
     x = np.asarray(cfg["points"], dtype=float).reshape(-1, n)
     near = superpose.near_pole(ps, x, step)
     value, grad_norm, direct, closed, fd = np.full((5, len(x)), np.nan)
-    if near.any():
-        value[near] = superpose.superposition_value(ps, k, x[near])
+    value[near] = superpose.superposition_value(ps, k, x[near])
     far = np.flatnonzero(~near)
     block_rows = max(1, EVAL_BLOCK // (2 * n * len(ps) * n))
     for first in range(0, len(far), block_rows):

@@ -62,16 +62,18 @@ class QuadraticTerm(ConcaveTerm):
         a = np.asarray(self.a_matrix, dtype=float)
         if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
             raise ValueError("A must be a square matrix or a stack of them")
-        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-        if not (np.abs(a - a.mT).max(axis=(-2, -1)) <= 1e-12 * scale).all():
-            raise ValueError("A must be symmetric")
-        a = 0.5 * (a + a.mT)
         b = np.zeros(a.shape[:-1]) if self.b is None else np.asarray(self.b, dtype=float)
         if b.shape != a.shape[:-1]:
             raise ValueError("b has the wrong dimension")
-        if np.asarray(self.c0).shape not in ((), a.shape[:-2]):
+        c0 = np.asarray(self.c0, dtype=float)
+        if c0.shape not in ((), a.shape[:-2]):
             raise ValueError("c0 needs one value per matrix")
-        object.__setattr__(self, "a_matrix", a)
+        if not all(np.isfinite(v).all() for v in (a, b, c0)):
+            raise ValueError("A, b and c0 must be finite")
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if not (np.abs(a - a.mT).max(axis=(-2, -1)) <= 1e-12 * scale).all():
+            raise ValueError("A must be symmetric")
+        object.__setattr__(self, "a_matrix", 0.5 * (a + a.mT))
         object.__setattr__(self, "b", b)
 
     # stacked matmuls and vecdot round every point of a batch exactly as a
@@ -102,6 +104,8 @@ class AffineMinTerm(ConcaveTerm):
         q = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if m.shape[0] != q.shape[0] or m.shape[0] == 0:
             raise ValueError("need one offset per slope, at least one piece")
+        if not (np.isfinite(m).all() and np.isfinite(q).all()):
+            raise ValueError("slopes and offsets must be finite")
         object.__setattr__(self, "slopes", m)
         object.__setattr__(self, "offsets", q)
 
@@ -117,7 +121,7 @@ class AffineMinTerm(ConcaveTerm):
         for j in range(1, pts.shape[1]):
             vals += np.multiply.outer(self.slopes[:, j], pts[:, j], out=term)
         vals += self.offsets[:, None]
-        return vals.reshape((-1,) + x.shape[:-1])
+        return vals.reshape(self.offsets.shape + x.shape[:-1])
 
     def value(self, x):
         return _scalar(self._pieces(x).min(axis=0))
@@ -177,8 +181,8 @@ class MollifiedTerm(ConcaveTerm):
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("smoothing radius delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("smoothing radius delta must be positive and finite")
 
     def _blocks(self, x):
         """Shape of the points x (..., d), the quadrature weights, and per

@@ -48,23 +48,19 @@ class Params:
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
 
-    @property
-    def big_c(self) -> float:
-        """c * (p-2)(p+n-2)/(p-1), the prefactor of the sign identity.
-
-        Recomputed on access so it can never go stale.
-        """
-        return self.big_c_at(self.p)
-
     def big_c_at(self, p):
-        """``big_c`` at the exponent p in place of ``self.p``: a float or an
-        array of exponents."""
+        """c (p-2)(p+n-2)/(p-1), the prefactor of the sign identity, at the
+        exponent p: ``self.p``, another float or an array of exponents."""
         return self.c * (p - 2) * (p + self.n - 2) / (p - 1)
 
 
 def _power(x, e):
-    """x ** e for an exponent e, a float or an array that broadcasts
-    against x to x's shape, each element rounded as x ** float(e) rounds it.
+    """x ** e, the one power of the package, for x a float, a numpy scalar
+    or an array, and an exponent e, a float or an array that broadcasts
+    against x to x's shape: each element rounded as in a float64 array
+    ** float(e).  x is taken as an array, so a single value rounds as a
+    batch row does (numpy's scalar ** calls the C pow, which rounds
+    otherwise in a few % of values).
 
     An e of one value v, whatever its shape, takes numpy's float-exponent
     power x ** float(v), which is also the faster.  numpy takes x ** 0.5,
@@ -74,7 +70,7 @@ def _power(x, e):
     np.power with those three substituted.  For every other exponent the
     two agree bit for bit (numpy 2.4; ``tests/test_batched_routes.py``
     checks the exponents of the profile and the routes)."""
-    e = np.asarray(e, dtype=float)
+    x, e = np.asarray(x, dtype=float), np.asarray(e, dtype=float)
     v = float(e.flat[0])
     if e.size == 1 or (e == v).all():
         return x ** v

@@ -50,8 +50,8 @@ class EvolutionKernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.params.p > 2:
             raise ValueError("evolution kernels require p > 2")
-        if not (self.big_c > 0 and self.small_c > 0):
-            raise ValueError("kernel constants must be positive")
+        if not (0 < self.big_c < math.inf and 0 < self.small_c < math.inf):
+            raise ValueError("kernel constants must be positive and finite")
 
     @property
     def beta(self) -> float:
@@ -71,13 +71,12 @@ def _similarity(k: EvolutionKernel):
 def _profile(k: EvolutionKernel, x, t):
     """|x|, B or W, d/dr and d/dt at points x of shape (..., n) and times t
     that broadcast against their leading shape: four arrays of the
-    broadcast shape.
+    broadcast shape, 0-d for a single point and t.
 
     This is the only code that evaluates either kernel, and the only place
-    where the Barenblatt truncation gives 0 outside the support.  It works
-    on flat arrays whatever the shape: numpy's scalar ** rounds differently
-    from its array **, so a single point and the same row of a batch give
-    the same bits only that way.
+    where the Barenblatt truncation gives 0 outside the support.  Its
+    powers are ``core._power``'s, so a single point and the same row of a
+    batch give the same bits.
     """
     p, n = k.params.p, k.params.n
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -86,26 +85,25 @@ def _profile(k: EvolutionKernel, x, t):
     t = np.asarray(t, dtype=float)
     _require_time(t)
     r, t = np.broadcast_arrays(axis_norm(x), t)
-    shape = r.shape
-    r, t = r.ravel(), t.ravel()
     g, coeff = _similarity(k)
-    tg = t**g
+    tg = _power(t, g)
     s = r / tg
-    q = s ** (p / (p - 1))
+    q = _power(s, p / (p - 1))
+    s_root = _power(s, 1.0 / (p - 1))
     if k.kind == BARENBLATT:
         inner = np.maximum(k.big_c - coeff * q, 0.0)
         m = (p - 1) / (p - 2)
-        lead = t ** (-n * g) * inner ** (m - 1)
+        lead = _power(t, -n * g) * _power(inner, m - 1)
         value = lead * inner
         # dq/dt = -g p/(p-1) q / t
         dt = lead / t * (-n * g * inner + g * m * coeff * p / (p - 1) * q)
         # d/dr inner = -coeff p/(p-1) s^{1/(p-1)} / t^g
-        dr = lead * m * (-coeff * p / (p - 1) * s ** (1.0 / (p - 1)) / tg)
+        dr = lead * m * (-coeff * p / (p - 1) * s_root / tg)
     else:
-        value = k.small_c * t ** (-n / (p * (p - 1))) * np.exp(-coeff * q)
+        value = k.small_c * _power(t, -n / (p * (p - 1))) * np.exp(-coeff * q)
         dt = value / t * (-n / (p * (p - 1)) + coeff / (p - 1) * q)
-        dr = -value * coeff * p / (p - 1) * s ** (1.0 / (p - 1)) / tg
-    return [v.reshape(shape) for v in (r, value, dr, dt)]
+        dr = -value * coeff * p / (p - 1) * s_root / tg
+    return r, value, dr, dt
 
 
 def support_radius(k: EvolutionKernel, t):
@@ -249,8 +247,7 @@ def two_bump_defect(k: EvolutionKernel, y, t):
     if not r.all():
         raise UnsupportedConfigurationError("the bump offset y must be nonzero")
     p = k.params.p
-    # np.power, since numpy's scalar ** rounds differently from its array **
-    return _scalar(2 * (p - 1) * np.power(2 * w, p - 2) * wt)
+    return _scalar(2 * (p - 1) * _power(2 * w, p - 2) * wt)
 
 
 def two_bump_defect_fd(k: EvolutionKernel, y, t):
@@ -267,7 +264,7 @@ def two_bump_defect_fd(k: EvolutionKernel, y, t):
 
     def signed_power(s):  # |V|^{p-2} V at times s
         v = two_bump_value(k, y, x, s)
-        return np.power(np.abs(v), p - 2) * v
+        return _power(np.abs(v), p - 2) * v
 
     lap = _flux_divergence(lambda z, s: two_bump_gradient(k, y[..., None, :], z, s), x, t,
                            TWO_BUMP_SPACE_STEP, p)

@@ -227,10 +227,6 @@ class EvalResult:
     ddv: np.ndarray
     k_hessian: np.ndarray
 
-    @property
-    def derivatives_available(self) -> bool:
-        return self.gradient is not None
-
 
 def _aligned_p(ps: PoleSet, axes):
     """``ps.p`` with ``axes`` unit axes appended, so that it broadcasts
@@ -417,9 +413,3 @@ def sign_classes(p, n):
         negative = -(p - 2) * (p + n - 2) / (p - 1) < 0
     zero = (p == 2) | (n == 1) | (p + n == 2)
     return _SIGN_NAMES[np.where(p == 1, 3, np.where(zero, 2, negative.astype(int)))]
-
-
-def sign_region(p: float, n: int) -> SignClass:
-    """Sign of the superposition's p-Laplacian at one (p, n); see
-    ``sign_classes``."""
-    return SignClass(sign_classes(p, n).item())

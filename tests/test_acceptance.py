@@ -24,11 +24,11 @@ from plap import (
     criterion_sum,
     eigenvalue_criterion,
     operator_term,
-    sign_region,
     solve_p_harmonic,
     two_bump_defect,
     two_bump_defect_fd,
 )
+from plap.superpose import sign_classes
 from plap.verify import DEFAULT_SEED, verify_concave, verify_evolution, verify_superpose
 
 SEED = DEFAULT_SEED
@@ -70,13 +70,12 @@ def test_criterion_1_three_way_agreement():
 def test_criterion_2_sign_region_map():
     t0 = time.perf_counter()
     p_values = np.round(np.arange(0.2, 4.0 + 0.025, 0.05), 12)
+    p_values = p_values[p_values != 1.0]
+    classes = sign_classes(p_values[:, None], np.arange(1, 7))  # one call for the grid
     mismatches = 0
     checked = 0
-    for p in p_values:
-        if p == 1.0:
-            continue
-        for n in range(1, 7):
-            cls = sign_region(float(p), n)
+    for p, row in zip(p_values, classes):
+        for n, cls in enumerate(map(SignClass, row), start=1):
             if p == 2.0 or n == 1 or p + n == 2.0:
                 expected = SignClass.IDENTICALLY_ZERO
             else:

@@ -16,9 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap import cli, core, superpose, verify
-from plap.concave import AffineMinTerm, QuadraticTerm
+from plap.concave import AffineMinTerm, MollifiedTerm, QuadraticTerm
 from plap.core import Params, fd_spacing
-from plap.errors import KinkError, PoleSingularityError, UndefinedOperatorError
+from plap.errors import (
+    KinkError,
+    PoleSingularityError,
+    UndefinedOperatorError,
+    UnsupportedConfigurationError,
+)
 from plap.superpose import (
     DEFAULT_FD_STEP,
     PoleSet,
@@ -47,6 +52,8 @@ def random_term(rng, kind, n):
         return QuadraticTerm(-m @ m.T, b=rng.uniform(-1, 1, n), c0=1.0)
     if kind == "affine_min":
         return AffineMinTerm(rng.uniform(-1, 1, (3, n)), rng.uniform(-1, 1, 3))
+    if kind == "mollified":
+        return MollifiedTerm(random_term(rng, "affine_min", n), 0.2)
     return None
 
 
@@ -384,7 +391,7 @@ def test_a_stack_of_mixed_p_on_its_poles_follows_each_rows_pole_rule():
     for p_rows in [(1.5, 2.0, 3.0), (3.0, 1.5, 2.0)]:
         stack = PoleSet.stack_rows(weights, locations, [Params(p, 2) for p in p_rows])
         res = evaluate(stack, None, x)
-        assert not res.derivatives_available
+        assert res.gradient is None
         for b, p in enumerate(p_rows):
             want = evaluate(PoleSet(*rows[b], Params(p, 2)), None, x[b]).value
             assert (want == math.inf) == (p <= 2)
@@ -465,11 +472,27 @@ def test_power_of_several_exponents_rounds_each_as_its_float_exponent():
             assert_same_bits(got, want, x.strides)
 
 
+@pytest.mark.parametrize("lead", [(0,), (3, 0)], ids=["rows", "grid"])
+@pytest.mark.parametrize("kind", [None, "quadratic", "affine_min", "mollified"])
+def test_an_empty_batch_gives_empty_results_with_every_kind_of_k(kind, lead):
+    rng = np.random.default_rng(8)
+    ps, k, x = random_poles(rng, 3.0, 2), random_term(rng, kind, 2), np.zeros(lead + (2,))
+    res = evaluate(ps, k, x)
+    assert (res.gradient.shape, res.hessian.shape) == (lead + (2,), lead + (2, 2))
+    for name, route in ROUTES.items():
+        if name == "closed" and k is not None:
+            with pytest.raises(UnsupportedConfigurationError):
+                route(ps, k, x)
+        else:
+            assert route(ps, k, x).shape == lead, name
+    assert superpose.superposition_value(ps, k, x).shape == res.value.shape == lead
+
+
 def test_a_batch_with_a_point_on_a_pole_gives_values_only():
     ps = PoleSet([1.0, 2.0], [[0.0, 0.0], [1.0, 0.5]], Params(2.5, 2))
     x = np.array([[1.7, -1.3], [1.0, 0.5], [-1.2, 1.9]])
     res = evaluate(ps, None, x)
-    assert not res.derivatives_available
+    assert res.gradient is None
     assert res.hessian is None and res.angles is None
     np.testing.assert_array_equal(res.value, [evaluate(ps, None, z).value for z in x])
 
@@ -494,7 +517,7 @@ def test_a_stacked_point_on_a_real_pole_follows_the_pole_rule(p, n, kind):
     stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets], pa)
     k = random_term(rng, kind, n)
     res = evaluate(stack, k, x)
-    assert not res.derivatives_available
+    assert res.gradient is None
     assert not np.isnan(res.value).any()
     for i, ps in enumerate(sets):
         want = evaluate(ps, k, x[i]).value

@@ -99,6 +99,21 @@ def test_mollified_requires_positive_delta():
         MollifiedTerm(QuadraticTerm(-np.eye(2)), 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [
+    lambda: QuadraticTerm(np.diag([-1.0, -math.inf])),
+    lambda: QuadraticTerm(-np.eye(2), b=[math.inf, 0.0]),
+    lambda: QuadraticTerm(-np.eye(2), c0=math.nan),
+    lambda: QuadraticTerm(np.stack([-np.eye(2)] * 2), c0=[0.0, -math.inf]),
+    lambda: AffineMinTerm([[1.0, math.nan], [0.0, 1.0]], [0.0, 0.0]),
+    lambda: AffineMinTerm([[1.0, 0.0]], [math.inf]),
+    lambda: MollifiedTerm(QuadraticTerm(-np.eye(2)), math.inf),
+], ids=["A_inf", "b_inf", "c0_nan", "stacked_c0_inf", "slope_nan", "offset_inf", "delta_inf"])
+def test_a_concave_term_refuses_non_finite_input(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_mollified_locally_uniform_convergence():
     base = AffineMinTerm([[1.0, 0.5], [-0.7, 0.2], [0.1, -1.0]], [0.0, 0.3, -0.2])
     box = [
@@ -326,6 +341,16 @@ def test_batched_equals_pointwise(kind, lead, seed, d):
                 np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-14)
     if lead == ():
         assert type(k.value(x)) is float and type(k.eval(x)[0]) is float
+
+
+@pytest.mark.parametrize("lead", [(0,), (3, 0)], ids=["rows", "grid"])
+@pytest.mark.parametrize("kind", ["quadratic", "affine_min", "mollified", "nested"])
+def test_every_term_takes_an_empty_batch(kind, lead):
+    k, x = random_term(np.random.default_rng(5), kind, 2), np.zeros(lead + (2,))
+    assert k.value(x).shape == lead
+    for name in ("eval", "eval_lenient"):
+        v, g, h = getattr(k, name)(x)
+        assert (v.shape, g.shape, h.shape) == (lead, lead + (2,), lead + (2, 2))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -45,7 +45,8 @@ def test_params_validation():
 
 def test_big_c_recomputed():
     pa = Params(p=3.0, n=2, c=2.0)
-    assert pa.big_c == 2.0 * (3 - 2) * (3 + 2 - 2) / (3 - 1)
+    assert pa.big_c_at(pa.p) == 2.0 * (3 - 2) * (3 + 2 - 2) / (3 - 1)
+    np.testing.assert_array_equal(pa.big_c_at(np.array([3.0, 4.0])), [pa.big_c_at(3.0), pa.big_c_at(4.0)])
 
 
 def test_newtonian_case():
@@ -162,7 +163,7 @@ def test_gradient_fd_oracle():
 
 def test_gradient_at_pole_is_error():
     pa, y = Params(2, 3), [1.0, 0.0, 0.0]
-    assert not one_pole(pa, y, y).derivatives_available
+    assert one_pole(pa, y, y).gradient is None
     with pytest.raises(PoleSingularityError):
         delta_p_direct(evaluate(PoleSet([1.0], [y], pa), None, y))
 

@@ -1,5 +1,7 @@
 """Evolutionary kernels: source solutions, defect identities, sign changes."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -40,6 +42,16 @@ def test_kernel_validation():
         EvolutionKernel(kind=BARENBLATT, params=Params(2.0, 2))
     with pytest.raises(ValueError):
         EvolutionKernel(kind="other", params=Params(3.0, 2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,constants", [
+    (BARENBLATT, {"big_c": math.inf}), (BARENBLATT, {"big_c": math.nan}),
+    (HOMOGENEOUS, {"small_c": math.inf}), (HOMOGENEOUS, {"small_c": -math.inf}),
+], ids=["big_c_inf", "big_c_nan", "small_c_inf", "small_c_minus_inf"])
+def test_a_kernel_refuses_non_finite_constants(kind, constants):
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionKernel(kind=kind, params=Params(3.0, 2), **constants)
 
 
 def test_barenblatt_center_value():

@@ -1,5 +1,6 @@
 """The package's export list, its one use of scipy, its one Euclidean norm,
-its one home of |grad W|^{p-2} and its one home of the bracket."""
+its one home of |grad W|^{p-2}, its one np.power and its one home of the
+bracket."""
 
 import ast
 import pathlib
@@ -80,8 +81,23 @@ def test_grad_power_is_the_one_home_of_the_gradient_factor():
     takes |grad W|^{p-2} from ``superpose._grad_power``.  The one other
     factor is the flux of the evolution FD defects (``flux`` in
     ``evolution._flux_divergence``): B is not C^2 at the origin, so they
-    difference the flux |grad(a B)|^{p-2} grad(a B), not the gradient."""
-    assert _package_holders(_is_grad_power) == [("evolution.py", "flux"), ("superpose.py", "_grad_power")]
+    difference the flux |grad(a B)|^{p-2} grad(a B), not the gradient.
+    ``evolution.two_bump_defect`` and the ``signed_power`` of
+    ``two_bump_defect_fd`` form no gradient factor: their powers of V make
+    the time term (|V|^{p-2} V)_t of the homogeneous equation."""
+    assert _package_holders(_is_grad_power) == [
+        ("evolution.py", "flux"), ("evolution.py", "two_bump_defect"),
+        ("evolution.py", "signed_power"), ("superpose.py", "_grad_power"),
+    ]
+
+
+def test_power_is_the_one_home_of_np_power():
+    """``np.power`` appears only in ``core._power``, the package's one rule
+    for how numpy rounds a power: a kernel that needs a single value to
+    round as a batch row does takes ``_power``, not an ``np.power`` of its
+    own."""
+    found = _package_holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "power")
+    assert found == [("core.py", "_power")]
 
 
 def _is_bracket_half(node):

@@ -20,7 +20,6 @@ from plap import (
     delta_p_direct,
     delta_p_fd,
     evaluate,
-    sign_region,
     superpose,
 )
 from plap.comparison import superposition_grid
@@ -298,7 +297,7 @@ def test_eval_at_pole_infinite_for_small_p():
     ps = PoleSet([1.0], [[0, 0, 0]], Params(2, 3, 1.0))
     res = evaluate(ps, None, [0.0, 0.0, 0.0])
     assert res.value == math.inf
-    assert not res.derivatives_available
+    assert res.gradient is None
 
 
 def test_eval_at_pole_finite_for_large_p():
@@ -310,7 +309,7 @@ def test_eval_at_pole_finite_for_large_p():
     other = evaluate(PoleSet([2.0], [[1, 1]], pa), None, [0.0, 0.0]).value
     assert res.value == pytest.approx(other + k.value([0.0, 0.0]), rel=1e-15)
     assert math.isfinite(res.value)
-    assert not res.derivatives_available and res.hessian is None
+    assert res.gradient is None and res.hessian is None
     assert evaluate(PoleSet([1.0], [[0, 0]], pa), None, [0.0, 0.0]).value == 0.0
     with pytest.raises(PoleSingularityError):
         delta_p_direct(evaluate(ps, k, [0.0, 0.0]))
@@ -518,7 +517,7 @@ def test_weight_scaling_power_law():
     ],
 )
 def test_sign_region(p, n, expected):
-    assert sign_region(p, n) is expected
+    assert SignClass(superpose.sign_classes(p, n).item()) is expected
 
 
 def test_riemann_far_field_matches_centroid_pole():

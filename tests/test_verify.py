@@ -102,7 +102,7 @@ def reference_superpose(rng):
         dc.append(_rel(d, c, scale))
         fd.append(_rel(f, c, scale))
         for row, draw in enumerate(draws):
-            region = superpose.sign_region(draw["base"].params.p, n)
+            region = superpose.SignClass(superpose.sign_classes(draw["base"].params.p, n).item())
             if region is superpose.SignClass.NON_POSITIVE:
                 sign.append([c[row] / np.maximum(scale[row], 1e-300)])
             elif region is superpose.SignClass.NON_NEGATIVE:
