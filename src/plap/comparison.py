@@ -12,13 +12,15 @@ grid-unique.
 
 Every linear system (the p = 2 start and each Newton step) is symmetric
 positive definite and is solved by a banded Cholesky factorisation.  The
-unknowns are numbered with the interior axis of most nodes varying slowest,
-which keeps the band narrowest on any grid shape.  Two corners of a cell
-are a fixed distance apart in that numbering, so the band is assembled
-straight from the per-cell blocks, one slice of one diagonal per pair of
-corners."""
+start matrix depends on the grid alone, so a domain factors it once, at
+its first solve, and its later starts reuse the factor.  The unknowns are
+numbered with the interior axis of most nodes varying slowest, which keeps
+the band narrowest on any grid shape.  Two corners of a cell are a fixed
+distance apart in that numbering, so the band is assembled straight from
+the per-cell blocks, one slice of one diagonal per pair of corners."""
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
@@ -38,7 +40,11 @@ MAX_BAND_BYTES = 2**30      # of the lower band of one Newton system (33^3 needs
 
 @dataclass(frozen=True)
 class GridDomain:
-    """Axis-aligned box with a uniform tensor grid (>= 9 nodes per axis)."""
+    """Axis-aligned box with a uniform tensor grid (>= 9 nodes per axis).
+
+    A domain builds its node array and its ``_Stencil``, with the factor of
+    the p = 2 start matrix, once, on first use, and keeps them for its own
+    lifetime: two equal domains share nothing."""
 
     bounds: tuple
     shape: tuple
@@ -75,9 +81,18 @@ class GridDomain:
         )
 
     def nodes(self):
-        """All node coordinates, shape (*grid shape*, dim)."""
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        """All node coordinates, shape (*grid shape*, dim), read-only."""
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self):
+        nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        nodes.flags.writeable = False
+        return nodes
+
+    @functools.cached_property
+    def _stencil(self):
+        return _Stencil(self)
 
     @property
     def interior(self):
@@ -93,7 +108,8 @@ class GridDomain:
 class _Stencil:
     """The cell volume of a grid and its cell gradient as a stencil over the
     2^dim corners of each cell; the layout of the interior unknowns and of
-    the lower band of their Newton systems, refused above MAX_BAND_BYTES.
+    the lower band of their Newton systems, refused above MAX_BAND_BYTES;
+    the solve of the p = 2 start matrix G_I^T G_I, factored on first use.
 
     Corner k of a cell lies ``corners[k]`` (0 or 1 per axis) above the
     cell's lowest node; ``weights[k, j]`` is its weight in the gradient
@@ -145,6 +161,16 @@ class _Stencil:
                     cells, cols = zip(*(span[ck[axis], cl[axis]] for axis in range(dim)))
                     self.pairs.append((k, l, cells, cols + (offset,)))
         self.dots = self.weights @ self.weights.T
+        self._start_solve = None
+
+    def start(self, rhs):
+        """x with G_I^T G_I x = rhs: the first call factors G_I^T G_I (a
+        failure carries the sup-norm of its rhs as the residual), and every
+        call solves with that factor."""
+        if self._start_solve is None:
+            self._start_solve = _band_solver(self.band(np.ones(self.cell_shape)),
+                                             residual=float(np.abs(rhs).max()))
+        return self._start_solve(rhs)
 
     def scatter(self, u, x):
         """Write the unknowns x into the interior of the node array u."""
@@ -210,20 +236,22 @@ def _hessian(st: _Stencil, state, p):
     return st.band(scale * w, scale * (p - 2) * q ** ((p - 4) / 2), g)
 
 
-def _band_solve(ab, rhs, residual):
-    """Solve a x = rhs for a symmetric positive definite a given by its
-    lower band ab by a Cholesky factorisation.  A leading minor that is
-    not positive raises SolverFailureError carrying ``residual``."""
-    from scipy.linalg import solveh_banded
+def _band_solver(ab, residual):
+    """The solve rhs -> x of a x = rhs for a symmetric positive definite a
+    given by its lower band ab, which it overwrites: one banded Cholesky
+    factorisation (LAPACK pbtrf), then pbtrs per right side, the two calls
+    ``solveh_banded``'s pbsv makes, so every solve has its bits.  A leading
+    minor that is not positive raises SolverFailureError carrying
+    ``residual``."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
 
     try:
-        return solveh_banded(
-            ab, rhs, overwrite_ab=True, lower=True, check_finite=False
-        )
+        factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(
             f"the banded Cholesky factorisation failed: {exc}", residual=residual
         ) from exc
+    return lambda rhs: cho_solve_banded((factor, True), rhs, check_finite=False)
 
 
 def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndarray:
@@ -240,7 +268,7 @@ def solve_p_harmonic(dom: GridDomain, boundary: np.ndarray, p: float) -> np.ndar
         raise ValueError("the solver covers p >= 2 only")
     if np.shape(boundary) != dom.shape:
         raise ValueError("boundary array does not match the grid shape")
-    return _solve(_Stencil(dom), boundary, p)
+    return _solve(dom._stencil, boundary, p)
 
 
 def _solve(st: _Stencil, boundary, p):
@@ -252,14 +280,13 @@ def _solve(st: _Stencil, boundary, p):
         raise UnsupportedConfigurationError("boundary values must be finite")
     # initial guess: the unweighted (p = 2) discrete-harmonic extension,
     # G_I^T G_I x = -G_I^T G_B u_B
-    rhs = -st.divergence(st.gradient(u))
-    x = _band_solve(st.band(np.ones(st.cell_shape)), rhs, residual=float(np.abs(rhs).max()))
+    x = st.start(-st.divergence(st.gradient(u)))
     energy, grad_e, state = _energy_state(st, u, x, p)
     residual = float(np.abs(grad_e).max())
     for _ in range(MAX_NEWTON_ITER):
         if residual <= NEWTON_TOL:
             break
-        direction = _band_solve(_hessian(st, state, p), -grad_e, residual)
+        direction = _band_solver(_hessian(st, state, p), residual)(-grad_e)
         step = 1.0
         while step > 2.0**-40:
             x_trial = x + step * direction
@@ -347,7 +374,7 @@ def comparison_check(
     p = _set_p(ps)
     if not p > 2:
         raise UnsupportedConfigurationError("the comparison harness requires p > 2")
-    st = _Stencil(dom)  # refuses an oversized band before the W grid is built
+    st = dom._stencil  # refuses an oversized band before the W grid is built
     if tol is None:
         try:  # ldexp, unlike 32 * h, raises OverflowError as the square does
             tol = COMPARISON_TOL * math.ldexp(max(dom.spacing), 5) ** 2

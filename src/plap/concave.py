@@ -70,10 +70,13 @@ class QuadraticTerm(ConcaveTerm):
             raise ValueError("c0 needs one value per matrix")
         if not all(np.isfinite(v).all() for v in (a, b, c0)):
             raise ValueError("A, b and c0 must be finite")
+        # halved first, so no finite entry overflows: the same bits as
+        # 0.5 (a + a^T) and 0.5 (a - a^T) outside the subnormal range
+        half, half_t = 0.5 * a, 0.5 * a.mT
         scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-        if not (np.abs(a - a.mT).max(axis=(-2, -1)) <= 1e-12 * scale).all():
+        if not (np.abs(half - half_t).max(axis=(-2, -1)) <= 0.5e-12 * scale).all():
             raise ValueError("A must be symmetric")
-        object.__setattr__(self, "a_matrix", 0.5 * (a + a.mT))
+        object.__setattr__(self, "a_matrix", half + half_t)
         object.__setattr__(self, "b", b)
 
     # stacked matmuls and vecdot round every point of a batch exactly as a

@@ -175,22 +175,22 @@ class PoleSet:
             cls(*rows[first], row_params[first])  # raises that row's error
         locations = np.zeros(real.shape + (n,))
         locations[real] = y
-        p.flags.writeable = False
         return cls._from_rows(weights, locations, counts, params, p)
 
     @classmethod
     def _from_rows(cls, weights, locations, counts, params, p):
         """The stack whose row b holds the first ``counts[b]`` poles of
         ``weights`` (B, m) and ``locations`` (B, m, n), padded as
-        ``stack_rows`` pads, with exponents ``p`` (``PoleSet.p``); the rows
-        are taken as merged sets, so nothing is merged."""
+        ``stack_rows`` pads, with exponents ``p`` (``PoleSet.p``, made
+        read-only here); the rows are taken as merged sets, so nothing is
+        merged."""
         real = np.arange(weights.shape[1]) < counts[:, None]
         out = cls.__new__(cls)
         out.weights = np.where(real, weights, 0.0)
         out.locations = np.where(real[..., None], locations, locations[:, :1])
         out.params, out.p = params, p
         out.counts = counts
-        for a in (out.weights, out.locations, out.counts):
+        for a in (out.weights, out.locations, out.counts, out.p):
             a.flags.writeable = False
         return out
 

@@ -19,15 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import comparison, concave, evolution, superpose
-from .core import Params, axis_norm
+from .core import Params, _power, axis_norm
 from .errors import PlapError
 
 DEFAULT_SEED = 20160118
 SUITE_NAMES = ("superpose", "concave", "comparison", "evolution")
 # run_suite("all") runs these in a forked child beside the others where it
-# can; per seed, each suite alone on one of 2 cores: comparison 31 ms in the
-# child against superpose 13 + concave 13 + evolution 4 ms in the parent
+# can; per seed, the seconds each process logs at DEBUG on 2 cores: comparison
+# 33-38 ms in the child against superpose 14 + concave 13.5 + evolution 7 ms
+# in the parent
 FORKED_SUITES = ("comparison",)
+DRAWS = 200                 # of the superpose suite
 TRIALS = 100                # per check of the concave suite
 MIN_POLE_DISTANCE = 0.05    # of a query point from every pole
 BRACKET_RADII = 33          # per call of the function whose sign change is bracketed
@@ -80,27 +82,52 @@ def _params(p, n):
     return Params(p, n, 1.0)
 
 
-def _pole_draw(rng, n, max_poles=8):
-    """The weights and locations of one pole set, as plain arrays."""
-    count = int(rng.integers(1, max_poles + 1))
-    return rng.uniform(0.1, 2.0, count), rng.uniform(-1.0, 1.0, (count, n))
+def _pole_draws(rng, size, n, max_poles):
+    """The pole counts (size,) in [1, max_poles], weights (size, max_poles)
+    in [0.1, 2] and locations (size, max_poles, n) in [-1, 1]^n of ``size``
+    pole sets: set b is the first counts[b] poles of row b, in the first
+    coordinates of its own dimension."""
+    counts = rng.integers(1, max_poles + 1, size)
+    weights = rng.uniform(0.1, 2.0, (size, max_poles))
+    return counts, weights, rng.uniform(-1.0, 1.0, (size, max_poles, n))
 
 
-def _points_away(rng, locations, count):
-    """``count`` points (count, n), each drawn until it is
-    ``MIN_POLE_DISTANCE`` from every location, as ``superpose.pole_distance``
-    measures it.  The candidates still owed are drawn in one call, which
-    reads the stream as one call per candidate would, and the first
-    ``count`` that pass are kept, in order."""
-    n = locations.shape[1]
-    points = rng.uniform(-2.0, 2.0, (count, n))
+def _points_away(rng, locations, counts, dims, per_row):
+    """Points (B, per_row, N) in [-2, 2]^N for the pole sets of
+    ``_pole_draws``, locations (B, m, N): row b's points are at least
+    ``MIN_POLE_DISTANCE`` from its first counts[b] poles in its first
+    dims[b] coordinates, as ``superpose.pole_distance`` measures it (the
+    other coordinates are zeroed on both sides, which adds exact zeros to
+    each squared norm).  The points still owed are drawn again in one call
+    per round, in row order."""
+    size, m, n = locations.shape
+    kept = np.arange(n) < dims[:, None, None]
+    poles = np.where(kept, locations, 0.0)[:, None]
+    real = np.arange(m) < counts[:, None, None]
+    points = rng.uniform(-2.0, 2.0, (size, per_row, n))
     while True:
-        d = points[:, None, :] - locations
-        far = axis_norm(d).min(axis=-1) >= MIN_POLE_DISTANCE
-        if far.all():
+        d = axis_norm(np.where(kept, points, 0.0)[:, :, None] - poles)
+        near = ((d < MIN_POLE_DISTANCE) & real).any(axis=-1)
+        if not near.any():
             return points
-        kept = points[far]
-        points = np.concatenate([kept, rng.uniform(-2.0, 2.0, (count - len(kept), n))])
+        points[near] = rng.uniform(-2.0, 2.0, (int(near.sum()), n))
+
+
+def _classes(*keys):
+    """(combination, rows) for each distinct combination of the values of
+    ``keys``, arrays of one length, in sorted order."""
+    combos, inverse = np.unique(np.stack(keys, axis=-1), axis=0, return_inverse=True)
+    return [(tuple(c.tolist()), np.flatnonzero(inverse.ravel() == i)) for i, c in enumerate(combos)]
+
+
+def _stack(p, n, counts, weights, locations):
+    """The stacked pole sets whose row b holds the first counts[b] poles of
+    weights[b] and locations[b] in their first n coordinates, with p[b] and
+    c = 1.  Weights and locations drawn from continuous distributions are
+    neither 0 nor equal, so the rows are merged sets as drawn."""
+    m = counts.max()
+    return superpose.PoleSet._from_rows(weights[:, :m], locations[:, :m, :n], counts,
+                                        _params(float(p[0]), n), p)
 
 
 def _worst(parts, floor=0.0):
@@ -131,50 +158,48 @@ def _derived_stacks(base, q, shift, s):
 
 
 def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
-    """200 draws, each of p, n, a pole set, a point, a rotation, a shift and
-    a weight factor s.  The draw loop makes only the draws and the point's
-    rejection test; the routes then run once per dimension n on the stacked
-    sets of its draws, each row with its own p."""
+    """DRAWS draws, each of p, n, a pole set, a point, a rotation, a shift
+    and a weight factor s.  Each kind is drawn for every draw in one
+    generator call, the vectors and matrices with 5 coordinates of which a
+    draw keeps its first n, and the points in the rounds of their rejection
+    test.  The routes then run once per dimension n on the stacked sets of
+    its draws, each row with its own p."""
     rng = np.random.default_rng(seed)
-    rep = SuiteReport("superpose")
-    classes = {}
-    for _ in range(200):
-        p = (2.0, 2.5, 3.0, 4.0)[rng.integers(4)]
-        n = (2, 3, 5)[rng.integers(3)]
-        w, y = _pole_draw(rng, n)
-        x = _points_away(rng, y, 1)[0]
-        # isometry: the rotation from the QR of g, then a translation
-        g = rng.standard_normal((n, n))
-        shift = rng.uniform(-1, 1, n)
-        s = float(rng.uniform(0.5, 3.0))
-        # a Python float power, which rounds unlike an array's
-        classes.setdefault(n, []).append((_params(p, n), w, y, x, g, shift, s, s ** (p - 1)))
+    p = np.array([2.0, 2.5, 3.0, 4.0])[rng.integers(4, size=DRAWS)]
+    n = np.array([2, 3, 5])[rng.integers(3, size=DRAWS)]
+    counts, weights, locations = _pole_draws(rng, DRAWS, 5, max_poles=8)
+    # isometry: the rotation from the QR of g, then a translation
+    g = rng.standard_normal((DRAWS, 5, 5))
+    shift = rng.uniform(-1.0, 1.0, (DRAWS, 5))
+    s = rng.uniform(0.5, 3.0, DRAWS)
+    x = _points_away(rng, locations, counts, n, 1)[:, 0]
 
+    rep = SuiteReport("superpose")
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
-    for n, draws in classes.items():
-        params, w, y, x, g, shift, s, factor = zip(*draws)
-        base = superpose.PoleSet.stack_rows(w, y, params)
-        x, shift, factor = np.array(x), np.array(shift), np.array(factor)
-        q = np.linalg.qr(np.array(g))[0]
-        moved, scaled, single = _derived_stacks(base, q, shift, np.array(s))
-        x_moved = (q @ x[..., None])[..., 0] + shift
-        res = superpose.evaluate(base, None, x)
+    for (dim,), rows in _classes(n):
+        base = _stack(p[rows], dim, counts[rows], weights[rows], locations[rows])
+        xs, sh, ss = x[rows, :dim], shift[rows, :dim], s[rows]
+        q = np.linalg.qr(g[rows, :dim, :dim])[0]
+        moved, scaled, single = _derived_stacks(base, q, sh, ss)
+        x_moved = (q @ xs[..., None])[..., 0] + sh
+        res = superpose.evaluate(base, None, xs)
         c = superpose.delta_p_closed_form(res)
         scale = superpose.delta_p_scale(res)
         dc.append(_rel(superpose.delta_p_direct(res), c, scale))
-        fd.append(_rel(superpose.delta_p_fd(base, None, x), c, scale))
+        fd.append(_rel(superpose.delta_p_fd(base, None, xs), c, scale))
         # the part of the closed form on the wrong side of its row's sign class
-        region = superpose.sign_classes(base.p, n)
+        region = superpose.sign_classes(base.p, dim)
         wrong = np.where(region == superpose.SignClass.NON_POSITIVE.value, c,
                          np.where(region == superpose.SignClass.NON_NEGATIVE.value, -c, np.abs(c)))
         sign.append(wrong / np.maximum(scale, 1e-300))
 
         c_moved, c_scaled, c_single = (
             superpose.delta_p_closed_form(superpose.evaluate(ps, None, z))
-            for ps, z in ((moved, x_moved), (scaled, x), (single, x))
+            for ps, z in ((moved, x_moved), (scaled, xs), (single, xs))
         )
         iso.append(_rel(c_moved, c, scale))
         # weight scaling: a -> s a multiplies the closed form by s^(p-1)
+        factor = _power(ss, base.p - 1)
         scal.append(_rel(c_scaled, factor * c, factor * scale))
         null.append(np.abs(c_single))
 
@@ -187,10 +212,11 @@ def verify_superpose(seed=DEFAULT_SEED) -> SuiteReport:
     return rep
 
 
-def _nsd_draw(rng, n):
-    """The draws of one n x n negative semidefinite matrix: a Gaussian
-    matrix for its eigenvectors and its eigenvalues."""
-    return rng.standard_normal((n, n)), -rng.uniform(0.0, 3.0, n)
+def _nsd_draw(rng, n, size=()):
+    """The draws of negative semidefinite n x n matrices, one per index of
+    ``size``: Gaussian matrices (*size, n, n) for their eigenvectors and
+    their eigenvalues (*size, n)."""
+    return rng.standard_normal((*size, n, n)), -rng.uniform(0.0, 3.0, (*size, n))
 
 
 def _nsd(g, lam):
@@ -200,64 +226,54 @@ def _nsd(g, lam):
     return (q * lam[..., None, :]) @ q.mT
 
 
-def _by_size(draws):
-    """The draws (tuples whose first field has length n) grouped by n, in
-    order of first appearance: per n, the draws' indices and a stacked array
-    of each field."""
-    groups = {}
-    for i, draw in enumerate(draws):
-        groups.setdefault(len(draw[0]), []).append(i)
-    return [(rows, *map(np.array, zip(*(draws[i] for i in rows)))) for rows in groups.values()]
-
-
 def verify_concave(seed=DEFAULT_SEED) -> SuiteReport:
-    """Each check's draw loop makes only the draws and the decisions later
-    draws depend on; its matrices are then built and checked per size n,
+    """Each check draws its TRIALS trials as ``verify_superpose`` draws:
+    each kind of value in one generator call, with the most coordinates a
+    trial can have (5 for the matrix checks, 3 for V + K), of which a trial
+    keeps its first n.  Its matrices are then built and checked per size n,
     and V + K per (n, pole count) class, each row with its own p."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport("concave")
 
-    draws = []
-    for _ in range(TRIALS):
-        n = int(rng.integers(2, 6))
-        p = float(rng.uniform(2.01, 8.0))
-        draws.append(_nsd_draw(rng, n) + (p,))
+    n = rng.integers(2, 6, TRIALS)
+    p = rng.uniform(2.01, 8.0, TRIALS)
+    g, lam = _nsd_draw(rng, 5, (TRIALS,))
     missed = []
-    for _, g, lam, p in _by_size(draws):
-        h = _nsd(g, lam)
-        missed.append(concave.criterion_sum(h, p)[~concave.eigenvalue_criterion(h, p)])
+    for (dim,), rows in _classes(n):
+        h = _nsd(g[rows, :dim, :dim], lam[rows, :dim])
+        missed.append(concave.criterion_sum(h, p[rows])[~concave.eigenvalue_criterion(h, p[rows])])
     rep.add("concavity_implies_criterion", _worst(missed), 1e-12)
 
-    accepted = []
-    for _ in range(TRIALS):
-        n = int(rng.integers(2, 6))
-        p = float(rng.uniform(2.01, 6.0))
-        h = (lambda a: 0.5 * (a + a.T))(rng.standard_normal((n, n)))
-        # only a matrix that meets the criterion draws its 10 directions; h is
-        # symmetric and p > 2 by construction, so this is eigenvalue_criterion
-        # without its checks
-        if concave.criterion_sum(h, p) <= concave.CRITERION_SLACK:
-            accepted.append((h, p, rng.standard_normal((10, n))))
-    terms = [concave.operator_term(h[:, None], p[:, None], xi)
-             for _, h, p, xi in _by_size(accepted)]
+    n = rng.integers(2, 6, TRIALS)
+    p = rng.uniform(2.01, 6.0, TRIALS)
+    a = rng.standard_normal((TRIALS, 5, 5))
+    xi = rng.standard_normal((TRIALS, 10, 5))
+    terms = []
+    for (dim,), rows in _classes(n):
+        m = a[rows, :dim, :dim]
+        h = 0.5 * (m + m.mT)
+        # only a matrix that meets the criterion is checked; h is symmetric
+        # and p > 2 by construction, so this is eigenvalue_criterion without
+        # its checks
+        met = concave.criterion_sum(h, p[rows]) <= concave.CRITERION_SLACK
+        terms.append(concave.operator_term(h[met][:, None], p[rows][met][:, None],
+                                           xi[rows][met][..., :dim]))
     rep.add("criterion_implies_sign", _worst(terms), 1e-12)
 
-    classes = {}
-    for _ in range(TRIALS):
-        p = (2.5, 3.0, 4.0)[rng.integers(3)]
-        n = (2, 3)[rng.integers(2)]
-        w, y = _pole_draw(rng, n, max_poles=5)
-        g, lam = _nsd_draw(rng, n)
-        b, c0 = rng.uniform(-1, 1, n), float(rng.uniform(-1, 1))
-        x = _points_away(rng, y, 5)
-        classes.setdefault((n, len(w)), []).append((_params(p, n), w, y, g, lam, b, c0, x))
+    p = np.array([2.5, 3.0, 4.0])[rng.integers(3, size=TRIALS)]
+    n = np.array([2, 3])[rng.integers(2, size=TRIALS)]
+    counts, weights, locations = _pole_draws(rng, TRIALS, 3, max_poles=5)
+    g, lam = _nsd_draw(rng, 3, (TRIALS,))
+    b, c0 = rng.uniform(-1.0, 1.0, (TRIALS, 3)), rng.uniform(-1.0, 1.0, TRIALS)
+    x = _points_away(rng, locations, counts, n, 5)
     signs = []
     # one evaluation per (n, pole count): no row is padded, so each rounds as alone
-    for trials in classes.values():
-        params, w, y, g, lam, b, c0, x = zip(*trials)
-        ps = superpose.PoleSet.stack_rows(w, y, params)
-        k = concave.QuadraticTerm(_nsd(np.array(g), np.array(lam)), b=np.array(b), c0=np.array(c0))
-        signs.append(superpose.delta_p_direct(superpose.evaluate(ps, k, np.stack(x, axis=1))))
+    for (dim, _), rows in _classes(n, counts):
+        ps = _stack(p[rows], dim, counts[rows], weights[rows], locations[rows])
+        k = concave.QuadraticTerm(_nsd(g[rows, :dim, :dim], lam[rows, :dim]),
+                                  b=b[rows, :dim], c0=c0[rows])
+        signs.append(superpose.delta_p_direct(
+            superpose.evaluate(ps, k, x[rows, :, :dim].swapaxes(0, 1))))
     # the largest value of Δ_p(V + K) itself, so its margin shows
     rep.add("concave_superposition_sign", _worst(signs, floor=-np.inf), 1e-10)
 

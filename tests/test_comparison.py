@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from plap import (
 from plap import comparison
 from plap.comparison import (
     _Stencil,
-    _band_solve,
+    _band_solver,
     _energy_state,
     _hessian,
 )
@@ -271,7 +272,7 @@ def test_band_solve_matches_superlu(shape, p):
                (sparse_hessian(g_i, ref_state, p, cell_vol), band, -grad_e))
     for a, ab, b in systems:
         reference = spla.spsolve(a.tocsc(), b)
-        x = _band_solve(ab, b, residual=0.0)
+        x = _band_solver(ab, residual=0.0)(b)
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -483,6 +484,61 @@ def test_comparison_check_builds_one_stencil(monkeypatch):
     dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17))
     comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
     assert built == [dom]
+
+
+def test_equal_domains_share_no_stencil_and_no_nodes(monkeypatch):
+    """A domain builds its stencil and its node array once, for its own
+    solves; an equal but distinct domain builds its own."""
+    built = []
+    monkeypatch.setattr(comparison, "_Stencil", lambda dom: built.append(dom) or _Stencil(dom))
+    a, b = (GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(17, 17)) for _ in range(2))
+    assert a == b and a is not b
+    data = smooth_data(a)
+    for dom in (a, a, b):
+        solve_p_harmonic(dom, data, 3.0)
+    assert len(built) == 2 and built[0] is a and built[1] is b
+    assert a.nodes() is a.nodes() and a.nodes() is not b.nodes()
+    assert not a.nodes().flags.writeable
+
+
+def counted_start_factors(monkeypatch):
+    """The Counter of p = 2 start factorisations by unknowns: each band
+    assembled without the rank-one part, G_I^T G_I, is factored once."""
+    starts, band = Counter(), _Stencil.band
+
+    def counted(self, w, s=None, g=None):
+        if g is None:
+            starts[self.count] += 1
+        return band(self, w, s, g)
+
+    monkeypatch.setattr(_Stencil, "band", counted)
+    return starts
+
+
+def test_verify_comparison_factors_each_grids_start_once(monkeypatch):
+    """Eight solves on the 33^2 grid and one on its 17^2 coarsening: one
+    start factorisation per grid; one comparison check makes one."""
+    starts = counted_start_factors(monkeypatch)
+    verify_comparison(3)
+    assert starts == Counter({31**2: 1, 15**2: 1})
+    starts.clear()
+    dom = GridDomain(bounds=[(-1, 1), (-1, 1)], shape=(33, 33))
+    comparison_check(PoleSet([1.0], [[0.1, 0.2]], Params(3, 2, 1.0)), None, dom)
+    assert starts == Counter({31**2: 1})
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (33, 33), (65, 65), (9, 9, 9)])
+def test_the_shared_start_factor_solves_as_solveh_banded(shape):
+    """The start of every solve on a domain, from the one factor of its
+    p = 2 matrix: bit for bit ``solveh_banded``'s solve of that matrix."""
+    dom = GridDomain(bounds=[(-1, 1)] * len(shape), shape=shape)
+    st = dom._stencil
+    for data in (smooth_data(dom), np.cos(dom.nodes().sum(axis=-1))):
+        u = np.array(data)
+        u[st.inner] = 0.0
+        rhs = -st.divergence(st.gradient(u))
+        want = solveh_banded(st.band(np.ones(st.cell_shape)), rhs, lower=True, check_finite=False)
+        assert st.start(rhs).tobytes() == want.tobytes()
 
 
 def test_refinement_shrinks_violations():

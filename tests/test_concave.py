@@ -42,6 +42,18 @@ def test_quadratic_rejects_asymmetric():
         QuadraticTerm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_quadratic_term_near_the_largest_double_neither_overflows_nor_passes_asymmetry():
+    """Entries of 1e308: a + a^T and a - a^T would overflow, so A is halved
+    before either.  A symmetric matrix, alone or stacked, keeps its bits;
+    an asymmetric one is refused."""
+    a = np.full((2, 2), 1e308)
+    assert QuadraticTerm(a).a_matrix.tobytes() == a.tobytes()
+    assert QuadraticTerm(np.stack([a, a])).a_matrix.tobytes() == np.stack([a, a]).tobytes()
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticTerm(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
 def test_affine_min_single_piece():
     k = AffineMinTerm([[1.0, 2.0]], [0.5])
     v, g, h = k.eval([0.3, 0.4])

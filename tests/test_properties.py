@@ -38,7 +38,7 @@ from plap import (
 from plap import cli
 from plap.errors import UnsupportedConfigurationError
 from plap.superpose import DEFAULT_FD_STEP, delta_p_scale, near_pole
-from plap.verify import _points_away, _pole_draw
+from plap.verify import _points_away, _pole_draws
 
 # deterministic and without an example database, so a run leaves no files
 property_settings = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -56,8 +56,9 @@ def random_config(seed, p, n):
     weights in [0.1, 2], locations in [-1, 1]^n and a point in [-2, 2]^n
     at least ``verify.MIN_POLE_DISTANCE`` from every pole."""
     rng = np.random.default_rng(seed)
-    w, y = _pole_draw(rng, n)
-    return PoleSet(w, y, Params(float(p), int(n), 1.0)), _points_away(rng, y, 1)[0], rng
+    counts, w, y = _pole_draws(rng, 1, n, max_poles=8)
+    x = _points_away(rng, y, counts, np.array([n]), 1)[0, 0]
+    return PoleSet(w[0, :counts[0]], y[0, :counts[0]], Params(float(p), int(n), 1.0)), x, rng
 
 
 # ------------------------------------------------------------- pole rule
@@ -174,9 +175,9 @@ def test_stacked_routes_equal_the_per_set_routes(seed, p, n, count):
     another order), and a one-pole row gives exactly 0 from the closed
     form."""
     rng = np.random.default_rng(seed)
-    draws = [_pole_draw(rng, n) for _ in range(count)]
-    sets = [PoleSet(w, y, Params(p, n, 1.0)) for w, y in draws]
-    x = np.array([_points_away(rng, y, 1)[0] for _, y in draws])
+    counts, w, y = _pole_draws(rng, count, n, max_poles=8)
+    sets = [PoleSet(w[b, :counts[b]], y[b, :counts[b]], Params(p, n, 1.0)) for b in range(count)]
+    x = _points_away(rng, y, counts, np.full(count, n), 1)[:, 0]
     stack = PoleSet.stack_rows([s.weights for s in sets], [s.locations for s in sets],
                                Params(p, n, 1.0))
     assert stack.weights.shape == stack.locations.shape[:2] == (count, max(stack.counts))

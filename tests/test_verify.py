@@ -1,12 +1,13 @@
-"""The draw loops of ``plap verify`` against the per-draw loops they replaced.
+"""The array draws of ``plap verify`` against per-draw references.
 
-``verify_superpose`` and ``verify_concave`` make only their draws (and the
-decisions later draws depend on) in a loop, and batch the rest after it.
-The per-draw loops below are the reference: every report and the
-generator's final state must be the same, bit for bit.  The evolution
-suite's bracket of the Barenblatt sign change has ``brentq`` as its
-reference.  ``run_suite("all")`` on its forked path has the sequential path
-as its reference."""
+``verify_superpose`` and ``verify_concave`` draw each kind of value for
+every draw in one generator call, and stack and check per class after it.
+The references below make the same generator calls and then take the rows
+one draw at a time: a pole set, a point test, a matrix and a route call per
+draw.  Every report and the generator's final state must be the same, bit
+for bit.  The evolution suite's bracket of the Barenblatt sign change has
+``brentq`` as its reference.  ``run_suite("all")`` on its forked path has
+the sequential path as its reference."""
 
 import dataclasses
 import math
@@ -19,12 +20,13 @@ import pytest
 from scipy.optimize import brentq
 
 from plap import cli, comparison, concave, evolution, superpose, verify
-from plap.core import Params
+from plap.core import Params, _power, axis_norm
 from plap.errors import PlapError, SolverFailureError
 from plap.superpose import _cutoff
 from plap.verify import (
     BRACKET_XTOL,
     DEFAULT_SEED,
+    DRAWS,
     MIN_POLE_DISTANCE,
     TRIALS,
     SuiteReport,
@@ -36,24 +38,6 @@ from plap.verify import (
 SEEDS = list(range(50)) + [DEFAULT_SEED]  # 0-49 include 7
 
 
-def _random_pole_set(rng, p, n, max_poles=8):
-    """One pole set per draw, built by ``PoleSet``."""
-    count = int(rng.integers(1, max_poles + 1))
-    weights = rng.uniform(0.1, 2.0, count)
-    locations = rng.uniform(-1.0, 1.0, (count, n))
-    return superpose.PoleSet(weights, locations, Params(float(p), int(n), 1.0))
-
-
-def _random_point_away(rng, ps):
-    """A point drawn until ``superpose.pole_distance`` puts it far enough
-    from every pole of ``ps``."""
-    n = ps.params.n
-    while True:
-        x = rng.uniform(-2.0, 2.0, n)
-        if superpose.pole_distance(ps, x) >= MIN_POLE_DISTANCE:
-            return x
-
-
 def stack_of(sets):
     """One stack of the pole sets ``sets``, built from their fields, each
     row with its set's p."""
@@ -61,30 +45,57 @@ def stack_of(sets):
                                         [s.params for s in sets])
 
 
+def reference_pole_sets(rng, p, n, max_poles, n_max):
+    """The pole sets of verify's draws, one ``PoleSet`` per row of the
+    arrays drawn for all of them."""
+    size = len(p)
+    counts = rng.integers(1, max_poles + 1, size)
+    weights = rng.uniform(0.1, 2.0, (size, max_poles))
+    locations = rng.uniform(-1.0, 1.0, (size, max_poles, n_max))
+    return [superpose.PoleSet(weights[b, :counts[b]], locations[b, :counts[b], :n[b]],
+                              Params(float(p[b]), int(n[b]), 1.0)) for b in range(size)]
+
+
+def reference_points_away(rng, sets, per_row, n_max):
+    """``per_row`` points per pole set, each kept once ``superpose.pole_distance``
+    puts its first n coordinates far enough from every pole of its set; the
+    points still owed are drawn again together, in row order."""
+    points = rng.uniform(-2.0, 2.0, (len(sets), per_row, n_max))
+    while True:
+        owed = [(b, j) for b, ps in enumerate(sets) for j in range(per_row)
+                if superpose.pole_distance(ps, points[b, j, :ps.params.n]) < MIN_POLE_DISTANCE]
+        if not owed:
+            return points
+        for (b, j), x in zip(owed, rng.uniform(-2.0, 2.0, (len(owed), n_max))):
+            points[b, j] = x
+
+
 def reference_superpose_draws(rng):
-    """The per-draw loop of ``verify_superpose``: every draw builds its
-    moved, scaled and single-pole sets at once.  Draws grouped by n, as
-    the suite stacks them, so that each row is padded as it is there."""
+    """The draws of ``verify_superpose``, taken one row at a time: every
+    draw builds its moved, scaled and single-pole sets at once.  Draws
+    grouped by n, as the suite stacks them, so that each row is padded as
+    it is there."""
+    p = rng.choice([2.0, 2.5, 3.0, 4.0], DRAWS)
+    n = rng.choice([2, 3, 5], DRAWS)
+    sets = reference_pole_sets(rng, p, n, 8, 5)
+    g = rng.standard_normal((DRAWS, 5, 5))
+    shift = rng.uniform(-1, 1, (DRAWS, 5))
+    s = rng.uniform(0.5, 3.0, DRAWS)
+    x = reference_points_away(rng, sets, 1, 5)[:, 0]
     classes = {}
-    for _ in range(200):
-        p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
-        n = int(rng.choice([2, 3, 5]))
-        ps = _random_pole_set(rng, p, n)
-        x = _random_point_away(rng, ps)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        shift = rng.uniform(-1, 1, n)
-        s = float(rng.uniform(0.5, 3.0))
-        classes.setdefault(n, []).append(dict(
-            base=ps, x=x, q=q, shift=shift, s=s,
-            moved=superpose.PoleSet(ps.weights, ps.locations @ q.T + shift, ps.params),
-            x_moved=q @ x + shift,
-            scaled=superpose.PoleSet(s * ps.weights, ps.locations, ps.params),
-            factor=s ** (p - 1),
+    for b, ps in enumerate(sets):
+        m = ps.params.n
+        q, _ = np.linalg.qr(g[b, :m, :m])
+        xb, sh = x[b, :m], shift[b, :m]
+        classes.setdefault(m, []).append(dict(
+            base=ps, x=xb, q=q, shift=sh, s=s[b],
+            moved=superpose.PoleSet(ps.weights, ps.locations @ q.T + sh, ps.params),
+            x_moved=q @ xb + sh,
+            scaled=superpose.PoleSet(s[b] * ps.weights, ps.locations, ps.params),
+            factor=_power(s[b], p[b] - 1),
             single=superpose.PoleSet(ps.weights[:1], ps.locations[:1], ps.params),
         ))
     return classes
-
-
 def reference_superpose(rng):
     rep = SuiteReport("superpose")
     dc, fd, sign, iso, scal, null = ([] for _ in range(6))
@@ -127,48 +138,51 @@ def reference_superpose(rng):
     return rep
 
 
-def reference_nsd(rng, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = -rng.uniform(0.0, 3.0, n)
+def reference_nsd(g, lam):
+    q, _ = np.linalg.qr(g)
     return (q * lam) @ q.T
 
 
 def reference_concave(rng):
-    """The per-draw loops of ``verify_concave``: one matrix, one criterion
-    and one operator term at a time."""
+    """The checks of ``verify_concave`` after its array draws: one matrix,
+    one criterion and one operator term at a time."""
     rep = SuiteReport("concave")
+    n = rng.integers(2, 6, TRIALS)
+    p = rng.uniform(2.01, 8.0, TRIALS)
+    g, lam = rng.standard_normal((TRIALS, 5, 5)), -rng.uniform(0.0, 3.0, (TRIALS, 5))
     worst = 0.0
-    for _ in range(TRIALS):
-        n = int(rng.integers(2, 6))
-        p = float(rng.uniform(2.01, 8.0))
-        h = reference_nsd(rng, n)
-        if not concave.eigenvalue_criterion(h, p):
-            worst = max(worst, concave.criterion_sum(h, p))
+    for b in range(TRIALS):
+        h = reference_nsd(g[b, :n[b], :n[b]], lam[b, :n[b]])
+        if not concave.eigenvalue_criterion(h, p[b]):
+            worst = max(worst, concave.criterion_sum(h, p[b]))
     rep.add("concavity_implies_criterion", worst, 1e-12)
 
+    n = rng.integers(2, 6, TRIALS)
+    p = rng.uniform(2.01, 6.0, TRIALS)
+    a = rng.standard_normal((TRIALS, 5, 5))
+    xi = rng.standard_normal((TRIALS, 10, 5))
     worst = 0.0
-    for _ in range(TRIALS):
-        n = int(rng.integers(2, 6))
-        p = float(rng.uniform(2.01, 6.0))
-        h = (lambda a: 0.5 * (a + a.T))(rng.standard_normal((n, n)))
-        if not concave.eigenvalue_criterion(h, p):
+    for b in range(TRIALS):
+        h = (lambda a: 0.5 * (a + a.T))(a[b, :n[b], :n[b]])
+        if not concave.eigenvalue_criterion(h, p[b]):
             continue
         term = concave.QuadraticTerm(h)
-        for _ in range(10):
-            xi = rng.standard_normal(n)
-            worst = max(worst, concave.operator_term(term.eval(np.zeros(n))[2], p, xi))
+        for j in range(10):
+            hess = term.eval(np.zeros(n[b]))[2]
+            worst = max(worst, concave.operator_term(hess, p[b], xi[b, j, :n[b]]))
     rep.add("criterion_implies_sign", worst, 1e-12)
 
+    p = rng.choice([2.5, 3.0, 4.0], TRIALS)
+    n = rng.choice([2, 3], TRIALS)
+    sets = reference_pole_sets(rng, p, n, 5, 3)
+    g, lam = rng.standard_normal((TRIALS, 3, 3)), -rng.uniform(0.0, 3.0, (TRIALS, 3))
+    b, c0 = rng.uniform(-1, 1, (TRIALS, 3)), rng.uniform(-1, 1, TRIALS)
+    x = reference_points_away(rng, sets, 5, 3)
     worst = -np.inf
-    for _ in range(TRIALS):
-        p = float(rng.choice([2.5, 3.0, 4.0]))
-        n = int(rng.choice([2, 3]))
-        ps = _random_pole_set(rng, p, n, max_poles=5)
-        k = concave.QuadraticTerm(
-            reference_nsd(rng, n), b=rng.uniform(-1, 1, n), c0=float(rng.uniform(-1, 1))
-        )
-        x = np.array([_random_point_away(rng, ps) for _ in range(5)])
-        worst = max(worst, float(superpose.delta_p_direct(superpose.evaluate(ps, k, x)).max()))
+    for i, ps in enumerate(sets):
+        m = ps.params.n
+        k = concave.QuadraticTerm(reference_nsd(g[i, :m, :m], lam[i, :m]), b=b[i, :m], c0=float(c0[i]))
+        worst = max(worst, float(superpose.delta_p_direct(superpose.evaluate(ps, k, x[i, :, :m])).max()))
     rep.add("concave_superposition_sign", worst, 1e-10)
 
     base = concave.AffineMinTerm([[1.0, 0.5], [-0.7, 0.2], [0.1, -1.0]], [0.0, 0.3, -0.2])
@@ -180,7 +194,8 @@ def reference_concave(rng):
         sups.append(float(np.abs(mol.value(box) - base.value(box)).max()))
     rep.add("mollification_sup_shrinks", max(sups[i + 1] / sups[i] for i in range(2)), 0.99)
 
-    mol = concave.MollifiedTerm(concave.QuadraticTerm(reference_nsd(rng, 2)), 0.2)
+    g = rng.standard_normal((2, 2))
+    mol = concave.MollifiedTerm(concave.QuadraticTerm(reference_nsd(g, -rng.uniform(0.0, 3.0, 2))), 0.2)
     _, _, h = mol.eval(box[::5])
     rep.add("mollified_hessian_nsd", max(0.0, float(np.linalg.eigvalsh(h)[:, -1].max())), 1e-10)
     return rep
@@ -205,14 +220,96 @@ def test_the_draw_loop_gives_the_per_draw_report_and_generator_state(
 
 
 def test_the_fd_oracle_passes_the_draw_where_the_flux_form_failed():
-    """Seed 1498416809, draw 128: |grad V| = 0.096 and a pole 0.065 from
-    the point.  An oracle that differenced the flux |g|^{p-2} g failed
+    """Seed 1498416809, draw 128 of the per-draw loop that ``verify_superpose``
+    drew with before its array draws: |grad V| = 0.096 and a pole 0.065
+    from the point.  An oracle that differenced the flux |g|^{p-2} g failed
     ``three_way_fd_vs_closed`` there (1.79e-4 against 1e-4); the identity
     on the Jacobian of g, with g the stencil mean, gives 6.8e-6."""
-    report = verify.verify_superpose(1498416809)
-    assert report.passed
-    fd = next(c for c in report.checks if c.name == "three_way_fd_vs_closed")
-    assert fd.worst_residual < 1e-5
+
+    def per_draw_loop(seed, index):
+        """The pole set and point of draw ``index`` of that loop."""
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            p = (2.0, 2.5, 3.0, 4.0)[rng.integers(4)]
+            n = (2, 3, 5)[rng.integers(3)]
+            count = int(rng.integers(1, 9))
+            w, y = rng.uniform(0.1, 2.0, count), rng.uniform(-1.0, 1.0, (count, n))
+            x = rng.uniform(-2.0, 2.0, n)
+            while axis_norm(x - y).min() < MIN_POLE_DISTANCE:
+                x = rng.uniform(-2.0, 2.0, n)
+            rng.standard_normal((n, n)), rng.uniform(-1, 1, n), rng.uniform(0.5, 3.0)
+        return superpose.PoleSet(w, y, Params(p, n, 1.0)), x
+
+    ps, x = per_draw_loop(1498416809, 128)
+    res = superpose.evaluate(ps, None, x)
+    assert round(float(axis_norm(res.gradient)), 3) == 0.096
+    assert round(float(superpose.pole_distance(ps, x)), 3) == 0.065
+    c = superpose.delta_p_closed_form(res)
+    assert _rel(superpose.delta_p_fd(ps, None, x), c, superpose.delta_p_scale(res)) < 1e-5
+    assert verify.verify_superpose(1498416809).passed
+
+
+class CountingGenerator:
+    """A generator that records the name of each method called on it, in
+    ``calls``, unless ``outside`` is False."""
+
+    def __init__(self, rng, calls, outside):
+        self.rng, self.calls, self.outside = rng, calls, outside
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            if self.outside():
+                self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+def generator_calls(monkeypatch, suite, seed):
+    """The generator methods ``suite`` calls at ``seed`` outside
+    ``verify._points_away``, in order, and the number of its calls of
+    ``_points_away``, whose rounds of redraws depend on the draws."""
+    calls, inside = [], []
+    default_rng, points_away = np.random.default_rng, verify._points_away
+
+    def counted_points_away(*args):
+        inside.append(1)
+        try:
+            return points_away(*args)
+        finally:
+            inside.append(-1)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: CountingGenerator(default_rng(s), calls, lambda: not sum(inside)))
+    monkeypatch.setattr(verify, "_points_away", counted_points_away)
+    suite(seed)
+    monkeypatch.undo()
+    return calls, inside.count(1)
+
+
+@pytest.mark.parametrize("suite, count, draws", [
+    (verify.verify_superpose, "DRAWS", (DRAWS, 7, 1000)),
+    (verify.verify_concave, "TRIALS", (TRIALS, 7, 500)),
+], ids=["superpose", "concave"])
+def test_each_suite_makes_the_same_generator_calls_whatever_the_draw_count(
+        monkeypatch, suite, count, draws):
+    """One call per kind of value drawn, with every draw's values in its
+    rows: the suite makes the same calls at 7 draws as at 1000, and its
+    point rejection is one call of ``_points_away``."""
+    seen = set()
+    for size in draws:
+        monkeypatch.setattr(verify, count, size)
+        calls, rejections = generator_calls(monkeypatch, suite, DEFAULT_SEED)
+        assert rejections == 1
+        seen.add(tuple(calls))
+    assert len(seen) == 1
+    assert len(calls) == {"DRAWS": 8, "TRIALS": 19}[count]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_every_suite_passes(seed):
+    assert [rep.suite for rep in verify.run_suite("all", seed=seed) if not rep.passed] == []
 
 
 FIELDS = ("weights", "locations", "counts")
